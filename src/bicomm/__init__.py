@@ -9,8 +9,8 @@ Modules:
                 kernels
     bmo         product and rectangular BMO functionals on wavelet
                 coefficients
-    commutator  the nested commutator as an operator, norms, Hankel form,
-                dual norm estimation
+    commutator  the nested commutator as an operator, its exact norm from
+                quadrant Hankel blocks, power iteration, Hankel form
     journe      dyadic rectangle combinatorics: maximal rectangles,
                 embeddedness, covering sums, thinning
     cli         configuration-driven experiment runner

@@ -171,8 +171,11 @@ def _masked_energy(c_abs2: np.ndarray, s0: np.ndarray, s1: np.ndarray, mask: np.
     return float(np.sum(c_abs2[box == counts]))
 
 
-def _greedy_search(c: WaveletCoefficients, budget: int) -> tuple[np.ndarray, float, float, list[np.ndarray]]:
-    """Grow the rectangular witness by dyadic squares with the best marginal gain.
+def _greedy_search(
+    c: WaveletCoefficients, budget: int, seed: BmoEstimate
+) -> tuple[np.ndarray, float, float, list[np.ndarray]]:
+    """Grow the rectangular witness seed (rect_bmo(c)) by dyadic squares with
+    the best marginal gain.
 
     Returns the final mask, its energy and measure, and the list of visited
     masks (seed first).  Each step adds the square maximizing the marginal
@@ -181,7 +184,6 @@ def _greedy_search(c: WaveletCoefficients, budget: int) -> tuple[np.ndarray, flo
     n = c.max_scale
     c_abs2 = np.abs(c.matrix) ** 2
     s0, s1 = _interval_spans(n, n)
-    seed = rect_bmo(c)
     mask = seed.witness.mask.copy()
     cell_area = 4.0**-n
     cur_e = _masked_energy(c_abs2, s0, s1, mask)
@@ -248,20 +250,28 @@ def product_bmo_lower(
     method='exhaustive' scans all cell unions (only at max_scale <= 2),
     'greedy' runs the seeded square-growing search, and 'auto' picks
     exhaustive when affordable.  The greedy result is a lower bound with a
-    witness; it always dominates rect_bmo since the search starts there.
-    Greedy cost grows with 4^max_scale per step, so it is intended for the
-    small resolutions the experiments use.
+    witness.  Both searches cover rect_bmo's witness but sum its energy in
+    another order, so the result is the larger of the search's value and
+    rect_bmo's: it dominates rect_bmo to the last bit.  Greedy cost grows with
+    4^max_scale per step, so it is intended for the small resolutions the
+    experiments use.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if method not in ("auto", "greedy", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "exhaustive" or (method == "auto" and c.max_scale <= _EXHAUSTIVE_MAX_SCALE):
-        if c.max_scale > _EXHAUSTIVE_MAX_SCALE:
-            raise ValueError("exhaustive scan needs max_scale <= 2")
-        return _exhaustive_scan(c)
-    mask, e, m, _ = _greedy_search(c, budget)
-    return BmoEstimate(float(np.sqrt(e / m)), CellSet(c.max_scale, mask), exact=False)
+    exhaustive = method == "exhaustive" or (method == "auto" and c.max_scale <= _EXHAUSTIVE_MAX_SCALE)
+    if exhaustive and c.max_scale > _EXHAUSTIVE_MAX_SCALE:
+        raise ValueError("exhaustive scan needs max_scale <= 2")
+    rect = rect_bmo(c)
+    if exhaustive:
+        est = _exhaustive_scan(c)
+    else:
+        mask, e, m, _ = _greedy_search(c, budget, rect)
+        est = BmoEstimate(float(np.sqrt(e / m)), CellSet(c.max_scale, mask), exact=False)
+    if est.value >= rect.value:
+        return est
+    return BmoEstimate(rect.value, rect.witness, est.exact)
 
 
 def john_nirenberg_ratio(
@@ -354,7 +364,7 @@ def carleson_packing_check(c: WaveletCoefficients, norm: float) -> PackingReport
                 k1, k2 = divmod(flat, 2**j2)
                 witness_rect = DyadicRectangle.from_indices(j1, k1, j2, k2)
     witness = CellSet(J, witness_rect.to_cellrect(J).to_mask())
-    _, _, _, path = _greedy_search(c, budget=16)
+    _, _, _, path = _greedy_search(c, 16, rect_bmo(c))
     for mask in path:
         U = CellSet(J, mask)
         meas = U.measure()

@@ -32,6 +32,7 @@ from .commutator import (
     dense_hankel_matrix,
     dense_operator_matrix,
     operator_norm,
+    power_iteration_norm,
 )
 from .grid import CellSet, DyadicInterval, DyadicRectangle, GridSignal1D, GridSignal2D, load_signal
 from .journe import embeddedness, enlargement, journe_sum, row_of_squares
@@ -574,7 +575,7 @@ def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
         rng = np.random.default_rng([cfg.seed, i])
         b = _band_limited_2d(rng, cfg.N)
         svd = float(np.linalg.svd(dense_operator_matrix(b), compute_uv=False)[0])
-        power = operator_norm(b, tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 1]).value
+        power = power_iteration_norm(b, tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 1]).value
         h = _holomorphic_2d(rng, cfg.N)
         hankel = float(np.linalg.svd(dense_hankel_matrix(h), compute_uv=False)[0])
         comm = float(np.linalg.svd(dense_operator_matrix(h.conj()), compute_uv=False)[0])

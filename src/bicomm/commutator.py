@@ -2,12 +2,19 @@
 
 The commutator is applied by composing pointwise multiplications with the
 axis Hilbert transforms and projecting the result to the admissible
-subspace, where the four-projection block form holds exactly.  Its norm is
-found by power iteration on T*T with a seeded start vector; a densely
-assembled matrix over the admissible Fourier modes provides an SVD oracle
-at small grid sizes.  The little Hankel operator and a heuristic
-lower-bound estimator for the dual pairing sup |<fg, b>| round out the
-module.
+subspace, where the four-projection block form T = 4 sum_s s1 s2 P_s M_b
+P_{-s} holds exactly.  The four terms map disjoint input quadrants to
+disjoint output quadrants.  When the spectrum of b lies in |k_i| <= B_i
+with B_i <= N/4, the modes that reach it directly (|k_i| < B_i) and those
+that reach it around the frequency circle (|k_i| > N/2 - B_i) stay apart,
+so each term is a direct sum of copies of the four little Hankel matrices
+built by `quadrant_hankel`, and the operator norm is exactly
+4 max_q sigma_max(Gamma_q), found by the SVD of four (B1-1)(B2-1)-square
+matrices.  Wider spectra fall back to power iteration on T*T with a seeded
+start vector, which also serves as the test oracle, as does a densely
+assembled matrix over the admissible Fourier modes at small grid sizes.
+The little Hankel operator with a holomorphic symbol, whose dense matrix
+comes from the same `quadrant_hankel`, rounds out the module.
 """
 
 from __future__ import annotations
@@ -19,10 +26,15 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridSignal2D
-from .transforms import hilbert_2d_axis, project_admissible_2d, project_quadrant
+from .transforms import frequencies, hilbert_2d_axis, project_admissible_2d, project_quadrant
 from .wavelets import WaveletCoefficients, synthesize
 
 _DENSE_MAX_N = 32
+# spectrum entries at most this fraction of the largest one are FFT roundoff
+# (synthesized symbols carry ~1e-16 beyond their band); operator_norm drops
+# them before it reads the band
+_SPECTRUM_FLOOR = 1e-13
+_QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class PowerIterationError(RuntimeError):
@@ -104,14 +116,69 @@ def bracket(f: GridSignal2D, g: GridSignal2D) -> GridSignal2D:
     return commutator_apply(f, g.conj())
 
 
+def quadrant_hankel(spec: np.ndarray, q: tuple[int, int], L1: int, L2: int) -> np.ndarray:
+    """The little Hankel matrix Gamma_q of a spectrum over the quadrant q.
+
+    Gamma_q[(k1, k2), (m1, m2)] = spec[q1 (k1 + m1), q2 (k2 + m2)] for
+    1 <= k_i, m_i <= L_i, with frequencies taken mod N and rows and columns
+    in (k1, k2) row-major order.  spec is in FFT storage order, normalized
+    as GridSignal2D.spectrum.
+    """
+    N = spec.shape[0]
+    a1 = np.arange(1, L1 + 1)
+    a2 = np.arange(1, L2 + 1)
+    s1 = (q[0] * (a1[:, None] + a1[None, :])) % N
+    s2 = (q[1] * (a2[:, None] + a2[None, :])) % N
+    block = spec[s1[:, None, :, None], s2[None, :, None, :]]
+    return block.reshape(L1 * L2, L1 * L2)
+
+
 def operator_norm(
     b: GridSignal2D, tol: float = 1e-10, max_iter: int = 2000, seed: int = 0
 ) -> NormResult:
     """Largest singular value of the commutator with symbol b.
 
+    Spectrum entries of b at most _SPECTRUM_FLOOR times the largest are
+    dropped, and B_i is the largest |k_i| left.  When B1, B2 <= N/4 the
+    value is exact: 4 max_q sigma_max(Gamma_q) over the four quadrant
+    Hankel matrices of the kept spectrum (see quadrant_hankel with
+    L_i = B_i - 1), with iterations 0 and an empty trace.  T is linear in
+    b and ||T_b|| <= 4 ||b||_inf <= 4 sum |b_hat| (Young's inequality), so
+    the dropped entries move the result by at most 4 sum |b_hat_dropped|.
+    Otherwise it returns power_iteration_norm(b, tol, max_iter, seed); tol,
+    max_iter and seed act only there.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    N = b.n_points
+    spec = b.spectrum()
+    mag = np.abs(spec)
+    keep = mag > _SPECTRUM_FLOOR * mag.max()
+    k = np.abs(frequencies(N))
+    B1 = int(k[keep.any(axis=1)].max(initial=0))
+    B2 = int(k[keep.any(axis=0)].max(initial=0))
+    if max(B1, B2) > N // 4:
+        return power_iteration_norm(b, tol, max_iter, seed)
+    if min(B1, B2) < 2:
+        # every entry of Gamma_q sits at |k_i| >= 2
+        return NormResult(0.0, 0, ())
+    kept = np.where(keep, spec, 0.0)
+    top = max(
+        np.linalg.svd(quadrant_hankel(kept, q, B1 - 1, B2 - 1), compute_uv=False)[0]
+        for q in _QUADRANTS
+    )
+    return NormResult(4.0 * float(top), 0, ())
+
+
+def power_iteration_norm(
+    b: GridSignal2D, tol: float = 1e-10, max_iter: int = 2000, seed: int = 0
+) -> NormResult:
+    """Largest singular value of the commutator by power iteration.
+
     Power iteration on T*T over the admissible subspace, with a seeded
     start vector.  Stops when successive Rayleigh quotients differ by less
-    than tol; raises PowerIterationError past max_iter.
+    than tol; raises PowerIterationError past max_iter.  The fallback of
+    operator_norm for wide spectra, and its oracle.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -172,6 +239,15 @@ def dense_operator_matrix(b: GridSignal2D) -> np.ndarray:
     return M
 
 
+def _check_holomorphic(spec: np.ndarray) -> None:
+    N = spec.shape[0]
+    k = frequencies(N)
+    bad = (k[:, None] < 0) | (k[None, :] < 0)
+    leak = float(np.linalg.norm(spec[bad]))
+    if leak > 1e-12 * max(1.0, float(np.linalg.norm(spec))):
+        raise ValueError("symbol spectrum leaves the closed (+,+) quadrant")
+
+
 def hankel_apply(b: GridSignal2D, f: GridSignal2D) -> GridSignal2D:
     """Little Hankel operator with holomorphic symbol: f -> P--(conj(b) f).
 
@@ -180,71 +256,25 @@ def hankel_apply(b: GridSignal2D, f: GridSignal2D) -> GridSignal2D:
     """
     if b.samples.shape != f.samples.shape:
         raise ValueError("symbol and argument grids differ")
-    N = b.n_points
-    spec = b.spectrum()
-    k = np.fft.fftfreq(N, 1.0 / N).astype(int)
-    bad = (k[:, None] < 0) | (k[None, :] < 0) | (k[:, None] == -N // 2) | (k[None, :] == -N // 2)
-    leak = float(np.linalg.norm(spec[bad]))
-    if leak > 1e-12 * max(1.0, float(np.linalg.norm(spec))):
-        raise ValueError("symbol spectrum leaves the closed (+,+) quadrant")
+    _check_holomorphic(b.spectrum())
     return project_quadrant(b.conj() * f, -1, -1)
 
 
 def dense_hankel_matrix(b: GridSignal2D) -> np.ndarray:
     """Hankel operator over open-(+,+)-quadrant input modes, N <= 32.
 
-    Rows are the open-(-,-)-quadrant output modes; the largest singular
-    value is the Hankel norm over the Hardy-type input space.
+    Rows are the open-(-,-)-quadrant output modes (-k1, -k2), columns the
+    input modes (m1, m2), both in row-major order over 1 <= k_i, m_i < N/2;
+    the entry is conj(b_hat(k + m)), i.e. the conjugate of Gamma_(+,+).
+    The largest singular value is the Hankel norm over the Hardy-type input
+    space.
     """
     N = b.n_points
     if N > _DENSE_MAX_N:
         raise ValueError(f"dense assembly limited to N <= {_DENSE_MAX_N}")
-    plus = [(k1, k2) for k1 in range(1, N // 2) for k2 in range(1, N // 2)]
-    minus = [(-k1, -k2) for k1, k2 in plus]
-    rows = np.array([[k1 % N, k2 % N] for k1, k2 in minus])
-    M = np.zeros((len(minus), len(plus)), dtype=complex)
-    for col, (k1, k2) in enumerate(plus):
-        out = hankel_apply(b, _mode_signal(N, k1, k2))
-        M[:, col] = out.spectrum()[rows[:, 0], rows[:, 1]]
-    return M
-
-
-def dual_norm_estimate(
-    b: GridSignal2D, restarts: int = 8, iters: int = 60, seed: int = 0
-) -> float:
-    """Lower bound for sup |<f g, b>| over unit f, g with open-(+,+) spectra.
-
-    Alternating maximization: with g fixed the optimal f is the normalized
-    projection of b conj(g), and symmetrically.  Each half-step cannot
-    decrease the pairing; the best value over seeded random restarts is
-    returned.  The bilinear problem is nonconvex, so this is a heuristic
-    bound, not a certified supremum.
-    """
-    N = b.n_points
-    best = 0.0
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        raw = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        g = project_quadrant(GridSignal2D(raw), 1, 1)
-        ng = g.norm2()
-        if ng == 0.0:
-            continue
-        g = g * (1.0 / ng)
-        val = 0.0
-        for _ in range(iters):
-            fnew = project_quadrant(b * g.conj(), 1, 1)
-            nf = fnew.norm2()
-            if nf == 0.0:
-                break
-            f = fnew * (1.0 / nf)
-            gnew = project_quadrant(b * f.conj(), 1, 1)
-            ng = gnew.norm2()
-            if ng == 0.0:
-                break
-            g = gnew * (1.0 / ng)
-            val = ng
-        best = max(best, val)
-    return best
+    spec = b.spectrum()
+    _check_holomorphic(spec)
+    return quadrant_hankel(spec.conj(), (1, 1), N // 2 - 1, N // 2 - 1)
 
 
 def project_collection(

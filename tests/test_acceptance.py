@@ -1,8 +1,8 @@
 """Acceptance gate: eight checks covering identities, audits and scans.
 
-Each test prints one [PASS]/[FAIL] line; the same lines accumulate in
-reports/acceptance.txt so a full run leaves a readable record next to
-the CSV reports.
+Each test prints one [PASS]/[FAIL] line; the same lines go to
+reports/acceptance.txt, which each run starts afresh, so a full run leaves
+a readable record next to the CSV reports.  reports/ is not tracked.
 """
 
 import csv
@@ -32,6 +32,12 @@ from bicomm.journe import (
 from bicomm.wavelets import WaveletCoefficients
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fresh_acceptance_log():
+    REPORTS.mkdir(exist_ok=True)
+    (REPORTS / "acceptance.txt").write_text("", encoding="utf-8")
 
 
 def report(num: int, ok: bool, detail: str) -> None:

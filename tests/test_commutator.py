@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicomm.commutator import (
     CommutatorOperator,
@@ -10,9 +12,9 @@ from bicomm.commutator import (
     commutator_apply,
     dense_hankel_matrix,
     dense_operator_matrix,
-    dual_norm_estimate,
     hankel_apply,
     operator_norm,
+    power_iteration_norm,
     project_collection,
 )
 from bicomm.grid import DyadicRectangle, GridSignal2D
@@ -42,6 +44,15 @@ def band_limited(rng, N):
     spec[keep] = vals[keep]
     f = GridSignal2D.from_spectrum(spec)
     return f * (1.0 / f.norm2())
+
+
+def box_symbol(N, B1, B2, seed):
+    """Complex Gaussian spectrum on |k1| <= B1, |k2| <= B2, zero lines included."""
+    rng = np.random.default_rng(seed)
+    k = np.fft.fftfreq(N, 1.0 / N).astype(int)
+    box = (np.abs(k[:, None]) <= B1) & (np.abs(k[None, :]) <= B2)
+    vals = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    return GridSignal2D.from_spectrum(np.where(box, vals, 0.0))
 
 
 def mode(N, k1, k2):
@@ -125,7 +136,7 @@ def test_power_iteration_matches_svd():
     worst = 0.0
     for i in range(8):
         b = band_limited(rng, N)
-        est = operator_norm(b, tol=1e-12, seed=i)
+        est = power_iteration_norm(b, tol=1e-12, seed=i)
         top = float(np.linalg.svd(dense_operator_matrix(b), compute_uv=False)[0])
         worst = max(worst, abs(est.value - top))
     assert worst < 1e-8
@@ -161,11 +172,13 @@ def test_power_iteration_error_carries_trace():
     N = 16
     b = band_limited(rng, N)
     with pytest.raises(PowerIterationError) as info:
-        operator_norm(b, tol=1e-16, max_iter=1)
+        power_iteration_norm(b, tol=1e-16, max_iter=1)
     err = info.value
     assert err.estimate > 0.0
     assert err.gap > 0.0
     assert len(err.trace) == 1
+    with pytest.raises(ValueError):
+        power_iteration_norm(b, tol=0.0)
     with pytest.raises(ValueError):
         operator_norm(b, tol=0.0)
 
@@ -174,10 +187,43 @@ def test_rayleigh_trace_monotone():
     rng = np.random.default_rng(59)
     N = 16
     b = band_limited(rng, N)
-    est = operator_norm(b, tol=1e-13, seed=4)
+    est = power_iteration_norm(b, tol=1e-13, seed=4)
     vals = [row.rayleigh for row in est.trace]
+    assert len(vals) > 1
     for a, c in zip(vals, vals[1:]):
         assert c >= a - 1e-12
+
+
+@st.composite
+def box_symbols(draw, wide):
+    """(symbol, seed) with band B_i in [1, N/4] on both axes, or above N/4 on one."""
+    N = draw(st.sampled_from([16, 32]))
+    narrow = st.integers(1, N // 4)
+    B1 = draw(st.integers(N // 4 + 1, N // 2 - 1) if wide else narrow)
+    B2 = draw(st.integers(1, N // 2 - 1) if wide else narrow)
+    if draw(st.booleans()):
+        B1, B2 = B2, B1
+    seed = draw(st.integers(0, 2**32 - 1))
+    return box_symbol(N, B1, B2, seed), seed
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(box_symbols(wide=False))
+def test_exact_norm_matches_dense_svd(symbol):
+    b, _ = symbol
+    est = operator_norm(b)
+    top = float(np.linalg.svd(dense_operator_matrix(b), compute_uv=False)[0])
+    assert est.iterations == 0 and est.trace == ()
+    assert abs(est.value - top) <= 1e-12 * max(1.0, top)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(box_symbols(wide=True))
+def test_wide_band_falls_back_to_power_iteration(symbol):
+    b, seed = symbol
+    est = operator_norm(b, tol=1e-8, seed=seed)
+    assert est.iterations > 0
+    assert est == power_iteration_norm(b, tol=1e-8, seed=seed)
 
 
 def test_hankel_single_mode():
@@ -220,6 +266,33 @@ def test_hankel_quarter_of_commutator():
     assert worst < 1e-10
 
 
+def column_hankel_matrix(b):
+    """dense_hankel_matrix assembled from hankel_apply, one FFT column per input mode."""
+    N = b.n_points
+    plus = [(k1, k2) for k1 in range(1, N // 2) for k2 in range(1, N // 2)]
+    M = np.zeros((len(plus), len(plus)), dtype=complex)
+    for col, (k1, k2) in enumerate(plus):
+        out = hankel_apply(b, mode(N, k1, k2)).spectrum()
+        M[:, col] = [out[-m1 % N, -m2 % N] for m1, m2 in plus]
+    return M
+
+
+def test_dense_hankel_matches_column_assembly():
+    """The quadrant-Hankel builder against FFT column assembly; for b = c e(2,2)
+    the only entry is c at input e(1,1) and output e(-1,-1)."""
+    rng = np.random.default_rng(62)
+    N = 16
+    zero = GridSignal2D(np.zeros((N, N), dtype=complex))
+    e22 = mode(N, 2, 2)
+    symbols = [holomorphic_symbol(rng, N) for _ in range(4)] + [zero, e22, e22 * 3.0]
+    for b in symbols:
+        M = dense_hankel_matrix(b)
+        assert np.max(np.abs(M - column_hankel_matrix(b))) < 1e-13 * max(1.0, np.max(np.abs(M)))
+    for b, want in ((zero, 0.0), (e22, 1.0), (e22 * 3.0, 3.0)):
+        top = float(np.linalg.svd(dense_hankel_matrix(b), compute_uv=False)[0])
+        assert abs(top - want) < 1e-13
+
+
 def test_dense_size_guard():
     N = 64
     b = GridSignal2D(np.zeros((N, N), dtype=complex))
@@ -227,17 +300,6 @@ def test_dense_size_guard():
         dense_operator_matrix(b)
     with pytest.raises(ValueError):
         dense_hankel_matrix(b)
-
-
-def test_dual_norm_estimate():
-    N = 16
-    zero = GridSignal2D(np.zeros((N, N), dtype=complex))
-    assert dual_norm_estimate(zero) == 0.0
-    # b = e(2,2): optimal f = g = e(1,1) gives pairing exactly 1
-    b = mode(N, 2, 2)
-    val = dual_norm_estimate(b, restarts=4, iters=80)
-    assert abs(val - 1.0) < 1e-9
-    assert abs(dual_norm_estimate(b * 3.0, restarts=4, iters=80) - 3.0) < 1e-8
 
 
 def test_project_collection():
