@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CellSet, DyadicRectangle
+from .grid import CellSet, DyadicRectangle, _box_sum, _integral_image
 from .wavelets import WaveletCoefficients
 
 _EXHAUSTIVE_MAX_SCALE = 2
@@ -65,13 +65,6 @@ def _interval_spans(max_scale: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return start.astype(np.int64), stop.astype(np.int64)
 
 
-def _integral_image(mask: np.ndarray) -> np.ndarray:
-    m = mask.shape[0]
-    ii = np.zeros((m + 1, m + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(mask, axis=0), axis=1, out=ii[1:, 1:])
-    return ii
-
-
 def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:
     """Boolean (K, K) array marking rectangles contained in the cell union.
 
@@ -79,13 +72,7 @@ def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:
     index order; containment means every covered cell of U's grid lies in U.
     """
     s0, s1 = _interval_spans(max_scale, U.n)
-    ii = _integral_image(U.mask)
-    box = (
-        ii[np.ix_(s1, s1)]
-        - ii[np.ix_(s0, s1)]
-        - ii[np.ix_(s1, s0)]
-        + ii[np.ix_(s0, s0)]
-    )
+    box = _box_sum(_integral_image(U.mask), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
     counts = (s1 - s0)[:, None] * (s1 - s0)[None, :]
     return box == counts
 
@@ -160,13 +147,7 @@ def _square_spans(n: int) -> list[tuple[int, int, int, int]]:
 
 
 def _masked_energy(c_abs2: np.ndarray, s0: np.ndarray, s1: np.ndarray, mask: np.ndarray) -> float:
-    ii = _integral_image(mask)
-    box = (
-        ii[np.ix_(s1, s1)]
-        - ii[np.ix_(s0, s1)]
-        - ii[np.ix_(s1, s0)]
-        + ii[np.ix_(s0, s0)]
-    )
+    box = _box_sum(_integral_image(mask), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
     counts = (s1 - s0)[:, None] * (s1 - s0)[None, :]
     return float(np.sum(c_abs2[box == counts]))
 

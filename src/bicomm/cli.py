@@ -83,12 +83,12 @@ _HASH_FIELDS = (
     "gamma",
     "budget",
     "tol",
-    "restarts",
     "max_iter",
     "K",
     "density",
     "decay",
     "file",
+    "source",
     "kind",
     "metrics",
     "bins",
@@ -110,7 +110,6 @@ class ExperimentConfig:
     gamma: float | None = None
     budget: int = 32
     tol: float = 1e-8
-    restarts: int = 8
     max_iter: int = 10000
     K: int = 4
     density: float = 0.6
@@ -137,8 +136,8 @@ class ExperimentConfig:
             raise ValueError("delta and epsilon must lie in (0,1)")
         if self.gamma is None:
             object.__setattr__(self, "gamma", self.delta ** (1.0 / 3.0))
-        if self.instances < 1 or self.budget < 1 or self.restarts < 1 or self.bins < 1:
-            raise ValueError("instances, budget, restarts and bins must be positive")
+        if self.instances < 1 or self.budget < 1 or self.bins < 1:
+            raise ValueError("instances, budget and bins must be positive")
 
     @classmethod
     def from_dict(cls, obj: dict, command: str | None = None) -> "ExperimentConfig":
@@ -210,19 +209,36 @@ def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -
     return csv_path, json_path
 
 
-def _run_instances(count: int, jobs: int, worker) -> list[list]:
+def _run_instances(cfg: ExperimentConfig, jobs: int, worker) -> list[list]:
+    """worker(i) for every instance i, on up to `jobs` threads.
+
+    A failing instance raises RuntimeError naming the instance and the
+    config seed; with jobs > 1 the instances not yet started are cancelled.
+    """
+
+    def failure(i: int, exc: Exception) -> RuntimeError:
+        return RuntimeError(f"instance {i} (seed {cfg.seed}) failed: {type(exc).__name__}: {exc}")
+
     if jobs <= 1:
-        return [worker(i) for i in range(count)]
+        rows = []
+        for i in range(cfg.instances):
+            try:
+                rows.append(worker(i))
+            except Exception as exc:
+                raise failure(i, exc) from exc
+        return rows
     results: dict[int, list] = {}
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(worker, i): i for i in range(count)}
+        futures = {pool.submit(worker, i): i for i in range(cfg.instances)}
         for fut in as_completed(futures):
             i = futures[fut]
             try:
                 results[i] = fut.result()
             except Exception as exc:
-                raise RuntimeError(f"instance {i} failed: {exc}") from exc
-    return [results[i] for i in range(count)]
+                for pending in futures:
+                    pending.cancel()
+                raise failure(i, exc) from exc
+    return [results[i] for i in range(cfg.instances)]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +330,7 @@ def _family_coefficients(cfg: ExperimentConfig, rng: np.random.Generator) -> Wav
     raise ValueError(f"family {cfg.family!r} does not generate coefficients")
 
 
-def _family_symbol(cfg: ExperimentConfig, rng: np.random.Generator):
+def _family_symbol(cfg: ExperimentConfig, rng: np.random.Generator | None):
     if cfg.family == "file":
         if cfg.file is None:
             raise ValueError("family 'file' requires the file field")
@@ -380,7 +396,7 @@ def _run_identity_check(cfg: ExperimentConfig, jobs: int):
         ]
 
     cols = ["instance", "e_basic_residual", "e_commutator_residual", "two_parameter_residual"]
-    return cols, _run_instances(cfg.instances, jobs, worker)
+    return cols, _run_instances(cfg, jobs, worker)
 
 
 def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
@@ -461,13 +477,16 @@ def _run_bmo_scan(cfg: ExperimentConfig, jobs: int):
         return [i, rect.value, greedy.value, best.value, int(best.exact), ratio]
 
     cols = ["instance", "rect_value", "greedy_value", "product_value", "product_exact", "greedy_over_product"]
-    return cols, _run_instances(cfg.instances, jobs, worker)
+    return cols, _run_instances(cfg, jobs, worker)
 
 
 def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
+    # a file symbol is the same for every instance: load and check it once
+    loaded = _family_symbol(cfg, None) if cfg.family == "file" else None
+
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
-        b, c = _family_symbol(cfg, rng)
+        b, c = loaded or _family_symbol(cfg, rng)
         norm = operator_norm(b, tol=cfg.tol, max_iter=cfg.max_iter, seed=[cfg.seed, i, 1]).value
         rect = rect_bmo(c).value
         prod = product_bmo_lower(c, cfg.budget).value
@@ -481,7 +500,7 @@ def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
         "norm_over_bmo",
         "bmo_over_norm",
     ]
-    return cols, _run_instances(cfg.instances, jobs, worker)
+    return cols, _run_instances(cfg, jobs, worker)
 
 
 def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
@@ -495,7 +514,7 @@ def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
             return [i, K, rep.mu, rep.nu, rep.nu / rep.mu]
 
         cols = ["instance", "K", "mu_middle", "nu_middle", "nu_over_mu"]
-        return cols, _run_instances(cfg.instances, jobs, worker)
+        return cols, _run_instances(cfg, jobs, worker)
 
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
@@ -506,7 +525,7 @@ def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
         return [i, U.measure(), js.value, js.ratio, max(mus, default=0.0), len(js.table)]
 
     cols = ["instance", "measure", "journe_value", "journe_ratio", "max_mu", "maximal_count"]
-    return cols, _run_instances(cfg.instances, jobs, worker)
+    return cols, _run_instances(cfg, jobs, worker)
 
 
 def _run_decomposition(cfg: ExperimentConfig, jobs: int):
@@ -564,7 +583,7 @@ def _run_decomposition(cfg: ExperimentConfig, jobs: int):
         "bracket_b_u",
         "operator_norm",
     ]
-    return cols, _run_instances(cfg.instances, jobs, worker)
+    return cols, _run_instances(cfg, jobs, worker)
 
 
 def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
@@ -590,7 +609,7 @@ def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
         "commutator_norm",
         "hankel_ratio",
     ]
-    return cols, _run_instances(cfg.instances, jobs, worker)
+    return cols, _run_instances(cfg, jobs, worker)
 
 
 def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:

@@ -37,6 +37,7 @@ __all__ = [
     "enumerate_dyadic_rectangles",
     "maximal_1d",
     "strong_maximal",
+    "strong_maximal_half_level",
     "measure",
     "save_signal",
     "load_signal",
@@ -485,7 +486,9 @@ def strong_maximal(U: CellSet, chunk: int = 1024) -> np.ndarray:
 
     For each row range the mask collapses to a line of column means whose 1D
     maximal function covers every rectangle with that exact row extent; the
-    pointwise max over row ranges is taken in chunks.
+    pointwise max over row ranges is taken in chunks.  This float tableau
+    costs O(m^4); the level set {> 1/2} that the embeddedness nu needs comes
+    from :func:`strong_maximal_half_level`, for which this is the test oracle.
     """
     mask = U.mask.astype(np.float64)
     m = mask.shape[0]
@@ -502,6 +505,47 @@ def strong_maximal(U: CellSet, chunk: int = 1024) -> np.ndarray:
     return out
 
 
+def strong_maximal_half_level(U: CellSet) -> CellSet:
+    """The level set {strong_maximal(1_U) > 1/2}, in exact integer arithmetic.
+
+    A cell rectangle rows [r0, r1] x columns [a, b) averages more than 1/2
+    exactly when 2*count - area > 0.  For a fixed row range, with
+    g = 2*colsum - (r1 - r0 + 1) and prefix sums P (P[0] = 0), that is
+    P[b] > P[a]; so column x is covered by some column interval of the row
+    range iff max_{b > x} P[b] > min_{a <= x} P[a].  A cell lies in the set
+    iff some row range through its row covers its column.  One row start
+    at a time handles every row end at once, O(m^3) in all; every value is
+    an integer, so the strict tie at exactly 1/2 is decided exactly.
+    """
+    m = 1 << U.n
+    mask = U.mask.astype(np.int64)
+    out = np.zeros((m, m), dtype=bool)
+    for r0 in range(m):
+        heights = np.arange(1, m - r0 + 1)[:, None]
+        g = 2 * np.cumsum(mask[r0:], axis=0) - heights
+        P = np.zeros((m - r0, m + 1), dtype=np.int64)
+        np.cumsum(g, axis=1, out=P[:, 1:])
+        best_end = np.maximum.accumulate(P[:, :0:-1], axis=1)[:, ::-1]
+        best_start = np.minimum.accumulate(P[:, :-1], axis=1)
+        covered = best_end > best_start
+        # a row r >= r0 is covered by a range [r0, r1] with r1 >= r
+        out[r0:] |= np.logical_or.accumulate(covered[::-1], axis=0)[::-1]
+    return CellSet(U.n, out)
+
+
+def _integral_image(mask: np.ndarray) -> np.ndarray:
+    """Zero-padded 2D prefix sums: ii[r, c] counts mask cells above-left of (r, c)."""
+    m = mask.shape[0]
+    ii = np.zeros((m + 1, m + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(mask, axis=0), axis=1, out=ii[1:, 1:])
+    return ii
+
+
+def _box_sum(ii: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
+    """Mask cells in rows [r0, r1) x columns [c0, c1); index arrays broadcast."""
+    return ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]
+
+
 def save_signal(path, sig) -> None:
     """Write a signal as a JSON header line plus little-endian float64 (re, im) pairs."""
     samples = sig.samples
@@ -516,14 +560,23 @@ def save_signal(path, sig) -> None:
 
 
 def load_signal(path):
-    """Inverse of :func:`save_signal`; returns GridSignal1D or GridSignal2D."""
+    """Inverse of :func:`save_signal`; returns GridSignal1D or GridSignal2D.
+
+    Rejects a payload whose sample count does not match the header's dims,
+    and non-finite samples.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         raw = np.frombuffer(fh.read(), dtype="<f8")
     dims = header["dims"]
+    if len(dims) not in (1, 2):
+        raise ValueError(f"unsupported dims {dims}")
+    need = int(np.prod(dims))
+    if raw.size != 2 * need:
+        raise ValueError(f"payload holds {raw.size / 2:g} samples, dims {dims} need {need}")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("signal has non-finite samples")
     flat = raw[0::2] + 1j * raw[1::2]
     if len(dims) == 1:
         return GridSignal1D(flat)
-    if len(dims) == 2:
-        return GridSignal2D(flat.reshape(dims))
-    raise ValueError(f"unsupported dims {dims}")
+    return GridSignal2D(flat.reshape(dims))

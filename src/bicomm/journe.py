@@ -14,8 +14,13 @@ Dilations never wrap: the grid is treated as a window on the plane, and
 any part of a dilate falling outside [0,1)^2 fails containment.  The
 supremum defining mu and nu is attained at a grid-line crossing of the
 dilate boundary and is computed exactly over those finitely many
-crossing values, with Fraction arithmetic so non-dyadic square sizes
-(the row of squares has side 3 cells and period 5) stay exact.
+crossing values, in integer half-cell units: a cell rectangle [a, b) has
+integer center C = a + b and half-width W = b - a, grid line p sits at
+2p, and the crossing of line p is the ratio |2p - C| / W of two small
+integers.  Rasterized spans are floors and ceilings of integer
+quotients, so non-dyadic square sizes (the row of squares has side 3
+cells and period 5) stay exact, and every maximal rectangle of a set is
+handled in one numpy pass over one integral image.
 """
 
 from __future__ import annotations
@@ -26,7 +31,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import CellRect, CellSet, DyadicRectangle, maximal_1d, strong_maximal
+from .grid import (
+    CellRect,
+    CellSet,
+    DyadicRectangle,
+    _box_sum,
+    _integral_image,
+    maximal_1d,
+    strong_maximal_half_level,
+)
 from .wavelets import DEFAULT_PROFILE, WaveletCoefficients, j_max, _wavelet_samples
 
 
@@ -73,13 +86,6 @@ class EmbeddednessReport:
     delta: float
 
 
-def _integral_image(mask: np.ndarray) -> np.ndarray:
-    m = mask.shape[0]
-    ii = np.zeros((m + 1, m + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(mask, axis=0), axis=1, out=ii[1:, 1:])
-    return ii
-
-
 def maximal_rectangles(U: CellSet) -> RectCollection:
     """All dyadic rectangles inside U that are maximal under inclusion.
 
@@ -96,12 +102,7 @@ def maximal_rectangles(U: CellSet) -> RectCollection:
         for j2 in range(n + 1):
             w2 = 1 << (n - j2)
             c = np.arange(1 << j2) * w2
-            box = (
-                ii[np.ix_(r + w1, c + w2)]
-                - ii[np.ix_(r, c + w2)]
-                - ii[np.ix_(r + w1, c)]
-                + ii[np.ix_(r, c)]
-            )
+            box = _box_sum(ii, r[:, None], (r + w1)[:, None], c[None, :], (c + w2)[None, :])
             contained[j1, j2] = box == w1 * w2
     rects = []
     for j1 in range(n + 1):
@@ -134,29 +135,66 @@ def enlargement(U: CellSet, delta: float) -> CellSet:
     return CellSet(n, v12 | v21)
 
 
-def _axis_crossings(center: Fraction, half: Fraction, m: int) -> list[Fraction]:
-    """Dilation factors at which an edge of the centered dilate meets a grid line."""
-    out = []
-    for p in range(m + 1):
-        line = Fraction(p, m)
-        if line != center:
-            out.append(abs(line - center) / half)
+# crossing entries per block of the batched kernel, which bounds its memory
+_CROSSING_BLOCK = 1 << 20
+
+
+def _half_cell_span(center, half, num, den):
+    """Cells [lo, hi) met by the dilate by num/den of a span with center C and
+    half-width W in half-cell units: floor and ceil of (C -+ (num/den) W) / 2."""
+    reach = num * half
+    return (center * den - reach) // (2 * den), -((-center * den - reach) // (2 * den))
+
+
+def _dilation_limits(
+    ii: np.ndarray, spans: np.ndarray, first_axis_only: bool = False
+) -> np.ndarray:
+    """Largest grid-line crossing lambda whose centered dilate stays inside a set.
+
+    ii is the integral image of the set; spans is an (R, 4) integer array of
+    cell rectangles (a1, b1, a2, b2).  In half-cell units the crossing of
+    line p on an axis is lambda = |2p - C| / W (p = C/2 excluded), and the
+    dilate rasterizes to the cells [floor((C - lambda W)/2),
+    ceil((C + lambda W)/2)), computed from lambda = num/den as integer
+    quotients.  Crossings are sorted by the float num/den, which is exact:
+    correctly rounded division is monotone, and distinct crossings differ
+    by at least 1/m^2.  The result is the last crossing before the first
+    dilate that leaves the set, 0.0 if the first one does, as float num/den.
+    With first_axis_only, crossings come from the first axis alone and the
+    second-axis span stays [a2, b2).
+    """
+    m = ii.shape[0] - 1
+    out = np.empty(len(spans))
+    lines = 2 * np.arange(m + 1)
+    axes = (0,) if first_axis_only else (0, 1)
+    step = max(1, _CROSSING_BLOCK // (len(axes) * (m + 1)))
+    for start in range(0, len(spans), step):
+        a1, b1, a2, b2 = (col[:, None] for col in spans[start : start + step].T)
+        center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
+        num = np.concatenate([np.abs(lines - center[ax]) for ax in axes], axis=1)
+        den = np.concatenate([np.broadcast_to(half[ax], (len(a1), m + 1)) for ax in axes], axis=1)
+        lam = np.where(num > 0, num / den, np.inf)
+        order = np.argsort(lam, axis=1, kind="stable")
+        num, den, lam = (np.take_along_axis(x, order, axis=1) for x in (num, den, lam))
+        r0, r1 = _half_cell_span(center[0], half[0], num, den)
+        c0, c1 = (a2, b2) if first_axis_only else _half_cell_span(center[1], half[1], num, den)
+        inside = (r0 >= 0) & (c0 >= 0) & (r1 <= m) & (c1 <= m) & np.isfinite(lam)
+        r0, r1, c0, c1 = (np.clip(x, 0, m) for x in (r0, r1, c0, c1))
+        inside &= _box_sum(ii, r0, r1, c0, c1) == (r1 - r0) * (c1 - c0)
+        # first failing crossing; a sentinel column fails for every rectangle
+        first = np.argmin(np.pad(inside, ((0, 0), (0, 1))), axis=1)
+        last = lam[np.arange(len(first)), np.maximum(first - 1, 0)]
+        out[start : start + len(first)] = np.where(first > 0, last, 0.0)
     return out
 
 
-def _raster_span(center: Fraction, half: Fraction, lam: Fraction, m: int) -> tuple[int, int]:
-    """Cells with positive-measure overlap with the dilated interval."""
-    lo = (center - lam * half) * m
-    hi = (center + lam * half) * m
-    return math.floor(lo), math.ceil(hi)
-
-
-def _box_inside(ii: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> bool:
-    m = ii.shape[0] - 1
-    if r0 < 0 or c0 < 0 or r1 > m or c1 > m:
-        return False
-    count = int(ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0])
-    return count == (r1 - r0) * (c1 - c0)
+def _maximal_mus(rects, V: CellSet) -> list[float]:
+    """mu of each dyadic rectangle of rects inside V, in one batched pass."""
+    n = V.n
+    spans = np.array(
+        [R.interval1.cell_span(n) + R.interval2.cell_span(n) for R in rects], dtype=np.int64
+    ).reshape(-1, 4)
+    return _dilation_limits(_integral_image(V.mask), spans).tolist()
 
 
 def embeddedness(
@@ -170,43 +208,25 @@ def embeddedness(
 
     mu is the largest lambda with the centered dilate lambda*R (both axes
     scaled) rasterized inside V.  nu scales the first axis only and asks
-    for containment in {strong_maximal(1_U) > 1/2}; it needs U, which is
-    mandatory for mode='first_axis_only' and optional otherwise (nu is
-    NaN when U is absent).  R may be a DyadicRectangle or a CellRect.
+    for containment in {strong_maximal(1_U) > 1/2}, taken exactly from
+    strong_maximal_half_level; it needs U, which is mandatory for
+    mode='first_axis_only' and optional otherwise (nu is NaN when U is
+    absent).  R may be a DyadicRectangle or a CellRect.  This is the batched
+    kernel of journe_sum and stratify run on one rectangle.
     """
     if mode not in ("both_axes", "first_axis_only"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "first_axis_only" and U is None:
         raise ValueError("mode='first_axis_only' requires U")
     n = V.n
-    m = 1 << n
     cr = R.to_cellrect(n) if isinstance(R, DyadicRectangle) else R
-    c1, c2 = cr.center
-    w1, w2 = cr.widths
-    h1, h2 = w1 / 2, w2 / 2
-
-    ii = _integral_image(V.mask)
-    mu = Fraction(0)
-    crossings = sorted(set(_axis_crossings(c1, h1, m) + _axis_crossings(c2, h2, m)))
-    for lam in crossings:
-        r0, r1 = _raster_span(c1, h1, lam, m)
-        q0, q1 = _raster_span(c2, h2, lam, m)
-        if not _box_inside(ii, r0, r1, q0, q1):
-            break
-        mu = lam
-
+    spans = np.array([[cr.a1, cr.b1, cr.a2, cr.b2]], dtype=np.int64)
+    mu = float(_dilation_limits(_integral_image(V.mask), spans)[0])
     nu = float("nan")
     if U is not None:
-        level = CellSet(n, strong_maximal(U) > 0.5)
-        iiw = _integral_image(level.mask)
-        best = Fraction(0)
-        for lam in sorted(set(_axis_crossings(c1, h1, m))):
-            r0, r1 = _raster_span(c1, h1, lam, m)
-            if not _box_inside(iiw, r0, r1, cr.a2, cr.b2):
-                break
-            best = lam
-        nu = float(best)
-    return EmbeddednessReport(R, float(mu), nu, delta)
+        level = strong_maximal_half_level(U)
+        nu = float(_dilation_limits(_integral_image(level.mask), spans, first_axis_only=True)[0])
+    return EmbeddednessReport(R, mu, nu, delta)
 
 
 @dataclass(frozen=True)
@@ -225,12 +245,13 @@ def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
     if not 0.0 < delta < 1.0 or not 0.0 < epsilon < 1.0:
         raise ValueError("delta and epsilon must lie in (0,1)")
     V = enlargement(U, delta)
+    rects = maximal_rectangles(U)
     reports = []
     total = 0.0
-    for R in maximal_rectangles(U):
-        rep = embeddedness(R, V, delta=delta)
-        reports.append(rep)
-        total += rep.mu**-epsilon * R.area
+    # a sequential sum, so that the value keeps its last bit
+    for R, mu in zip(rects, _maximal_mus(rects, V)):
+        reports.append(EmbeddednessReport(R, mu, float("nan"), delta))
+        total += mu**-epsilon * R.area
     meas = U.measure()
     ratio = total / meas if meas > 0.0 else 0.0
     return JourneSum(total, ratio, tuple(reports))
@@ -326,8 +347,7 @@ def stratify(Ucol: RectCollection, V: CellSet) -> dict[int, RectCollection]:
     """Group rectangles by dyadic strata of mu: k=0 for mu <= 1, else 2^{k-1} < mu <= 2^k."""
     buckets: dict[int, list[DyadicRectangle]] = {}
     attrs: dict[DyadicRectangle, dict] = {}
-    for R in Ucol:
-        mu = embeddedness(R, V).mu
+    for R, mu in zip(Ucol, _maximal_mus(Ucol, V)):
         k = 0 if mu <= 1.0 else math.ceil(math.log2(mu))
         buckets.setdefault(k, []).append(R)
         attrs[R] = {"mu": mu, "stratum": k}

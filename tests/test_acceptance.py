@@ -1,8 +1,9 @@
 """Acceptance gate: eight checks covering identities, audits and scans.
 
-Each test prints one [PASS]/[FAIL] line; the same lines go to
-reports/acceptance.txt, which each run starts afresh, so a full run leaves
-a readable record next to the CSV reports.  reports/ is not tracked.
+Each test prints one [PASS]/[FAIL] line ending in the criterion's elapsed
+seconds; the same lines go to reports/acceptance.txt, which each run starts
+afresh, so a full run leaves a readable record next to the CSV reports.
+reports/ is not tracked.  Timings go to this log only, never into a CSV.
 """
 
 import csv
@@ -40,8 +41,18 @@ def fresh_acceptance_log():
     (REPORTS / "acceptance.txt").write_text("", encoding="utf-8")
 
 
+_criterion_start = time.monotonic()
+
+
+@pytest.fixture(autouse=True)
+def criterion_clock():
+    global _criterion_start
+    _criterion_start = time.monotonic()
+
+
 def report(num: int, ok: bool, detail: str) -> None:
-    line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}"
+    elapsed = time.monotonic() - _criterion_start
+    line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail} [{elapsed:.1f}s]"
     print(line)
     REPORTS.mkdir(exist_ok=True)
     with open(REPORTS / "acceptance.txt", "a", encoding="utf-8") as fh:
@@ -261,7 +272,8 @@ def test_criterion_7_two_sided_direction():
         ok,
         f"200-symbol corpus at N=128: norm/lower-bound in [{min(up):.3f}, {max(up):.3f}] "
         f"(median {med_up:.3f}), inverse max {max(down):.3f} (median {med_down:.3f}), "
-        f"both within 10x median; scatter at {scatter_path}; greedy/exhaustive "
+        f"both within 10x median; scatter at {Path(scatter_path).relative_to(REPORTS)} "
+        f"in reports/; greedy/exhaustive "
         f"calibration worst {worst_cal:.3f} (>=0.75)",
     )
 

@@ -3,12 +3,13 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import bicomm
-from bicomm.cli import ExperimentConfig, main, run
+from bicomm.cli import ExperimentConfig, _run_instances, main, run
 from bicomm.grid import GridSignal2D, save_signal
 
 
@@ -66,6 +67,34 @@ def test_config_hash_sensitivity():
     # the output directory is bookkeeping, not part of the experiment
     moved = ExperimentConfig.from_dict({**base, "out": "elsewhere"}).config_hash()
     assert moved == h
+    # plot-data output depends on its source report
+    plot = {"command": "plot-data", "kind": "scatter", "metrics": ["a", "b"]}
+    hashes = {
+        ExperimentConfig.from_dict({**plot, "source": src}).config_hash()
+        for src in ("a.csv", "b.csv")
+    }
+    assert len(hashes) == 2
+    # restarts was hashed and validated but read by no command
+    with pytest.raises(ValueError, match="restarts"):
+        ExperimentConfig.from_dict({**base, "restarts": 4})
+
+
+def test_worker_failure_names_instance_and_cancels_pending():
+    cfg = ExperimentConfig("identity-check", seed=7, instances=20)
+    started = []
+
+    def worker(i):
+        started.append(i)
+        if i == 0:
+            raise ValueError("boom")
+        time.sleep(0.05)
+        return [i]
+
+    for jobs in (1, 2):
+        started.clear()
+        with pytest.raises(RuntimeError, match=r"instance 0 \(seed 7\) failed: ValueError: boom"):
+            _run_instances(cfg, jobs, worker)
+        assert len(started) < cfg.instances
 
 
 def test_identity_check_report(tmp_path):

@@ -1,8 +1,10 @@
 """Grid signals, dyadic lattice, cell sets and maximal functions."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from bicomm.grid import (
     CellRect,
@@ -298,3 +300,23 @@ def test_save_load_roundtrip(tmp_path):
     G = load_signal(p2)
     assert isinstance(G, GridSignal2D)
     np.testing.assert_array_equal(G.samples, F.samples)
+
+
+def test_load_signal_rejects_bad_payloads(tmp_path):
+    def write(name, dims, values):
+        path = tmp_path / name
+        with open(path, "wb") as fh:
+            fh.write((json.dumps({"dims": dims}) + "\n").encode("utf-8"))
+            fh.write(np.asarray(values, dtype="<f8").tobytes())
+        return path
+
+    pairs = np.zeros(2 * 16)
+    assert load_signal(write("ok.bin", [4, 4], pairs)).n_points == 4
+    for dims in ([8], [4, 2], [2, 2]):  # 16 samples where dims need 8 or 4
+        with pytest.raises(ValueError, match="samples"):
+            load_signal(write("size.bin", dims, pairs))
+    for bad in (np.nan, np.inf):
+        vals = pairs.copy()
+        vals[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            load_signal(write("nan.bin", [16], vals))

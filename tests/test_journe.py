@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bicomm.grid import (
     CellRect,
@@ -12,6 +14,8 @@ from bicomm.grid import (
     DyadicRectangle,
     enumerate_dyadic_rectangles,
     maximal_1d,
+    strong_maximal,
+    strong_maximal_half_level,
 )
 from bicomm.journe import (
     RectCollection,
@@ -148,6 +152,173 @@ def test_enlargement_monotonicity():
         enlargement(U, 0.0)
     with pytest.raises(ValueError):
         enlargement(U, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle of the integer embeddedness kernel: one rectangle at a
+# time, crossings and raster spans in exact rational arithmetic.
+
+
+def _axis_crossings(center: Fraction, half: Fraction, m: int) -> list[Fraction]:
+    """Dilation factors at which an edge of the centered dilate meets a grid line."""
+    out = []
+    for p in range(m + 1):
+        line = Fraction(p, m)
+        if line != center:
+            out.append(abs(line - center) / half)
+    return out
+
+
+def _raster_span(center: Fraction, half: Fraction, lam: Fraction, m: int) -> tuple[int, int]:
+    """Cells with positive-measure overlap with the dilated interval."""
+    lo = (center - lam * half) * m
+    hi = (center + lam * half) * m
+    return math.floor(lo), math.ceil(hi)
+
+
+def _box_inside(mask: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> bool:
+    m = mask.shape[0]
+    if r0 < 0 or c0 < 0 or r1 > m or c1 > m:
+        return False
+    return bool(np.all(mask[r0:r1, c0:c1]))
+
+
+def oracle_mu(R, V: CellSet) -> float:
+    m = 1 << V.n
+    cr = R.to_cellrect(V.n) if isinstance(R, DyadicRectangle) else R
+    (c1, c2), (w1, w2) = cr.center, cr.widths
+    mu = Fraction(0)
+    for lam in sorted(set(_axis_crossings(c1, w1 / 2, m) + _axis_crossings(c2, w2 / 2, m))):
+        r0, r1 = _raster_span(c1, w1 / 2, lam, m)
+        q0, q1 = _raster_span(c2, w2 / 2, lam, m)
+        if not _box_inside(V.mask, r0, r1, q0, q1):
+            break
+        mu = lam
+    return float(mu)
+
+
+def oracle_nu(R, level: np.ndarray) -> float:
+    m = level.shape[0]
+    cr = R.to_cellrect(int(math.log2(m))) if isinstance(R, DyadicRectangle) else R
+    c1, w1 = cr.center[0], cr.widths[0]
+    nu = Fraction(0)
+    for lam in sorted(set(_axis_crossings(c1, w1 / 2, m))):
+        r0, r1 = _raster_span(c1, w1 / 2, lam, m)
+        if not _box_inside(level, r0, r1, cr.a2, cr.b2):
+            break
+        nu = lam
+    return float(nu)
+
+
+def oracle_half_level(U: CellSet) -> np.ndarray:
+    """Cells of some cell rectangle holding more than half its cells in U.
+
+    Enumerates every rectangle and compares 2*count with its area in
+    integers, so ties at exactly one half are excluded exactly.
+    """
+    m = 1 << U.n
+    ii = np.zeros((m + 1, m + 1), dtype=np.int64)
+    ii[1:, 1:] = np.cumsum(np.cumsum(U.mask, axis=0), axis=1)
+    lo, hi = np.triu_indices(m + 1, 1)  # every column interval [lo, hi)
+    out = np.zeros((m, m), dtype=bool)
+    for r0, r1 in zip(lo, hi):
+        counts = ii[r1, hi] - ii[r0, hi] - ii[r1, lo] + ii[r0, lo]
+        heavy = 2 * counts > (r1 - r0) * (hi - lo)
+        for c0, c1 in zip(lo[heavy], hi[heavy]):
+            out[r0:r1, c0:c1] = True
+    return out
+
+
+def random_set(n: int, seed: int, density: float) -> CellSet:
+    m = 1 << n
+    return CellSet(n, np.random.default_rng(seed).random((m, m)) < density)
+
+
+# strong_maximal reads 0.5000000000000002 at cell (6, 6) of this set, where
+# the best rectangle averages exactly 1/2: the float field puts a tie cell
+# into its level set, the integer kernel keeps it out
+TIE_SET = CellSet(
+    3,
+    np.array(
+        [
+            [0, 0, 1, 1, 0, 1, 0, 1],
+            [1, 0, 0, 0, 1, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 1, 0, 0, 1, 1, 0],
+            [0, 1, 0, 0, 0, 1, 1, 1],
+            [0, 0, 1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0, 0, 0],
+        ],
+        dtype=bool,
+    ),
+)
+
+
+@st.composite
+def open_sets(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    return random_set(n, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.3, 0.5, 0.7])))
+
+
+@st.composite
+def embedding_cases(draw):
+    """(U, R, delta, mode) with R dyadic or an arbitrary cell rectangle."""
+    U = draw(open_sets())
+    n, m = U.n, 1 << U.n
+    if draw(st.booleans()):
+        j1, j2 = draw(st.integers(0, n)), draw(st.integers(0, n))
+        k1, k2 = draw(st.integers(0, 2**j1 - 1)), draw(st.integers(0, 2**j2 - 1))
+        R = DyadicRectangle.from_indices(j1, k1, j2, k2)
+    else:
+        a1, a2 = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        R = CellRect(n, a1, draw(st.integers(a1 + 1, m)), a2, draw(st.integers(a2 + 1, m)))
+    delta = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    return U, R, delta, draw(st.sampled_from(["both_axes", "first_axis_only"]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(embedding_cases())
+def test_embeddedness_matches_fraction_oracle(case):
+    U, R, delta, mode = case
+    V = enlargement(U, delta)
+    rep = embeddedness(R, V, mode=mode, U=U, delta=delta)
+    assert rep.mu == oracle_mu(R, V)
+    assert rep.nu == oracle_nu(R, oracle_half_level(U))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(open_sets())
+@example(TIE_SET)
+@example(row_of_squares(4).cells)
+def test_half_level_matches_oracles(U):
+    """Equal to the exact rectangle enumeration everywhere, and to the float
+    strong maximal function thresholded at 1/2 away from exact ties."""
+    got = strong_maximal_half_level(U).mask
+    assert np.array_equal(got, oracle_half_level(U))
+    field = strong_maximal(U)
+    clear = np.abs(field - 0.5) > 1e-9
+    assert np.array_equal(got[clear], (field > 0.5)[clear])
+
+
+def test_half_level_decides_ties_exactly():
+    field = strong_maximal(TIE_SET)
+    got = strong_maximal_half_level(TIE_SET).mask
+    assert field[6, 6] > 0.5 and not got[6, 6]
+    assert np.array_equal(got, oracle_half_level(TIE_SET))
+
+
+@pytest.mark.parametrize("n, seed", [(4, 0), (5, 1), (5, 2)])
+def test_journe_sum_keeps_sequential_bits(n, seed):
+    U = random_set(n, seed, 0.5)
+    V = enlargement(U, 0.5)
+    js = journe_sum(U, 0.5, 0.5)
+    total = 0.0
+    for R, rep in zip(maximal_rectangles(U), js.table, strict=True):
+        mu = oracle_mu(R, V)
+        assert rep.rectangle == R and rep.mu == mu
+        total += mu**-0.5 * R.area
+    assert js.value == total
 
 
 def test_embeddedness_plane_semantics():
