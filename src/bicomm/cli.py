@@ -162,9 +162,13 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh), command)
 
     def config_hash(self) -> str:
+        """Hash of _HASH_FIELDS and, for the file family, of the symbol file's bytes."""
         payload = {k: getattr(self, k) for k in _HASH_FIELDS}
         if payload["metrics"] is not None:
             payload["metrics"] = list(payload["metrics"])
+        if self.family == "file" and self.file is not None:
+            with open(self.file, "rb") as fh:
+                payload["file_sha256"] = hashlib.sha256(fh.read()).hexdigest()
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

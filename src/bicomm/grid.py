@@ -36,6 +36,7 @@ __all__ = [
     "CellSet",
     "enumerate_dyadic_rectangles",
     "maximal_1d",
+    "maximal_1d_level",
     "strong_maximal",
     "strong_maximal_half_level",
     "measure",
@@ -433,11 +434,13 @@ def enumerate_dyadic_rectangles(n: int) -> list[DyadicRectangle]:
     return [DyadicRectangle(i1, i2) for i1 in intervals for i2 in intervals]
 
 
-def _maximal_lines(lines: np.ndarray, one_sided: bool = False) -> np.ndarray:
-    """Uncentered maximal function of each row of a (L, m) 0/1 array.
+def _maximal_lines(lines: np.ndarray, one_sided: bool = False, heights=1.0) -> np.ndarray:
+    """Uncentered maximal function of each row of a (L, m) array of counts.
 
-    out[l, i] = max over intervals a <= i <= b of mean(lines[l, a:b+1]).
-    With one_sided=True only intervals starting at the cell (a = i) count.
+    out[l, i] = max over intervals a <= i <= b of
+    sum(lines[l, a:b+1]) / (heights[l] * (b-a+1)), one division of integers
+    per interval, so an average of exactly 1/2 reads 0.5.  With
+    one_sided=True only intervals starting at the cell (a = i) count.
     Intervals do not wrap.  Vectorized over an (L, m, m) tableau; callers
     chunk L to bound memory.
     """
@@ -448,14 +451,41 @@ def _maximal_lines(lines: np.ndarray, one_sided: bool = False) -> np.ndarray:
     sums = csum[:, None, 1:] - csum[:, :m, None]
     a_idx = np.arange(m)
     length = a_idx[None, :] - a_idx[:, None] + 1.0  # [a, b]
+    area = np.maximum(length, 1.0) * np.reshape(heights, (-1, 1, 1))
     with np.errstate(invalid="ignore"):
-        avg = np.where(length > 0, sums / np.maximum(length, 1.0), -np.inf)
+        avg = np.where(length > 0, sums / area, -np.inf)
     # suffix max over b >= i, then prefix max over a <= i, read diagonal
     suff = np.flip(np.maximum.accumulate(np.flip(avg, axis=2), axis=2), axis=2)
     if one_sided:
         return suff[:, a_idx, a_idx]
     pref = np.maximum.accumulate(suff, axis=1)
     return pref[:, a_idx, a_idx]
+
+
+def _covered(g: np.ndarray) -> np.ndarray:
+    """Cells of each row of an integer (L, m) array that lie in an interval of positive sum.
+
+    With prefix sums P (P[0] = 0) the interval [a, b) has positive sum iff
+    P[b] > P[a], so cell x is covered iff max_{b > x} P[b] > min_{a <= x} P[a].
+    This is the level-set primitive of :func:`maximal_1d_level` and
+    :func:`strong_maximal_half_level`.
+    """
+    L, m = g.shape
+    P = np.zeros((L, m + 1), dtype=np.int64)
+    np.cumsum(g, axis=1, out=P[:, 1:])
+    best_end = np.maximum.accumulate(P[:, :0:-1], axis=1)[:, ::-1]
+    best_start = np.minimum.accumulate(P[:, :-1], axis=1)
+    return best_end > best_start
+
+
+def _fraction_at_most(delta: float, m: int) -> Fraction:
+    """The largest p/q <= delta with 1 <= q <= m, from the exact value of delta.
+
+    No average c/l with l <= m lies in (p/q, delta], so the strict
+    thresholds "> delta" and "> p/q" select the same averages.
+    """
+    d = Fraction(delta)
+    return max(Fraction(d.numerator * q // d.denominator, q) for q in range(1, m + 1))
 
 
 def maximal_1d(U: CellSet, axis: int, one_sided: bool = False) -> np.ndarray:
@@ -481,14 +511,34 @@ def maximal_1d(U: CellSet, axis: int, one_sided: bool = False) -> np.ndarray:
     return _maximal_lines(mask, one_sided)
 
 
+def maximal_1d_level(U: CellSet, axis: int, delta: float) -> CellSet:
+    """The level set {maximal_1d(U, axis) > delta}, in exact integer arithmetic.
+
+    delta is first replaced by p/q = _fraction_at_most(delta, m), which
+    selects the same averages.  An interval [a, b) of a line averages more
+    than p/q iff q*count - p*(b - a) > 0, a positive sum of the weights
+    q*1_U - p, which :func:`_covered` decides in O(m) per line; every
+    integer stays below m^2 in size.  Ties are decided on the exact value
+    of delta: an average of exactly 1/3 exceeds the double nearest 1/3,
+    which rounds down, while the float field reads that average as equal.
+    """
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    t = _fraction_at_most(delta, 1 << U.n)
+    lines = U.mask.T if axis == 1 else U.mask
+    covered = _covered(t.denominator * lines.astype(np.int64) - t.numerator)
+    return CellSet(U.n, covered.T if axis == 1 else covered)
+
+
 def strong_maximal(U: CellSet, chunk: int = 1024) -> np.ndarray:
     """Maximal averages of 1_U over all axis-parallel cell rectangles.
 
-    For each row range the mask collapses to a line of column means whose 1D
-    maximal function covers every rectangle with that exact row extent; the
-    pointwise max over row ranges is taken in chunks.  This float tableau
-    costs O(m^4); the level set {> 1/2} that the embeddedness nu needs comes
-    from :func:`strong_maximal_half_level`, for which this is the test oracle.
+    For each row range the mask collapses to a line of integer column counts
+    whose 1D maximal function, divided once by height times width, covers
+    every rectangle with that exact row extent; the pointwise max over row
+    ranges is taken in chunks.  This float tableau costs O(m^4); the level
+    set {> 1/2} that the embeddedness nu needs comes from
+    :func:`strong_maximal_half_level`, for which this is the test oracle.
     """
     mask = U.mask.astype(np.float64)
     m = mask.shape[0]
@@ -498,8 +548,9 @@ def strong_maximal(U: CellSet, chunk: int = 1024) -> np.ndarray:
     out = np.zeros((m, m))
     for start in range(0, len(ranges), chunk):
         batch = ranges[start : start + chunk]
-        lines = np.array([(csum[r1 + 1] - csum[r0]) / (r1 - r0 + 1) for r0, r1 in batch])
-        maxed = _maximal_lines(lines)
+        lines = np.array([csum[r1 + 1] - csum[r0] for r0, r1 in batch])
+        heights = np.array([r1 - r0 + 1.0 for r0, r1 in batch])
+        maxed = _maximal_lines(lines, heights=heights)
         for (r0, r1), line in zip(batch, maxed):
             np.maximum(out[r0 : r1 + 1], line[None, :], out=out[r0 : r1 + 1])
     return out
@@ -509,25 +560,19 @@ def strong_maximal_half_level(U: CellSet) -> CellSet:
     """The level set {strong_maximal(1_U) > 1/2}, in exact integer arithmetic.
 
     A cell rectangle rows [r0, r1] x columns [a, b) averages more than 1/2
-    exactly when 2*count - area > 0.  For a fixed row range, with
-    g = 2*colsum - (r1 - r0 + 1) and prefix sums P (P[0] = 0), that is
-    P[b] > P[a]; so column x is covered by some column interval of the row
-    range iff max_{b > x} P[b] > min_{a <= x} P[a].  A cell lies in the set
-    iff some row range through its row covers its column.  One row start
-    at a time handles every row end at once, O(m^3) in all; every value is
-    an integer, so the strict tie at exactly 1/2 is decided exactly.
+    exactly when 2*count - area > 0, a positive sum over columns [a, b) of
+    the weights g = 2*colsum - (r1 - r0 + 1); :func:`_covered` finds the
+    columns of each row range that such an interval covers.  A cell lies
+    in the set iff some row range through its row covers its column.  One
+    row start at a time handles every row end at once, O(m^3) in all; every
+    value is an integer, so the strict tie at exactly 1/2 is decided exactly.
     """
     m = 1 << U.n
     mask = U.mask.astype(np.int64)
     out = np.zeros((m, m), dtype=bool)
     for r0 in range(m):
         heights = np.arange(1, m - r0 + 1)[:, None]
-        g = 2 * np.cumsum(mask[r0:], axis=0) - heights
-        P = np.zeros((m - r0, m + 1), dtype=np.int64)
-        np.cumsum(g, axis=1, out=P[:, 1:])
-        best_end = np.maximum.accumulate(P[:, :0:-1], axis=1)[:, ::-1]
-        best_start = np.minimum.accumulate(P[:, :-1], axis=1)
-        covered = best_end > best_start
+        covered = _covered(2 * np.cumsum(mask[r0:], axis=0) - heights)
         # a row r >= r0 is covered by a range [r0, r1] with r1 >= r
         out[r0:] |= np.logical_or.accumulate(covered[::-1], axis=0)[::-1]
     return CellSet(U.n, out)

@@ -37,10 +37,15 @@ from .grid import (
     DyadicRectangle,
     _box_sum,
     _integral_image,
-    maximal_1d,
+    maximal_1d_level,
     strong_maximal_half_level,
 )
 from .wavelets import DEFAULT_PROFILE, WaveletCoefficients, j_max, _wavelet_samples
+
+
+def _rect_key(R: DyadicRectangle) -> tuple[int, int, int, int]:
+    """(j1, k1, j2, k2), whose tuple order is the dataclass order of R."""
+    return R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k
 
 
 @dataclass(frozen=True)
@@ -57,14 +62,16 @@ class RectCollection:
     attrs: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        rects = tuple(sorted(set(self.rectangles)))
-        if len(rects) != len(self.rectangles):
+        # sorting on integer keys gives the dataclass order at a fraction
+        # of the cost of DyadicRectangle.__lt__
+        by_key = {_rect_key(R): R for R in self.rectangles}
+        if len(by_key) != len(self.rectangles):
             raise ValueError("duplicate rectangles in collection")
-        for R in rects:
-            j1, j2 = R.scales
+        keys = sorted(by_key)
+        for j1, k1, j2, k2 in keys:
             if j1 > self.n or j2 > self.n:
-                raise ValueError(f"{R} is finer than resolution {self.n}")
-        object.__setattr__(self, "rectangles", rects)
+                raise ValueError(f"{by_key[j1, k1, j2, k2]} is finer than resolution {self.n}")
+        object.__setattr__(self, "rectangles", tuple(by_key[k] for k in keys))
 
     def __iter__(self):
         return iter(self.rectangles)
@@ -123,16 +130,14 @@ def enlargement(U: CellSet, delta: float) -> CellSet:
     """V = V12 | V21, each a composition of thresholded 1D maximal functions.
 
     V12 = {M1 1_{{M2 1_U > delta}} > delta} and symmetrically; thresholds
-    are strict.
+    are strict and decided exactly, on the exact value of delta, by
+    :func:`maximal_1d_level` in O(m^2) per level set.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
-    n = U.n
-    inner2 = CellSet(n, maximal_1d(U, 2) > delta)
-    inner1 = CellSet(n, maximal_1d(U, 1) > delta)
-    v12 = maximal_1d(inner2, 1) > delta
-    v21 = maximal_1d(inner1, 2) > delta
-    return CellSet(n, v12 | v21)
+    v12 = maximal_1d_level(maximal_1d_level(U, 2, delta), 1, delta)
+    v21 = maximal_1d_level(maximal_1d_level(U, 1, delta), 2, delta)
+    return v12 | v21
 
 
 # crossing entries per block of the batched kernel, which bounds its memory
@@ -188,13 +193,16 @@ def _dilation_limits(
     return out
 
 
-def _maximal_mus(rects, V: CellSet) -> list[float]:
-    """mu of each dyadic rectangle of rects inside V, in one batched pass."""
-    n = V.n
-    spans = np.array(
+def _cell_spans(rects, n: int) -> np.ndarray:
+    """(len(rects), 4) int64 array of the cell spans (a1, b1, a2, b2) of dyadic rectangles."""
+    return np.array(
         [R.interval1.cell_span(n) + R.interval2.cell_span(n) for R in rects], dtype=np.int64
     ).reshape(-1, 4)
-    return _dilation_limits(_integral_image(V.mask), spans).tolist()
+
+
+def _maximal_mus(rects, V: CellSet) -> list[float]:
+    """mu of each dyadic rectangle of rects inside V, in one batched pass."""
+    return _dilation_limits(_integral_image(V.mask), _cell_spans(rects, V.n)).tolist()
 
 
 def embeddedness(
@@ -257,40 +265,34 @@ def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
     return JourneSum(total, ratio, tuple(reports))
 
 
-def _axis_scale(R: DyadicRectangle, axis: int) -> int:
-    return R.interval1.j if axis == 1 else R.interval2.j
-
-
 def bad_class(S: RectCollection, axis: int, gamma: float) -> RectCollection:
     """Members covered more than gamma-fraction by strictly axis-wider peers.
 
     R is bad when the union of the rectangles of S - {R} whose side in
     the given axis is strictly longer than R's covers more than gamma|R|
     of R.  Coverage is exact cell counting; the inequality is strict.
+    Side lengths are taken longest first, so one growing union of the
+    longer-sided members serves every member of a length through one
+    integral image.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0,1)")
     n = S.n
-    spans = {
-        R: (R.interval1.cell_span(n), R.interval2.cell_span(n)) for R in S
-    }
-    bad = []
-    for R in S:
-        (r0, r1), (c0, c1) = spans[R]
-        cover = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-        for other in S:
-            if other == R or _axis_scale(other, axis) >= _axis_scale(R, axis):
-                continue
-            (a0, a1), (b0, b1) = spans[other]
-            x0, x1 = max(a0, r0), min(a1, r1)
-            y0, y1 = max(b0, c0), min(b1, c1)
-            if x0 < x1 and y0 < y1:
-                cover[x0 - r0 : x1 - r0, y0 - c0 : y1 - c0] = True
-        if int(cover.sum()) * 4.0**-n > gamma * R.area:
-            bad.append(R)
-    return RectCollection(n, tuple(bad))
+    spans = _cell_spans(S, n)
+    a1, b1, a2, b2 = spans.T
+    sides = b1 - a1 if axis == 1 else b2 - a2
+    covered = np.zeros(len(S), dtype=np.int64)
+    union = np.zeros((1 << n, 1 << n), dtype=bool)
+    for side in np.unique(sides)[::-1]:
+        at = np.flatnonzero(sides == side)
+        covered[at] = _box_sum(_integral_image(union), a1[at], b1[at], a2[at], b2[at])
+        for r0, r1, c0, c1 in spans[at]:
+            union[r0:r1, c0:c1] = True
+    # gamma|R| in cells: the common factor 4^-n is a power of two
+    bad = covered > gamma * ((b1 - a1) * (b2 - a2))
+    return RectCollection(n, tuple(R for R, b in zip(S, bad) if b))
 
 
 def thin_collection(S: RectCollection, mu: float, gamma: float) -> list[RectCollection]:

@@ -57,7 +57,7 @@ def test_config_validation():
         ExperimentConfig.from_dict({"command": "bmo-scan"}, command="identity-check")
 
 
-def test_config_hash_sensitivity():
+def test_config_hash_sensitivity(tmp_path):
     base = {"command": "norm-compare", "N": 64, "seed": 1}
     h = ExperimentConfig.from_dict(base).config_hash()
     assert h == ExperimentConfig.from_dict(dict(base)).config_hash()
@@ -77,6 +77,14 @@ def test_config_hash_sensitivity():
     # restarts was hashed and validated but read by no command
     with pytest.raises(ValueError, match="restarts"):
         ExperimentConfig.from_dict({**base, "restarts": 4})
+    # a file symbol is hashed by content: the same path with other bytes differs
+    sig_path = tmp_path / "b.sig"
+    cfg = ExperimentConfig.from_dict({**base, "family": "file", "file": str(sig_path)})
+    hashes = set()
+    for scale in (1.0, 2.0):
+        save_signal(sig_path, GridSignal2D(scale * np.ones((64, 64))))
+        hashes.add(cfg.config_hash())
+    assert len(hashes) == 2
 
 
 def test_worker_failure_names_instance_and_cancels_pending():

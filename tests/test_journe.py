@@ -14,6 +14,7 @@ from bicomm.grid import (
     DyadicRectangle,
     enumerate_dyadic_rectangles,
     maximal_1d,
+    maximal_1d_level,
     strong_maximal,
     strong_maximal_half_level,
 )
@@ -131,6 +132,49 @@ def test_enlargement_matches_bruteforce():
             assert np.array_equal(V.mask, brute_enlargement(U, delta))
 
 
+def float_enlargement(U, delta):
+    """The float path: thresholds of the maximal_1d tableaux, read as doubles."""
+    inner2 = CellSet(U.n, maximal_1d(U, 2) > delta)
+    inner1 = CellSet(U.n, maximal_1d(U, 1) > delta)
+    return (maximal_1d(inner2, 1) > delta) | (maximal_1d(inner1, 2) > delta)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.3, 0.5, 0.7]),
+    st.sampled_from([1 / 4, 1 / 3, 0.4, 1 / 2, 0.6, 3 / 4]),
+)
+def test_enlargement_matches_fraction_oracle(n, seed, density, delta):
+    U = random_set(n, seed, density)
+    assert np.array_equal(enlargement(U, delta).mask, brute_enlargement(U, delta))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.7]))
+def test_level_kernel_matches_float_field_at_half(n, seed, density):
+    """At delta = 1/2 no average c/l with l <= 64 rounds across 1/2, so the
+    float tableaux decide the same cells as the exact kernel."""
+    U = random_set(n, seed, density)
+    for axis in (1, 2):
+        assert np.array_equal(maximal_1d_level(U, axis, 0.5).mask, maximal_1d(U, axis) > 0.5)
+    assert np.array_equal(enlargement(U, 0.5).mask, float_enlargement(U, 0.5))
+
+
+def test_level_kernel_decides_float_ties_exactly():
+    """float(1/3) rounds down, so an average of exactly 1/3 exceeds it; the
+    float field reads that average as equal and drops the cell."""
+    U = CellSet.from_cells(2, [(0, 0)])
+    assert maximal_1d(U, 2)[0, 2] == 1 / 3
+    assert maximal_1d_level(U, 2, 1 / 3).mask[0, 2]
+    want = brute_enlargement(U, 1 / 3)
+    assert want[0, 2] and not float_enlargement(U, 1 / 3)[0, 2]
+    assert np.array_equal(enlargement(U, 1 / 3).mask, want)
+    with pytest.raises(ValueError):
+        maximal_1d_level(U, 3, 0.5)
+
+
 def test_enlargement_hand_example():
     U = CellSet.from_cells(2, [(1, 1)])
     V = enlargement(U, 0.4)
@@ -234,9 +278,9 @@ def random_set(n: int, seed: int, density: float) -> CellSet:
     return CellSet(n, np.random.default_rng(seed).random((m, m)) < density)
 
 
-# strong_maximal reads 0.5000000000000002 at cell (6, 6) of this set, where
-# the best rectangle averages exactly 1/2: the float field puts a tie cell
-# into its level set, the integer kernel keeps it out
+# the best rectangle through cell (6, 6) of this set averages exactly 1/2, a
+# tie that the level set {> 1/2} must leave out; a float field that sums
+# column means reads 0.5000000000000002 there
 TIE_SET = CellSet(
     3,
     np.array(
@@ -292,19 +336,17 @@ def test_embeddedness_matches_fraction_oracle(case):
 @example(TIE_SET)
 @example(row_of_squares(4).cells)
 def test_half_level_matches_oracles(U):
-    """Equal to the exact rectangle enumeration everywhere, and to the float
-    strong maximal function thresholded at 1/2 away from exact ties."""
+    """Equal to the exact rectangle enumeration and to the float strong
+    maximal function thresholded at 1/2, ties included."""
     got = strong_maximal_half_level(U).mask
     assert np.array_equal(got, oracle_half_level(U))
-    field = strong_maximal(U)
-    clear = np.abs(field - 0.5) > 1e-9
-    assert np.array_equal(got[clear], (field > 0.5)[clear])
+    assert np.array_equal(got, strong_maximal(U) > 0.5)
 
 
 def test_half_level_decides_ties_exactly():
     field = strong_maximal(TIE_SET)
     got = strong_maximal_half_level(TIE_SET).mask
-    assert field[6, 6] > 0.5 and not got[6, 6]
+    assert field[6, 6] == 0.5 and not got[6, 6]
     assert np.array_equal(got, oracle_half_level(TIE_SET))
 
 
@@ -417,6 +459,45 @@ def test_bad_class_singleton_and_example():
         bad_class(S, 3, 0.5)
     with pytest.raises(ValueError):
         bad_class(S, 1, 1.0)
+
+
+def loop_bad_class(S, axis, gamma):
+    """Cell-by-cell cover of each member by its strictly axis-wider peers."""
+    n = S.n
+    scale = (lambda R: R.interval1.j) if axis == 1 else (lambda R: R.interval2.j)
+    spans = {R: (R.interval1.cell_span(n), R.interval2.cell_span(n)) for R in S}
+    bad = []
+    for R in S:
+        (r0, r1), (c0, c1) = spans[R]
+        cover = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+        for other in S:
+            if other == R or scale(other) >= scale(R):
+                continue
+            (a0, a1), (b0, b1) = spans[other]
+            x0, x1 = max(a0, r0), min(a1, r1)
+            y0, y1 = max(b0, c0), min(b1, c1)
+            if x0 < x1 and y0 < y1:
+                cover[x0 - r0 : x1 - r0, y0 - c0 : y1 - c0] = True
+        if int(cover.sum()) * 4.0**-n > gamma * R.area:
+            bad.append(R)
+    return RectCollection(n, tuple(bad))
+
+
+@st.composite
+def rect_collections(draw):
+    """The maximal rectangles of a random set, or a random dyadic family."""
+    if draw(st.booleans()):
+        return maximal_rectangles(draw(open_sets()))
+    n = draw(st.integers(1, 3))
+    rects = enumerate_dyadic_rectangles(n)
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(len(rects))
+    return RectCollection(n, tuple(R for R, k in zip(rects, keep) if k < 0.15))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rect_collections(), st.sampled_from([1, 2]), st.sampled_from([0.3, 0.5, 0.5 ** (1 / 3)]))
+def test_bad_class_matches_loop_oracle(S, axis, gamma):
+    assert bad_class(S, axis, gamma) == loop_bad_class(S, axis, gamma)
 
 
 def test_thin_collection_separation():
