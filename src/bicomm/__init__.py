@@ -3,14 +3,13 @@
 Modules:
     grid        periodic grid signals, dyadic lattice, cell-mask open sets,
                 maximal functions
-    transforms  Hilbert transforms, half-line/quadrant projections, Cayley
-                transport between half-plane and disk boundary models
+    transforms  axis Hilbert transforms, half-line/quadrant projections
     wavelets    band-limited orthonormal wavelet system and its commutator
                 kernels
     bmo         product and rectangular BMO functionals on wavelet
                 coefficients
-    commutator  the nested commutator as an operator, its exact norm from
-                quadrant Hankel blocks, power iteration, Hankel form
+    commutator  the nested commutator, its exact norm from quadrant Hankel
+                blocks, power iteration, Hankel form
     journe      dyadic rectangle combinatorics: maximal rectangles,
                 embeddedness, covering sums, thinning
     cli         configuration-driven experiment runner

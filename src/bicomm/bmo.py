@@ -17,7 +17,6 @@ unions as n grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -154,13 +153,13 @@ def _masked_energy(c_abs2: np.ndarray, s0: np.ndarray, s1: np.ndarray, mask: np.
 
 def _greedy_search(
     c: WaveletCoefficients, budget: int, seed: BmoEstimate
-) -> tuple[np.ndarray, float, float, list[np.ndarray]]:
+) -> tuple[np.ndarray, float, float]:
     """Grow the rectangular witness seed (rect_bmo(c)) by dyadic squares with
     the best marginal gain.
 
-    Returns the final mask, its energy and measure, and the list of visited
-    masks (seed first).  Each step adds the square maximizing the marginal
-    energy-to-measure gain, accepted only while the overall ratio improves.
+    Returns the final mask, its energy and its measure.  Each step adds the
+    square maximizing the marginal energy-to-measure gain, accepted only
+    while the overall ratio improves.
     """
     n = c.max_scale
     c_abs2 = np.abs(c.matrix) ** 2
@@ -169,7 +168,6 @@ def _greedy_search(
     cell_area = 4.0**-n
     cur_e = _masked_energy(c_abs2, s0, s1, mask)
     cur_m = float(np.count_nonzero(mask)) * cell_area
-    path = [mask.copy()]
     squares = _square_spans(n)
     for _ in range(budget):
         best_gain = -np.inf
@@ -191,8 +189,7 @@ def _greedy_search(
         if e / m <= cur_e / cur_m:
             break
         mask, cur_e, cur_m = trial, e, m
-        path.append(mask.copy())
-    return mask, cur_e, cur_m, path
+    return mask, cur_e, cur_m
 
 
 def _exhaustive_scan(c: WaveletCoefficients) -> BmoEstimate:
@@ -248,111 +245,8 @@ def product_bmo_lower(
     if exhaustive:
         est = _exhaustive_scan(c)
     else:
-        mask, e, m, _ = _greedy_search(c, budget, rect)
+        mask, e, m = _greedy_search(c, budget, rect)
         est = BmoEstimate(float(np.sqrt(e / m)), CellSet(c.max_scale, mask), exact=False)
     if est.value >= rect.value:
         return est
     return BmoEstimate(rect.value, rect.witness, est.exact)
-
-
-def john_nirenberg_ratio(
-    a: dict[DyadicRectangle, float],
-    U: CellSet,
-    p: float,
-    candidates: list[CellSet] | None = None,
-) -> float:
-    """||sum_R |R|^{-1} a_R 1_R||_p / |U|^{1/p} over rectangles R inside U.
-
-    The packing premise sum_{R in U'} a_R <= |U'| is verified over a finite
-    family of open sets first: U itself and every dyadic square of U's grid,
-    or the caller-supplied candidate list.  This is a partial check; the
-    premise cannot be verified over all open sets.
-    """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if U.cell_count == 0:
-        raise ValueError("U is empty")
-    n = U.n
-    m = 1 << n
-    rects = []
-    for R, val in a.items():
-        if val < 0:
-            raise ValueError(f"negative weight on {R}")
-        j1, j2 = R.scales
-        if j1 > n or j2 > n:
-            raise ValueError(f"{R} is finer than the grid of U")
-        rects.append((R.interval1.cell_span(n), R.interval2.cell_span(n), float(val)))
-
-    def inside(mask: np.ndarray, span1, span2) -> bool:
-        return bool(mask[span1[0] : span1[1], span2[0] : span2[1]].all())
-
-    if candidates is None:
-        family = [("U", U)]
-        for j in range(n + 1):
-            w = 1 << (n - j)
-            for k1 in range(1 << j):
-                for k2 in range(1 << j):
-                    sq = CellSet.from_cells(
-                        n, [(i1, i2) for i1 in range(k1 * w, (k1 + 1) * w) for i2 in range(k2 * w, (k2 + 1) * w)]
-                    )
-                    family.append((f"square j={j} k1={k1} k2={k2}", sq))
-    else:
-        family = [(f"candidate {i}", cand) for i, cand in enumerate(candidates)]
-    for name, cand in family:
-        total = sum(val for span1, span2, val in rects if inside(cand.mask, span1, span2))
-        if total > cand.measure() + _CERT_TOL:
-            raise ValueError(
-                f"packing premise violated on {name}: weight {total} exceeds measure {cand.measure()}"
-            )
-
-    F = np.zeros((m, m))
-    for span1, span2, val in rects:
-        if inside(U.mask, span1, span2):
-            area = (span1[1] - span1[0]) * (span2[1] - span2[0]) * 4.0**-n
-            F[span1[0] : span1[1], span2[0] : span2[1]] += val / area
-    norm = float(np.mean(F**p)) ** (1.0 / p)
-    return norm / U.measure() ** (1.0 / p)
-
-
-class PackingReport(NamedTuple):
-    passed: bool
-    worst_ratio: float
-    witness: CellSet
-
-
-def carleson_packing_check(c: WaveletCoefficients, norm: float) -> PackingReport:
-    """Check sum_{R in U} |c_R|^2 <= norm^2 |U| over a candidate family.
-
-    The family is every dyadic rectangle plus the trajectory of the greedy
-    open-set search.  Returns the worst ratio energy / (norm^2 |U|) and the
-    set achieving it; passed means worst_ratio <= 1 up to roundoff.
-    """
-    if norm <= 0:
-        raise ValueError("norm must be positive")
-    J = c.max_scale
-    E = _subtree_energy(c)
-    worst = -1.0
-    witness_rect = DyadicRectangle.from_indices(0, 0, 0, 0)
-    for j1 in range(J + 1):
-        lo1, hi1 = 2**j1 - 1, 2 ** (j1 + 1) - 1
-        for j2 in range(J + 1):
-            lo2, hi2 = 2**j2 - 1, 2 ** (j2 + 1) - 1
-            block = E[lo1:hi1, lo2:hi2] * (2.0 ** (j1 + j2) / norm**2)
-            flat = int(np.argmax(block))
-            val = float(block.flat[flat])
-            if val > worst:
-                worst = val
-                k1, k2 = divmod(flat, 2**j2)
-                witness_rect = DyadicRectangle.from_indices(j1, k1, j2, k2)
-    witness = CellSet(J, witness_rect.to_cellrect(J).to_mask())
-    _, _, _, path = _greedy_search(c, 16, rect_bmo(c))
-    for mask in path:
-        U = CellSet(J, mask)
-        meas = U.measure()
-        if meas == 0.0:
-            continue
-        ratio = coefficient_energy(c, U) / (norm**2 * meas)
-        if ratio > worst:
-            worst = ratio
-            witness = U
-    return PackingReport(worst <= 1.0 + _CERT_TOL, worst, witness)

@@ -42,13 +42,13 @@ from .transforms import (
     project_quadrant,
 )
 from .wavelets import (
-    DEFAULT_PROFILE,
     WaveletCoefficients,
     analyze,
     commutator_kernel,
     decay_envelope_constant,
     gram_deviation,
     j_max,
+    meyer_profile,
     synthesize,
     wavelet_sample,
 )
@@ -80,7 +80,6 @@ _HASH_FIELDS = (
     "instances",
     "delta",
     "epsilon",
-    "gamma",
     "budget",
     "tol",
     "max_iter",
@@ -107,7 +106,6 @@ class ExperimentConfig:
     instances: int = 100
     delta: float = 0.5
     epsilon: float = 0.5
-    gamma: float | None = None
     budget: int = 32
     tol: float = 1e-8
     max_iter: int = 10000
@@ -134,8 +132,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if not 0.0 < self.delta < 1.0 or not 0.0 < self.epsilon < 1.0:
             raise ValueError("delta and epsilon must lie in (0,1)")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", self.delta ** (1.0 / 3.0))
         if self.instances < 1 or self.budget < 1 or self.bins < 1:
             raise ValueError("instances, budget and bins must be positive")
 
@@ -412,11 +408,8 @@ def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
         rows.append([len(rows), item, float(value)])
 
     add("gram_deviation", gram_deviation(N))
-    prof = DEFAULT_PROFILE
-    add(
-        "partition_residual",
-        abs(abs(prof(np.array([1.0]))[0]) ** 2 + abs(prof(np.array([2.0]))[0]) ** 2 - 1.0),
-    )
+    w1, w2 = meyer_profile(1.0), meyer_profile(2.0)
+    add("partition_residual", abs(abs(w1) ** 2 + abs(w2) ** 2 - 1.0))
     consts = {}
     for j in range(max(0, J - 2), J + 1):
         consts[j] = decay_envelope_constant(DyadicInterval(j, 0), N)
@@ -621,6 +614,10 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
         raise ValueError("plot-data requires the source field (a report CSV)")
     if cfg.kind not in ("scatter", "histogram"):
         raise ValueError("plot-data kind must be 'scatter' or 'histogram'")
+    if cfg.kind == "scatter" and len(cfg.metrics) != 2:
+        raise ValueError("scatter needs exactly two metric names")
+    if cfg.kind == "histogram" and len(cfg.metrics) != 1:
+        raise ValueError("histogram needs exactly one metric name")
     with open(cfg.source, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
@@ -635,15 +632,11 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
     path = os.path.join(cfg.out, "plot_data.txt")
     with open(path, "w", encoding="utf-8") as fh:
         if cfg.kind == "scatter":
-            if len(cfg.metrics) != 2:
-                raise ValueError("scatter needs exactly two metric names")
             x, y = cfg.metrics
             fh.write(f"# {x} {y}\n")
             for a, bval in zip(data[x], data[y]):
                 fh.write(f"{_fmt(a)} {_fmt(bval)}\n")
         else:
-            if len(cfg.metrics) != 1:
-                raise ValueError("histogram needs exactly one metric name")
             (name,) = cfg.metrics
             fh.write(f"# {name}_bin_center count\n")
             vals = data[name]

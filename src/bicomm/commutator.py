@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .grid import GridSignal2D
 from .transforms import frequencies, hilbert_2d_axis, project_admissible_2d, project_quadrant
-from .wavelets import WaveletCoefficients, synthesize
 
 _DENSE_MAX_N = 32
 # spectrum entries at most this fraction of the largest one are FFT roundoff
@@ -65,28 +63,6 @@ class NormResult:
     value: float
     iterations: int
     trace: tuple[TraceRow, ...]
-
-
-class CommutatorOperator:
-    """[[M_b, H1], H2] with output restricted to the admissible subspace."""
-
-    def __init__(self, symbol: GridSignal2D):
-        self.symbol = symbol
-
-    @cached_property
-    def _conjugate(self) -> "CommutatorOperator":
-        return CommutatorOperator(self.symbol.conj())
-
-    def apply(self, f: GridSignal2D) -> GridSignal2D:
-        return commutator_apply(self.symbol, f)
-
-    def adjoint_apply(self, f: GridSignal2D) -> GridSignal2D:
-        """T* f; the axis transforms are self-adjoint, so T* has symbol conj(b)."""
-        return commutator_apply(self._conjugate.symbol, f)
-
-    def norm_bound(self) -> float:
-        """Crude bound 4 ||b||_inf on the operator norm."""
-        return 4.0 * float(np.max(np.abs(self.symbol.samples)))
 
 
 def commutator_apply(b: GridSignal2D, f: GridSignal2D) -> GridSignal2D:
@@ -150,6 +126,8 @@ def operator_norm(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     N = b.n_points
     spec = b.spectrum()
     mag = np.abs(spec)
@@ -182,8 +160,11 @@ def power_iteration_norm(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     N = b.n_points
-    op = CommutatorOperator(b)
+    # T* has symbol conj(b): the axis transforms are self-adjoint
+    bc = b.conj()
     rng = np.random.default_rng(seed)
     start = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     v = project_admissible_2d(GridSignal2D(start))
@@ -194,13 +175,13 @@ def power_iteration_norm(
     prev = None
     trace: list[TraceRow] = []
     for it in range(1, max_iter + 1):
-        w = op.apply(v)
+        w = commutator_apply(b, v)
         r = w.norm2() ** 2
         gap = math.inf if prev is None else abs(r - prev)
         trace.append(TraceRow(it, r, gap))
         if gap < tol or r == 0.0:
             return NormResult(math.sqrt(r), it, tuple(trace))
-        u = op.adjoint_apply(w)
+        u = commutator_apply(bc, w)
         nu = u.norm2()
         if nu == 0.0:
             return NormResult(math.sqrt(r), it, tuple(trace))
@@ -275,28 +256,3 @@ def dense_hankel_matrix(b: GridSignal2D) -> np.ndarray:
     spec = b.spectrum()
     _check_holomorphic(spec)
     return quadrant_hankel(spec.conj(), (1, 1), N // 2 - 1, N // 2 - 1)
-
-
-def project_collection(
-    c: WaveletCoefficients, A, N: int | None = None
-) -> GridSignal2D:
-    """Synthesize only the coefficients on rectangles in the collection A.
-
-    A may be anything iterable over DyadicRectangle (a RectCollection
-    works via its .rectangles attribute).  Every rectangle must fit the
-    coefficient lattice, i.e. have scales <= max_scale.
-    """
-    rects = getattr(A, "rectangles", A)
-    K = 2 ** (c.max_scale + 1) - 1
-    keep = np.zeros((K, K), dtype=bool)
-    for R in rects:
-        j1, j2 = R.scales
-        if j1 > c.max_scale or j2 > c.max_scale:
-            raise ValueError(f"{R} is finer than the coefficient lattice")
-        a = WaveletCoefficients.interval_index(j1, R.interval1.k)
-        bidx = WaveletCoefficients.interval_index(j2, R.interval2.k)
-        keep[a, bidx] = True
-    restricted = WaveletCoefficients(c.max_scale, c.matrix * keep)
-    if N is None:
-        N = 2 ** (c.max_scale + 4)
-    return synthesize(restricted, N)

@@ -39,7 +39,6 @@ __all__ = [
     "maximal_1d_level",
     "strong_maximal",
     "strong_maximal_half_level",
-    "measure",
     "save_signal",
     "load_signal",
 ]
@@ -413,11 +412,6 @@ class CellSet:
             bits = np.unpackbits(np.frombuffer(bytes.fromhex(hx), dtype=np.uint8))
             mask[i] = bits[:m].astype(bool)
         return cls(n, mask)
-
-
-def measure(U: CellSet) -> float:
-    """Lebesgue measure of the cell union."""
-    return U.measure()
 
 
 def enumerate_dyadic_rectangles(n: int) -> list[DyadicRectangle]:

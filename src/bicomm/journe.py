@@ -6,9 +6,8 @@ built from iterated one-parameter maximal functions, the embeddedness
 quantities mu (centered dilation inside the enlargement) and nu
 (first-axis dilation inside the strong-maximal half-level set), the
 weighted rectangle sum they control, bad classes, arithmetic-progression
-thinning, scale strata, partial-order pair classification, maximal
-truncations of wavelet sums, and the row-of-squares example separating
-nu from mu.
+thinning, scale strata, and the row-of-squares example separating nu
+from mu.
 
 Dilations never wrap: the grid is treated as a window on the plane, and
 any part of a dilate falling outside [0,1)^2 fails containment.  The
@@ -40,7 +39,6 @@ from .grid import (
     maximal_1d_level,
     strong_maximal_half_level,
 )
-from .wavelets import DEFAULT_PROFILE, WaveletCoefficients, j_max, _wavelet_samples
 
 
 def _rect_key(R: DyadicRectangle) -> tuple[int, int, int, int]:
@@ -53,7 +51,7 @@ class RectCollection:
     """A duplicate-free collection of dyadic rectangles at resolution n.
 
     Rectangles are kept sorted by (j1, k1, j2, k2).  attrs carries
-    optional per-rectangle annotations (mu, stratum, tag) produced by the
+    optional per-rectangle annotations (mu, stratum) produced by the
     operations below; it does not participate in equality.
     """
 
@@ -315,36 +313,6 @@ def thin_collection(S: RectCollection, mu: float, gamma: float) -> list[RectColl
     return [RectCollection(S.n, tuple(v)) for _, v in sorted(groups.items())]
 
 
-def partition_pairs(W: RectCollection, U: RectCollection) -> dict[str, list]:
-    """Classify comparable pairs (R', R) by which axes R' is much smaller in.
-
-    Pairs range over W x U with |R'_j| <= 4|R_j| in both axes.  R' is
-    small in axis j when 8|R'_j| <= |R_j|.  Tags: '<' small in both,
-    '<1' small only in axis 1, '<2' small only in axis 2, and the
-    remaining comparable pairs land in the catch-all tag. The four lists
-    partition the pair set.
-    """
-    out: dict[str, list] = {"<": [], "<1": [], "<2": [], "≃": []}
-    for Rp in W:
-        jp1, jp2 = Rp.scales
-        for R in U:
-            j1, j2 = R.scales
-            if jp1 < j1 - 2 or jp2 < j2 - 2:
-                continue
-            small1 = jp1 >= j1 + 3
-            small2 = jp2 >= j2 + 3
-            if small1 and small2:
-                tag = "<"
-            elif small1:
-                tag = "<1"
-            elif small2:
-                tag = "<2"
-            else:
-                tag = "≃"
-            out[tag].append((Rp, R))
-    return out
-
-
 def stratify(Ucol: RectCollection, V: CellSet) -> dict[int, RectCollection]:
     """Group rectangles by dyadic strata of mu: k=0 for mu <= 1, else 2^{k-1} < mu <= 2^k."""
     buckets: dict[int, list[DyadicRectangle]] = {}
@@ -357,41 +325,6 @@ def stratify(Ucol: RectCollection, V: CellSet) -> dict[int, RectCollection]:
         k: RectCollection(Ucol.n, tuple(v), {R: attrs[R] for R in v})
         for k, v in sorted(buckets.items())
     }
-
-
-def maximal_truncation(c: WaveletCoefficients, A: RectCollection, N: int) -> np.ndarray:
-    """Pointwise sup over scale cutoffs of partial wavelet sums from A.
-
-    The truncation sums coefficients on rectangles of A that are much
-    coarser than a reference rectangle (factor 8 in both axes), and the
-    reference enters only through its pair of scales; so the sup is over
-    the finite lattice of per-axis scale cutoffs, including the empty sum.
-    """
-    J = c.max_scale
-    if J > j_max(N):
-        raise ValueError("coefficient scales exceed the wavelet range for N")
-    W = _wavelet_samples(N, J, DEFAULT_PROFILE)
-    keep = np.zeros_like(c.matrix, dtype=bool)
-    for R in A:
-        j1, j2 = R.scales
-        if j1 > J or j2 > J:
-            raise ValueError(f"{R} is finer than the coefficient lattice")
-        a = WaveletCoefficients.interval_index(j1, R.interval1.k)
-        b = WaveletCoefficients.interval_index(j2, R.interval2.k)
-        keep[a, b] = True
-    mat = np.where(keep, c.matrix, 0.0)
-    field = np.zeros((N, N))
-    running = [np.zeros((N, N), dtype=complex) for _ in range(J + 1)]
-    for t2 in range(J + 1):
-        cols = slice(2**t2 - 1, 2 ** (t2 + 1) - 1)
-        for j1 in range(J + 1):
-            rows = slice(2**j1 - 1, 2 ** (j1 + 1) - 1)
-            running[j1] += W[rows].T @ mat[rows, cols] @ W[cols]
-        total = np.zeros((N, N), dtype=complex)
-        for t1 in range(J + 1):
-            total = total + running[t1]
-            np.maximum(field, np.abs(total), out=field)
-    return field
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,24 @@
-"""Fourier multiplier operators and boundary transport.
+"""Fourier multiplier operators: Hilbert transforms and frequency projections.
 
 Frequency conventions: a length-N signal has integer frequencies
 k in {-N/2, ..., N/2-1} (FFT storage order), and spectra are normalized so
 that the grid inner product N^{-d} sum f conj(g) equals
 sum_k fhat_k conj(ghat_k) exactly (Parseval with no extra factors).
 
-Two sign normalizations of the Hilbert transform coexist and both are
-exposed deliberately:
+:func:`hilbert_2d_axis` uses the signature convention, multiplier
+sgn(k_axis), under which the transform along an axis equals P+ - P- and
+the quadrant projections are the products (I +/- H1)(I +/- H2)/4 on
+admissible signals.  All commutator identities downstream are stated in
+this normalization; the kernel convention, multiplier -i sgn(k), differs
+from it by a factor of -i.
 
-* :func:`hilbert_1d` uses the kernel convention, multiplier -i sgn(k),
-  under which cos(2 pi x) maps to sin(2 pi x) and the operator is
-  real-preserving;
-* :func:`hilbert_2d_axis` uses the signature convention, multiplier
-  sgn(k_axis), under which the transform along an axis equals P+ - P- and
-  the quadrant projections are the products (I +/- H1)(I +/- H2)/4 on
-  admissible signals.  All commutator identities downstream are stated in
-  this normalization; the two differ by a factor of i on admissible
-  signals.
-
-Edge bins: sgn(0) = 0 and the Nyquist multiplier is 0 in both conventions,
-and the half-line/quadrant projections exclude both bins, so P+ + P- is the
+Edge bins: sgn(0) = 0 and the Nyquist multiplier is 0, and the
+half-line/quadrant projections exclude both bins, so P+ + P- is the
 projection onto the admissible subspace rather than the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,21 +26,12 @@ import numpy as np
 from .grid import GridSignal1D, GridSignal2D
 
 __all__ = [
-    "FrequencyGrid",
     "frequencies",
-    "hilbert_1d",
     "project_halfline",
     "project_admissible_1d",
     "hilbert_2d_axis",
     "project_quadrant",
     "project_admissible_2d",
-    "BoundaryGrid",
-    "BoundaryField",
-    "circle_grid",
-    "line_grid_truncated",
-    "line_grid_cotangent",
-    "boundary_norm",
-    "cayley_transport",
 ]
 
 
@@ -84,42 +68,9 @@ def _admissible_mask_1d(N: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Frequency bookkeeping for an N-point axis (N a power of two)."""
-
-    N: int
-
-    @property
-    def k(self) -> np.ndarray:
-        return frequencies(self.N)
-
-    @property
-    def nyquist(self) -> int:
-        return -(self.N // 2)
-
-    def admissible_mask_1d(self) -> np.ndarray:
-        return _admissible_mask_1d(self.N)
-
-    def admissible_mask_2d(self) -> np.ndarray:
-        m = _admissible_mask_1d(self.N)
-        return m[:, None] & m[None, :]
-
-
 # ---------------------------------------------------------------------------
-# 1D operators (kernel convention)
+# 1D operators
 # ---------------------------------------------------------------------------
-
-
-def hilbert_1d(f: GridSignal1D) -> GridSignal1D:
-    """Hilbert transform, multiplier -i sgn(k), zero at k=0 and Nyquist.
-
-    Real-preserving: cos goes to sin.  Anti-self-adjoint, and H(Hf) = -f on
-    admissible signals.
-    """
-    fhat = np.fft.fft(f.samples)
-    out = -1j * _sign_mult(f.n_points) * fhat
-    return GridSignal1D(np.fft.ifft(out))
 
 
 def project_halfline(f: GridSignal1D, sign: int) -> GridSignal1D:
@@ -145,7 +96,7 @@ def project_admissible_1d(f: GridSignal1D) -> GridSignal1D:
 # ---------------------------------------------------------------------------
 
 
-def _axis_array(n: int, values: np.ndarray, axis: int) -> np.ndarray:
+def _axis_array(values: np.ndarray, axis: int) -> np.ndarray:
     return values[:, None] if axis == 1 else values[None, :]
 
 
@@ -154,14 +105,13 @@ def hilbert_2d_axis(f: GridSignal2D, axis: int) -> GridSignal2D:
 
     Signature normalization: H_axis = P+ - P- in that variable, so
     H1 = P++ + P+- - P-+ - P-- and H2 = P++ + P-+ - P+- - P-- hold on
-    admissible signals.  Multiply by -i to recover the kernel convention of
-    :func:`hilbert_1d`.
+    admissible signals.  Multiply by -i to recover the kernel convention.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     N = f.n_points
     fhat = np.fft.fft2(f.samples)
-    out = fhat * _axis_array(N, _sign_mult(N), axis)
+    out = fhat * _axis_array(_sign_mult(N), axis)
     return GridSignal2D(np.fft.ifft2(out))
 
 
@@ -181,179 +131,3 @@ def project_admissible_2d(f: GridSignal2D) -> GridSignal2D:
     fhat = np.fft.fft2(f.samples)
     m = _admissible_mask_1d(N)
     return GridSignal2D(np.fft.ifft2(fhat * (m[:, None] & m[None, :])))
-
-
-# ---------------------------------------------------------------------------
-# Cayley transport between the line and circle boundary models
-# ---------------------------------------------------------------------------
-#
-# alpha(lambda) = i (1+lambda)/(1-lambda) maps the unit circle (minus 1) to
-# the real line, with alpha(e^{i theta}) = -cot(theta/2); its inverse is
-# beta(x) = (x-i)/(x+i).  The transported function carries the conformal
-# factor (2i/(1-z))^{2/p} per variable going to the disk model and
-# (1/(z+i))^{2/p} coming back, making the L^p boundary norms equal.
-
-
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Quadrature nodes and weights on a distinguished-boundary axis.
-
-    kind 'circle': nodes are angles theta in (0, 2pi), weights sum to ~1
-    (normalized arclength).  kind 'line': nodes are real points, weights
-    approximate the Lebesgue integral.
-    """
-
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("circle", "line"):
-            raise ValueError("kind must be 'circle' or 'line'")
-        nodes = np.array(self.nodes, dtype=np.float64, copy=True)
-        weights = np.array(self.weights, dtype=np.float64, copy=True)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be matching 1D arrays")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def points(self) -> np.ndarray:
-        """Complex boundary points: e^{i theta} on the circle, x + 0i on the line."""
-        if self.kind == "circle":
-            return np.exp(1j * self.nodes)
-        return self.nodes.astype(np.complex128)
-
-    def tolerance_estimate(self) -> float:
-        """Crude quadrature error scale for norm comparisons.
-
-        Truncated line grids suffer an O(1/T) tail plus O(h^2) rule error;
-        circle and cotangent grids have only the h^2 term for smooth
-        integrands (and are exact for transported pairs).
-        """
-        h = float(np.max(np.diff(np.sort(self.nodes)))) if self.nodes.size > 1 else 1.0
-        if self.kind == "line":
-            T = float(np.max(np.abs(self.nodes)))
-            hmin = float(np.min(np.diff(np.sort(self.nodes))))
-            if np.allclose(np.diff(np.sort(self.nodes)), h, rtol=1e-9):
-                return 1.0 / T + h * h
-            return 1.0 / max(T, 1.0) + hmin * hmin
-        return h * h
-
-
-@dataclass(frozen=True)
-class BoundaryField:
-    """Samples of a function on the product of a boundary grid with itself."""
-
-    values: np.ndarray
-    grid: BoundaryGrid
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128, copy=True)
-        M = self.grid.nodes.shape[0]
-        if v.shape != (M, M):
-            raise ValueError("values must be sampled on the product grid")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def norm(self, p: float) -> float:
-        return boundary_norm(self.values, self.grid, p)
-
-
-def circle_grid(M: int) -> BoundaryGrid:
-    """Uniform offset grid theta_i = 2 pi (i + 1/2)/M; avoids the point 1."""
-    theta = 2.0 * np.pi * (np.arange(M) + 0.5) / M
-    return BoundaryGrid("circle", theta, np.full(M, 1.0 / M))
-
-
-def line_grid_truncated(M: int, T: float = 64.0) -> BoundaryGrid:
-    """Trapezoid rule on [-T, T] with M+1 uniform nodes."""
-    x = np.linspace(-T, T, M + 1)
-    w = np.full(M + 1, 2.0 * T / M)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return BoundaryGrid("line", x, w)
-
-
-def line_grid_cotangent(M: int) -> BoundaryGrid:
-    """Image of the uniform circle grid: x_i = -cot(theta_i/2).
-
-    Weights pi/M csc^2(theta_i/2) implement the substitution
-    dx = csc^2(theta/2) dtheta/2 over the full line, so there is no
-    truncation tail; nodes cluster near 0 and thin out toward infinity.
-    """
-    theta = 2.0 * np.pi * (np.arange(M) + 0.5) / M
-    x = -1.0 / np.tan(theta / 2.0)
-    w = (np.pi / M) / np.sin(theta / 2.0) ** 2
-    return BoundaryGrid("line", x, w)
-
-
-def boundary_norm(values: np.ndarray, grid: BoundaryGrid, p: float) -> float:
-    """L^p norm over the product boundary, by the grid's quadrature."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    w2 = np.outer(grid.weights, grid.weights)
-    return float(np.sum(w2 * np.abs(values) ** p) ** (1.0 / p))
-
-
-def _alpha(z: np.ndarray) -> np.ndarray:
-    return 1j * (1.0 + z) / (1.0 - z)
-
-
-def _beta(x: np.ndarray) -> np.ndarray:
-    return (x - 1j) / (x + 1j)
-
-
-def cayley_transport(values, source_grid: BoundaryGrid, p: int, direction: str) -> BoundaryField:
-    """Move boundary samples between the line and circle models isometrically.
-
-    direction 'to_disk' takes values on a line grid to the image circle
-    grid (pushforward nodes and weights); 'to_halfplane' is the exact
-    inverse.  Round trips reproduce the input at every node.  values may be
-    a 2D sample array on the product grid or a callable f(u, v) evaluated on
-    it.
-
-    Only p in {1, 2, 4} is supported.  Circle grids containing the singular
-    boundary point 1 (where the line image escapes to infinity) are
-    rejected; the inverse factor's interior singularity at -i never lies on
-    the real line, so line grids need no such check.
-    """
-    if p not in (1, 2, 4):
-        raise ValueError("p must be one of {1, 2, 4}")
-    if direction not in ("to_disk", "to_halfplane"):
-        raise ValueError("direction must be 'to_disk' or 'to_halfplane'")
-    pts = source_grid.points()
-    if callable(values):
-        vals = np.asarray(values(pts[:, None], pts[None, :]), dtype=np.complex128)
-    else:
-        vals = np.asarray(values, dtype=np.complex128)
-    e = 2.0 / p
-
-    if direction == "to_disk":
-        if source_grid.kind != "line":
-            raise ValueError("to_disk expects samples on a line grid")
-        x = source_grid.nodes
-        z = _beta(x.astype(np.complex128))
-        theta = np.mod(np.angle(z), 2.0 * np.pi)
-        if np.any(np.abs(z - 1.0) < 1e-12):
-            raise ValueError("singular boundary point 1 in the image grid")
-        # pushforward weights: dm = dtheta/(2 pi) = dx / (pi (1 + x^2))
-        w = source_grid.weights / (np.pi * (1.0 + x**2))
-        target = BoundaryGrid("circle", theta, w)
-        fac = (2j / (1.0 - z)) ** e
-        out = np.pi**e * fac[:, None] * fac[None, :] * vals
-        return BoundaryField(out, target)
-
-    if source_grid.kind != "circle":
-        raise ValueError("to_halfplane expects samples on a circle grid")
-    z = pts
-    if np.any(np.abs(z - 1.0) < 1e-12):
-        raise ValueError("singular boundary point 1 in the source grid")
-    x = np.real(_alpha(z))
-    # pushforward weights: dx = pi (1 + x^2) dm
-    w = source_grid.weights * np.pi * (1.0 + x**2)
-    target = BoundaryGrid("line", x, w)
-    fac = (1.0 / (x + 1j)) ** e
-    out = np.pi**-e * fac[:, None] * fac[None, :] * vals
-    return BoundaryField(out, target)

@@ -6,9 +6,11 @@ variable u = 2|I| kappa, with
     |W(u)| = sin(pi/2 theta(3t/2 - 1))   on t = |u| in [2/3, 4/3],
     |W(u)| = cos(pi/2 theta(3t/4 - 1))   on t in (4/3, 8/3],
 
-for a transition function theta with theta(t) + theta(1-t) = 1.  The two
+for the C-infinity transition theta(t) = a(t)/(a(t) + a(1-t)) with
+a(t) = exp(-1/t), which satisfies theta(t) + theta(1-t) = 1.  The two
 branch arguments coincide for t and 2t, so |W(t)|^2 + |W(2t)|^2 = 1 exactly
-on the overlap and sum_j |W(2^j u)|^2 = 1 off u = 0.
+on the overlap and sum_j |W(2^j u)|^2 = 1 off u = 0.  The wavelets decay
+faster than any power of the distance to their interval.
 
 Phase: W(u) = e^{i pi u} |W(u)| for u > 0 with W(-u) = conj(W(u)).  Combined
 with the center modulation below this equals the classical orthonormal
@@ -25,10 +27,6 @@ periodizes in space, and integer translates of dyadic wavelets are other
 dyadic wavelets).  The admissible scale range j <= j_max(N) keeps every
 spectrum inside |kappa| <= N/4, so products of two wavelet factors never
 alias past the Nyquist bin.
-
-A ``half_sample_phase`` flag reproduces the variant with phase e^{i pi u/2}
-instead; that system is NOT orthonormal across adjacent scales (Gram defect
-~0.7) and exists only for comparison.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ from .grid import DyadicInterval, DyadicRectangle, GridSignal1D, GridSignal2D
 from .transforms import frequencies
 
 __all__ = [
-    "MeyerProfile",
-    "DEFAULT_PROFILE",
     "meyer_profile",
     "j_max",
     "SampledWavelet",
@@ -53,8 +49,6 @@ __all__ = [
     "WaveletCoefficients",
     "analyze",
     "synthesize",
-    "square_function",
-    "lp_norm",
     "KernelResult",
     "commutator_kernel",
     "gram_deviation",
@@ -62,7 +56,7 @@ __all__ = [
 ]
 
 
-def _theta_smooth(t: np.ndarray) -> np.ndarray:
+def _theta(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore"):
         a = np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
@@ -71,56 +65,21 @@ def _theta_smooth(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _theta_polynomial(t: np.ndarray) -> np.ndarray:
-    t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
-    return t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
-
-
-@dataclass(frozen=True)
-class MeyerProfile:
-    """Evaluation rules for the mother profile.
-
-    transition: 'smooth' (default) uses the C-infinity bump ratio
-    a(t)/(a(t)+a(1-t)) with a(t) = exp(-1/t); 'polynomial' uses the C^3
-    polynomial 35t^4 - 84t^5 + 70t^6 - 20t^7.  Both satisfy theta(1/2)=1/2,
-    so |W(1)| = sin(pi/4) and |W(2)| = cos(pi/4).  The polynomial transition
-    gives wavelets decaying only like |x|^-4, which shows up in the spatial
-    decay fits; the smooth transition decays faster than any power.
-    """
-
-    transition: str = "smooth"
-    half_sample_phase: bool = False
-
-    def __post_init__(self):
-        if self.transition not in ("smooth", "polynomial"):
-            raise ValueError("transition must be 'smooth' or 'polynomial'")
-
-    def theta(self, t) -> np.ndarray:
-        if self.transition == "smooth":
-            return _theta_smooth(t)
-        return _theta_polynomial(t)
-
-    def magnitude(self, u) -> np.ndarray:
-        t = np.abs(np.asarray(u, dtype=np.float64))
-        out = np.zeros_like(t)
-        lo = (t >= 2.0 / 3.0) & (t <= 4.0 / 3.0)
-        hi = (t > 4.0 / 3.0) & (t <= 8.0 / 3.0)
-        out[lo] = np.sin(0.5 * np.pi * self.theta(1.5 * t[lo] - 1.0))
-        out[hi] = np.cos(0.5 * np.pi * self.theta(0.75 * t[hi] - 1.0))
-        return out
-
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        mult = 0.5 if self.half_sample_phase else 1.0
-        return np.exp(1j * np.pi * mult * u) * self.magnitude(u)
-
-
-DEFAULT_PROFILE = MeyerProfile()
+def _magnitude(u) -> np.ndarray:
+    """|W(u)|: the sine branch on |u| in [2/3, 4/3], the cosine branch above."""
+    t = np.abs(np.asarray(u, dtype=np.float64))
+    out = np.zeros_like(t)
+    lo = (t >= 2.0 / 3.0) & (t <= 4.0 / 3.0)
+    hi = (t > 4.0 / 3.0) & (t <= 8.0 / 3.0)
+    out[lo] = np.sin(0.5 * np.pi * _theta(1.5 * t[lo] - 1.0))
+    out[hi] = np.cos(0.5 * np.pi * _theta(0.75 * t[hi] - 1.0))
+    return out
 
 
 def meyer_profile(u):
-    """Value of the default profile W at u (complex; zero off +/-[2/3, 8/3])."""
-    out = DEFAULT_PROFILE(u)
+    """Value of the profile W at u (complex; zero off +/-[2/3, 8/3])."""
+    v = np.asarray(u, dtype=np.float64)
+    out = np.exp(1j * np.pi * v) * _magnitude(v)
     if np.isscalar(u):
         return complex(out)
     return out
@@ -139,14 +98,14 @@ def j_max(N: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _wavelet_spectra(N: int, J: int, profile: MeyerProfile) -> np.ndarray:
+def _wavelet_spectra(N: int, J: int) -> np.ndarray:
     """Spectra of all wavelets with scales 0..J, rows ordered by 2^j-1+k."""
     k = frequencies(N).astype(np.float64)
     K = 2 ** (J + 1) - 1
     out = np.zeros((K, N), dtype=np.complex128)
     for j in range(J + 1):
         m = 2.0**-j
-        prof = profile(2.0 * m * k)
+        prof = meyer_profile(2.0 * m * k)
         for pos in range(2**j):
             c = (pos + 0.5) * m
             out[2**j - 1 + pos] = math.sqrt(m) * np.exp(-2j * np.pi * k * c) * prof
@@ -155,9 +114,9 @@ def _wavelet_spectra(N: int, J: int, profile: MeyerProfile) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _wavelet_samples(N: int, J: int, profile: MeyerProfile) -> np.ndarray:
+def _wavelet_samples(N: int, J: int) -> np.ndarray:
     """Real sample matrix (K, N) of the wavelets of _wavelet_spectra."""
-    spectra = _wavelet_spectra(N, J, profile)
+    spectra = _wavelet_spectra(N, J)
     samples = np.fft.ifft(spectra * N, axis=1).real
     samples.flags.writeable = False
     return samples
@@ -177,7 +136,7 @@ class SampledWavelet:
     minus: GridSignal1D
 
 
-def wavelet_sample(I: DyadicInterval, N: int, profile: MeyerProfile = DEFAULT_PROFILE) -> SampledWavelet:
+def wavelet_sample(I: DyadicInterval, N: int) -> SampledWavelet:
     """Sample w_I on the N-point grid, with w_I^+ and w_I^- alongside.
 
     Constructed exactly in frequency space; the samples are real and the
@@ -186,19 +145,19 @@ def wavelet_sample(I: DyadicInterval, N: int, profile: MeyerProfile = DEFAULT_PR
     _check_scale(I.j, N)
     k = frequencies(N).astype(np.float64)
     m = I.length
-    what = math.sqrt(m) * np.exp(-2j * np.pi * k * I.center) * profile(2.0 * m * k)
+    what = math.sqrt(m) * np.exp(-2j * np.pi * k * I.center) * meyer_profile(2.0 * m * k)
     full = np.fft.ifft(what * N)
     plus = np.fft.ifft(np.where(k > 0, what, 0) * N)
     minus = np.fft.ifft(np.where(k < 0, what, 0) * N)
     return SampledWavelet(GridSignal1D(full), GridSignal1D(plus), GridSignal1D(minus))
 
 
-def product_wavelet(R: DyadicRectangle, N: int, profile: MeyerProfile = DEFAULT_PROFILE) -> GridSignal2D:
+def product_wavelet(R: DyadicRectangle, N: int) -> GridSignal2D:
     """v_R(x1, x2) = w_{R1}(x1) w_{R2}(x2), as the exact outer product of samples."""
     _check_scale(R.interval1.j, N)
     _check_scale(R.interval2.j, N)
     J = max(R.interval1.j, R.interval2.j)
-    W = _wavelet_samples(N, J, profile)
+    W = _wavelet_samples(N, J)
     row1 = W[2**R.interval1.j - 1 + R.interval1.k]
     row2 = W[2**R.interval2.j - 1 + R.interval2.k]
     return GridSignal2D(np.outer(row1, row2))
@@ -292,50 +251,20 @@ class WaveletCoefficients:
         return cls.from_dict(max_scale, out)
 
 
-def analyze(f: GridSignal2D, n: int, profile: MeyerProfile = DEFAULT_PROFILE) -> WaveletCoefficients:
+def analyze(f: GridSignal2D, n: int) -> WaveletCoefficients:
     """All coefficients <f, v_R> with both scales in [0, n]."""
     N = f.n_points
     _check_scale(n, N)
-    W = _wavelet_samples(N, n, profile)
+    W = _wavelet_samples(N, n)
     C = W @ f.samples @ W.T / N**2
     return WaveletCoefficients(n, C)
 
 
-def synthesize(c: WaveletCoefficients, N: int, profile: MeyerProfile = DEFAULT_PROFILE) -> GridSignal2D:
+def synthesize(c: WaveletCoefficients, N: int) -> GridSignal2D:
     """sum_R c_R v_R on the N-point grid."""
     _check_scale(c.max_scale, N)
-    W = _wavelet_samples(N, c.max_scale, profile)
+    W = _wavelet_samples(N, c.max_scale)
     return GridSignal2D(W.T @ c.matrix @ W)
-
-
-def square_function(c: WaveletCoefficients, N: int) -> np.ndarray:
-    """S(x) = [sum_R |c_R|^2 |R|^{-1} 1_R(x)]^{1/2} as a float field on the grid."""
-    J = c.max_scale
-    if N < 2**J:
-        raise ValueError("grid coarser than the finest coefficient scale")
-    acc = np.zeros((N, N))
-    a2 = np.abs(c.matrix) ** 2
-    for j1 in range(J + 1):
-        r0, r1 = 2**j1 - 1, 2 ** (j1 + 1) - 1
-        for j2 in range(J + 1):
-            c0, c1 = 2**j2 - 1, 2 ** (j2 + 1) - 1
-            block = a2[r0:r1, c0:c1]
-            if not block.any():
-                continue
-            weight = 2.0 ** (j1 + j2)  # 1/|R|
-            up = np.repeat(np.repeat(block, N // 2**j1, axis=0), N // 2**j2, axis=1)
-            acc += weight * up
-    return np.sqrt(acc)
-
-
-def lp_norm(field, p: float) -> float:
-    """Grid L^p norm: (N^{-d} sum |.|^p)^{1/p}; accepts fields or signals."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if isinstance(field, (GridSignal1D, GridSignal2D)):
-        field = field.samples
-    a = np.abs(np.asarray(field))
-    return float(np.mean(a**p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -346,9 +275,7 @@ class KernelResult:
     label: str
 
 
-def commutator_kernel(
-    I: DyadicInterval, J: DyadicInterval, N: int, profile: MeyerProfile = DEFAULT_PROFILE
-) -> KernelResult:
+def commutator_kernel(I: DyadicInterval, J: DyadicInterval, N: int) -> KernelResult:
     """w_{I,J} = [M_{w_I}, P_+] conj(w_J), with a case label.
 
     Labels: 'zero' when |I| >= 4|J| (the kernel vanishes on the grid),
@@ -362,8 +289,8 @@ def commutator_kernel(
     """
     from .transforms import project_halfline
 
-    wI = wavelet_sample(I, N, profile).signal
-    wJc = wavelet_sample(J, N, profile).signal.conj()
+    wI = wavelet_sample(I, N).signal
+    wJc = wavelet_sample(J, N).signal.conj()
     kern = wI * project_halfline(wJc, 1) - project_halfline(wI * wJc, 1)
     if I.j <= J.j - 2:
         label = "zero"
@@ -376,27 +303,24 @@ def commutator_kernel(
     return KernelResult(kern, label)
 
 
-def gram_deviation(N: int, profile: MeyerProfile = DEFAULT_PROFILE, max_scale: int | None = None) -> float:
+def gram_deviation(N: int, max_scale: int | None = None) -> float:
     """max |<w_I, w_J> - delta_IJ| over all wavelets with scales <= max_scale."""
     J = j_max(N) if max_scale is None else max_scale
     _check_scale(J, N)
-    A = _wavelet_spectra(N, J, profile)
+    A = _wavelet_spectra(N, J)
     G = A @ A.conj().T
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
-def decay_envelope_constant(
-    I: DyadicInterval, N: int, profile: MeyerProfile = DEFAULT_PROFILE, exponent: int = 5
-) -> float:
+def decay_envelope_constant(I: DyadicInterval, N: int, exponent: int = 5) -> float:
     """Smallest C with |w_I(x)| <= C |I|^{-1/2} chi_I(x)^exponent on the grid.
 
     chi_I(x) = (1 + dist(x, I)/|I|)^{-1} with torus distance.  Stability of
     C across scales measures the actual spatial decay of the profile.
     """
-    w = wavelet_sample(I, N, profile).signal
+    w = wavelet_sample(I, N).signal
     x = np.arange(N) / N
     lo, hi = I.left, I.left + I.length
-    d = np.minimum(np.abs(x - np.clip(x, lo, hi)), 1.0 - np.abs(x - np.clip(x, lo, hi)))
     # torus distance to the interval: direct gap or wrap-around gap
     gap_direct = np.where((x >= lo) & (x < hi), 0.0, np.minimum(np.abs(x - lo), np.abs(x - hi)))
     gap_wrap = np.minimum(np.abs(x - lo + 1.0), np.abs(x - hi - 1.0))

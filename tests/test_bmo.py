@@ -1,4 +1,4 @@
-"""Rectangular and product BMO functionals, John-Nirenberg, packing."""
+"""Rectangular and product BMO functionals and their certificates."""
 
 import csv
 
@@ -7,16 +7,14 @@ import pytest
 
 from bicomm.bmo import (
     BmoEstimate,
-    carleson_packing_check,
     coefficient_energy,
-    john_nirenberg_ratio,
     product_bmo_lower,
     rect_bmo,
     rectangles_inside,
 )
 from bicomm.cli import ExperimentConfig, run
 from bicomm.grid import CellSet, DyadicRectangle, enumerate_dyadic_rectangles
-from bicomm.wavelets import WaveletCoefficients, analyze, product_wavelet
+from bicomm.wavelets import WaveletCoefficients
 
 
 def rand_coeffs(rng, n, density=0.5):
@@ -206,75 +204,3 @@ def test_method_validation():
         product_bmo_lower(c, method="annealing")
     with pytest.raises(ValueError):
         product_bmo_lower(c, method="exhaustive")  # max_scale 3 too large
-
-
-def test_john_nirenberg_single_rectangle():
-    n = 3
-    R = DyadicRectangle.from_indices(1, 0, 2, 1)
-    U = CellSet(n, R.to_cellrect(n).to_mask())
-    ratio = john_nirenberg_ratio({R: R.area}, U, 2)
-    assert abs(ratio - 1.0) < 1e-12
-
-
-def test_john_nirenberg_packed_families():
-    """Carleson-packed weight families keep the L^p ratios bounded.
-
-    Weights a_R = t_R |R| / (n+1)^2 with t_R in [0,1] pack under every open
-    set because rectangles of a fixed scale pair tile disjointly and there
-    are (n+1)^2 scale pairs.
-    """
-    rng = np.random.default_rng(39)
-    n = 3
-    m = 2**n
-    for _ in range(10):
-        U = CellSet(n, rng.random((m, m)) < 0.7)
-        if U.cell_count == 0:
-            continue
-        inside = rectangles_inside(U, n)
-        rows, cols = np.nonzero(inside)
-        a = {}
-        for i, j in zip(rows, cols):
-            I1 = WaveletCoefficients.index_interval(int(i))
-            I2 = WaveletCoefficients.index_interval(int(j))
-            R = DyadicRectangle(I1, I2)
-            a[R] = float(rng.random()) * R.area / (n + 1) ** 2
-        ratios = [john_nirenberg_ratio(a, U, p) for p in (1, 2, 4)]
-        for r in ratios:
-            assert np.isfinite(r)
-            assert r <= 50.0
-        assert ratios[0] <= 1.0 + 1e-9
-
-
-def test_john_nirenberg_validation():
-    n = 2
-    R = DyadicRectangle.from_indices(1, 0, 1, 0)
-    U = CellSet(n, R.to_cellrect(n).to_mask())
-    with pytest.raises(ValueError):
-        john_nirenberg_ratio({R: 1.0}, U, 0.5)
-    with pytest.raises(ValueError):
-        john_nirenberg_ratio({R: 1.0}, CellSet.empty(n), 2)
-    # packing premise violated on the rectangle itself
-    with pytest.raises(ValueError) as info:
-        john_nirenberg_ratio({R: 10.0}, U, 2)
-    assert "premise" in str(info.value) or "packing" in str(info.value)
-
-
-def test_carleson_packing_wavelet_analysis():
-    """Analyzing a single product wavelet packs exactly at norm |R|^{-1/2}."""
-    N = 64
-    R = DyadicRectangle.from_indices(1, 1, 1, 0)
-    c = analyze(product_wavelet(R, N), 2)
-    rep = carleson_packing_check(c, 1.0 / np.sqrt(R.area))
-    assert rep.passed
-    assert abs(rep.worst_ratio - 1.0) < 1e-6
-
-
-def test_carleson_packing_failure_detected():
-    R = DyadicRectangle.from_indices(2, 0, 2, 0)
-    c = WaveletCoefficients.from_dict(2, {R: 1.0})
-    rep = carleson_packing_check(c, 0.5 / np.sqrt(R.area))
-    assert not rep.passed
-    assert rep.worst_ratio > 1.0
-    assert rep.witness is not None
-    with pytest.raises(ValueError):
-        carleson_packing_check(c, 0.0)

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import time
 
 import numpy as np
@@ -30,10 +29,9 @@ def test_config_defaults():
     assert cfg.N == 256
     assert cfg.n == 4
     assert cfg.seed == 0
-    assert abs(cfg.gamma - 0.5 ** (1.0 / 3.0)) < 1e-15
-    cfg = ExperimentConfig("identity-check", N=64, delta=0.125)
+    assert cfg.delta == 0.5
+    cfg = ExperimentConfig("identity-check", N=64)
     assert cfg.n == 2
-    assert abs(cfg.gamma - 0.5) < 1e-15
 
 
 def test_config_validation():
@@ -74,9 +72,10 @@ def test_config_hash_sensitivity(tmp_path):
         for src in ("a.csv", "b.csv")
     }
     assert len(hashes) == 2
-    # restarts was hashed and validated but read by no command
-    with pytest.raises(ValueError, match="restarts"):
-        ExperimentConfig.from_dict({**base, "restarts": 4})
+    # restarts and gamma were hashed and validated but read by no command
+    for dead in ("restarts", "gamma"):
+        with pytest.raises(ValueError, match=dead):
+            ExperimentConfig.from_dict({**base, dead: 4})
     # a file symbol is hashed by content: the same path with other bytes differs
     sig_path = tmp_path / "b.sig"
     cfg = ExperimentConfig.from_dict({**base, "family": "file", "file": str(sig_path)})
@@ -198,6 +197,16 @@ def test_norm_compare_and_plot_data(tmp_path):
     )
     with pytest.raises(ValueError, match="no_such"):
         run(bad)
+    # a bad arity is rejected before the previous plot is overwritten
+    before = open(path).read()
+    for kind, metrics in (("scatter", ("rect_bmo",)), ("histogram", ("rect_bmo", "operator_norm"))):
+        with pytest.raises(ValueError, match="exactly"):
+            run(
+                ExperimentConfig(
+                    "plot-data", source=csv_path, kind=kind, metrics=metrics, out=str(out)
+                )
+            )
+        assert open(path).read() == before
     with pytest.raises(ValueError):
         run(ExperimentConfig("plot-data", kind="scatter", metrics=("a", "b"), out=str(out)))
 

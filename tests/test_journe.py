@@ -25,13 +25,11 @@ from bicomm.journe import (
     enlargement,
     journe_sum,
     maximal_rectangles,
-    maximal_truncation,
-    partition_pairs,
     row_of_squares,
     stratify,
     thin_collection,
 )
-from bicomm.wavelets import WaveletCoefficients, product_wavelet
+from bicomm.wavelets import product_wavelet
 
 
 def rect_inside(R, U):
@@ -541,30 +539,6 @@ def test_thin_collection_congruent_single_class():
         thin_collection(S, 0.5, 0.5)
 
 
-def test_partition_pairs_tags():
-    n = 6
-    R = DyadicRectangle.from_indices(1, 0, 1, 0)
-    both = DyadicRectangle.from_indices(4, 0, 4, 0)
-    only1 = DyadicRectangle.from_indices(4, 0, 2, 0)
-    only2 = DyadicRectangle.from_indices(2, 0, 4, 0)
-    near = DyadicRectangle.from_indices(2, 0, 2, 0)
-    W = RectCollection(n, (both, only1, only2, near))
-    U = RectCollection(n, (R,))
-    got = partition_pairs(W, U)
-    assert got["<"] == [(both, R)]
-    assert got["<1"] == [(only1, R)]
-    assert got["<2"] == [(only2, R)]
-    assert got["≃"] == [(near, R)]
-    # much coarser in an axis drops the pair entirely
-    coarse = DyadicRectangle.from_indices(0, 0, 1, 0)
-    fine_ref = DyadicRectangle.from_indices(4, 0, 1, 0)
-    got = partition_pairs(RectCollection(n, (coarse,)), RectCollection(n, (fine_ref,)))
-    assert all(len(v) == 0 for v in got.values())
-    # a rectangle compared with itself is comparable
-    got = partition_pairs(U, U)
-    assert got["≃"] == [(R, R)]
-
-
 def test_stratify():
     full = CellSet.full(2)
     center = DyadicRectangle.from_indices(2, 2, 2, 2)
@@ -577,37 +551,6 @@ def test_stratify():
     assert strata[2].attrs[center]["mu"] == 3.0
     assert strata[0].attrs[corner]["stratum"] == 0
     assert sum(len(s) for s in strata.values()) == len(col)
-
-
-def test_maximal_truncation_empty_and_single():
-    N = 64
-    c = WaveletCoefficients.zeros(2)
-    A = RectCollection(2, ())
-    assert np.all(maximal_truncation(c, A, N) == 0.0)
-
-    R = DyadicRectangle.from_indices(1, 1, 2, 0)
-    c = WaveletCoefficients.from_dict(2, {R: 0.7 - 0.2j})
-    field = maximal_truncation(c, RectCollection(2, (R,)), N)
-    want = np.abs(product_wavelet(R, N).samples * (0.7 - 0.2j))
-    assert np.max(np.abs(field - want)) < 1e-13
-
-
-def test_maximal_truncation_triangle_bound():
-    rng = np.random.default_rng(79)
-    N = 64
-    n = 2
-    K = 2 ** (n + 1) - 1
-    mat = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-    c = WaveletCoefficients(n, mat)
-    rects = tuple(R for R, _ in c.items())
-    A = RectCollection(n, rects)
-    field = maximal_truncation(c, A, N)
-    bound = np.zeros((N, N))
-    for R, val in c.items():
-        bound += abs(val) * np.abs(product_wavelet(R, N).samples)
-    assert np.all(field <= bound + 1e-10)
-    with pytest.raises(ValueError):
-        maximal_truncation(c, A, 8)
 
 
 def test_double_orthogonality_quadruples():

@@ -6,50 +6,43 @@ import pytest
 from bicomm.grid import DyadicInterval, DyadicRectangle, GridSignal1D, GridSignal2D
 from bicomm.transforms import project_admissible_1d, project_halfline
 from bicomm.wavelets import (
-    DEFAULT_PROFILE,
-    MeyerProfile,
     WaveletCoefficients,
+    _magnitude,
+    _theta,
     analyze,
     commutator_kernel,
     decay_envelope_constant,
     gram_deviation,
     j_max,
-    lp_norm,
     meyer_profile,
     product_wavelet,
-    square_function,
     synthesize,
     wavelet_sample,
 )
 
-PROFILES = [MeyerProfile("smooth"), MeyerProfile("polynomial")]
-
 
 def test_profile_support_and_partition():
     u = np.linspace(-4.0, 4.0, 2001)
-    for prof in PROFILES:
-        mag = prof.magnitude(u)
-        outside = (np.abs(u) < 2.0 / 3.0 - 1e-9) | (np.abs(u) > 8.0 / 3.0 + 1e-9)
-        assert np.all(mag[outside] == 0.0)
-        # |W(u)|^2 + |W(2u)|^2 = 1 on [2/3, 4/3], the overlap of consecutive scales
-        t = np.linspace(2.0 / 3.0, 4.0 / 3.0, 501)
-        s = prof.magnitude(t) ** 2 + prof.magnitude(2.0 * t) ** 2
-        np.testing.assert_allclose(s, 1.0, atol=1e-12)
+    mag = _magnitude(u)
+    outside = (np.abs(u) < 2.0 / 3.0 - 1e-9) | (np.abs(u) > 8.0 / 3.0 + 1e-9)
+    assert np.all(mag[outside] == 0.0)
+    # |W(u)|^2 + |W(2u)|^2 = 1 on [2/3, 4/3], the overlap of consecutive scales
+    t = np.linspace(2.0 / 3.0, 4.0 / 3.0, 501)
+    s = _magnitude(t) ** 2 + _magnitude(2.0 * t) ** 2
+    np.testing.assert_allclose(s, 1.0, atol=1e-12)
     assert abs(abs(meyer_profile(1.0)) ** 2 + abs(meyer_profile(2.0)) ** 2 - 1.0) < 1e-12
 
 
 def test_profile_phase_and_theta():
-    prof = DEFAULT_PROFILE
     u = np.array([0.8, 1.0, 1.7, 2.5])
-    vals = prof(u)
-    np.testing.assert_allclose(vals, np.exp(1j * np.pi * u) * prof.magnitude(u), atol=1e-15)
-    half = MeyerProfile("smooth", half_sample_phase=True)
-    np.testing.assert_allclose(half(u), np.exp(0.5j * np.pi * u) * half.magnitude(u), atol=1e-15)
-    for prof in PROFILES:
-        ends = prof.theta(np.array([0.0, 1.0]))
-        np.testing.assert_allclose(ends, [0.0, 1.0], atol=1e-15)
-    with pytest.raises(ValueError):
-        MeyerProfile("cubic")
+    vals = meyer_profile(u)
+    np.testing.assert_allclose(vals, np.exp(1j * np.pi * u) * _magnitude(u), atol=1e-15)
+    ends = _theta(np.array([0.0, 1.0]))
+    np.testing.assert_allclose(ends, [0.0, 1.0], atol=1e-15)
+    # theta(t) + theta(1 - t) = 1, so theta(1/2) = 1/2 and |W(1)| = sin(pi/4)
+    t = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_allclose(_theta(t) + _theta(1.0 - t), 1.0, atol=1e-15)
+    assert abs(abs(meyer_profile(1.0)) - np.sin(np.pi / 4)) < 1e-15
 
 
 def test_wavelet_samples_real_and_split():
@@ -80,8 +73,7 @@ def test_scale_range_enforced():
 
 def test_gram_identity_both_transitions():
     """Poisson summation makes the periodized system exactly orthonormal."""
-    for prof in PROFILES:
-        assert gram_deviation(256, prof) < 1e-10
+    assert gram_deviation(256) < 1e-10
     assert gram_deviation(512) < 1e-10
 
 
@@ -151,28 +143,14 @@ def test_analyze_synthesize_adjoint():
     assert abs(lhs - rhs) < 1e-10
 
 
-def test_square_function_single_rectangle():
-    N = 32
-    R = DyadicRectangle.from_indices(1, 0, 1, 1)
-    c = WaveletCoefficients.from_dict(1, {R: 2.0})
-    S = square_function(c, N)
-    mask = R.to_cellrect(5).to_mask().astype(bool)
-    expected = 2.0 / np.sqrt(R.area)
-    np.testing.assert_allclose(S[mask], expected, atol=1e-12)
-    np.testing.assert_allclose(S[~mask], 0.0, atol=1e-12)
-    assert abs(lp_norm(S, 4) - 2.0 * R.area ** -0.25) < 1e-12
-    assert abs(lp_norm(S, 2) - 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        lp_norm(S, 0.5)
-
-
 def test_l4_ratio_scale_invariant():
     """||w_I||_4 |I|^{1/4} is a single constant once wraparound is negligible."""
     N = 1024
     vals = []
     for j in (5, 6, 7):
         w = wavelet_sample(DyadicInterval(j, 0), N).signal
-        vals.append(lp_norm(w, 4) * (2.0 ** -j) ** 0.25)
+        l4 = float(np.mean(np.abs(w.samples) ** 4) ** 0.25)
+        vals.append(l4 * (2.0 ** -j) ** 0.25)
     assert abs(vals[0] - vals[2]) < 1e-3
     assert abs(vals[2] - 0.9189611) < 1e-6
 
@@ -256,12 +234,6 @@ def test_decay_constant_stable_at_fine_scales():
     consts = [decay_envelope_constant(DyadicInterval(j, 0), N) for j in (J - 2, J - 1, J)]
     assert max(consts) / min(consts) - 1.0 < 0.2
     assert 300.0 < consts[-1] < 370.0
-    poly = [
-        decay_envelope_constant(DyadicInterval(j, 0), N, MeyerProfile("polynomial"))
-        for j in (J - 1, J)
-    ]
-    assert max(poly) / min(poly) - 1.0 < 0.2
-    assert 200.0 < poly[-1] < 280.0
 
 
 def test_decay_constant_translation_invariant():
