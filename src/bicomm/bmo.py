@@ -20,21 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellSet, DyadicRectangle, _box_sum, _integral_image
+from .grid import (
+    CellSet,
+    DyadicRectangle,
+    _interval_meta,
+    _interval_spans,
+    _spans_inside,
+    rectangles_inside,
+)
 from .wavelets import WaveletCoefficients
 
 _EXHAUSTIVE_MAX_SCALE = 2
 _CERT_TOL = 1e-12
-
-
-def _interval_meta(max_scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale and position arrays for interval indices 0..2^(J+1)-2."""
-    js = []
-    ks = []
-    for j in range(max_scale + 1):
-        js.append(np.full(2**j, j, dtype=np.int64))
-        ks.append(np.arange(2**j, dtype=np.int64))
-    return np.concatenate(js), np.concatenate(ks)
 
 
 def _containment_matrix(max_scale: int) -> np.ndarray:
@@ -50,30 +47,6 @@ def _subtree_energy(c: WaveletCoefficients) -> np.ndarray:
     C = _containment_matrix(c.max_scale).astype(np.float64)
     A = np.abs(c.matrix) ** 2
     return C @ A @ C.T
-
-
-def _interval_spans(max_scale: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-open cell spans of every interval index on the 2^n grid.
-
-    Intervals finer than a cell map to the single cell containing them.
-    """
-    j, k = _interval_meta(max_scale)
-    coarse = j <= n
-    start = np.where(coarse, k << np.maximum(n - j, 0), k >> np.maximum(j - n, 0))
-    stop = np.where(coarse, (k + 1) << np.maximum(n - j, 0), start + 1)
-    return start.astype(np.int64), stop.astype(np.int64)
-
-
-def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:
-    """Boolean (K, K) array marking rectangles contained in the cell union.
-
-    Entry [a1, a2] corresponds to the rectangle I_{a1} x I_{a2} in interval
-    index order; containment means every covered cell of U's grid lies in U.
-    """
-    s0, s1 = _interval_spans(max_scale, U.n)
-    box = _box_sum(_integral_image(U.mask), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
-    counts = (s1 - s0)[:, None] * (s1 - s0)[None, :]
-    return box == counts
 
 
 def coefficient_energy(c: WaveletCoefficients, U: CellSet) -> float:
@@ -145,12 +118,6 @@ def _square_spans(n: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _masked_energy(c_abs2: np.ndarray, s0: np.ndarray, s1: np.ndarray, mask: np.ndarray) -> float:
-    box = _box_sum(_integral_image(mask), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
-    counts = (s1 - s0)[:, None] * (s1 - s0)[None, :]
-    return float(np.sum(c_abs2[box == counts]))
-
-
 def _greedy_search(
     c: WaveletCoefficients, budget: int, seed: BmoEstimate
 ) -> tuple[np.ndarray, float, float]:
@@ -166,7 +133,7 @@ def _greedy_search(
     s0, s1 = _interval_spans(n, n)
     mask = seed.witness.mask.copy()
     cell_area = 4.0**-n
-    cur_e = _masked_energy(c_abs2, s0, s1, mask)
+    cur_e = float(np.sum(c_abs2[_spans_inside(mask, s0, s1)]))
     cur_m = float(np.count_nonzero(mask)) * cell_area
     squares = _square_spans(n)
     for _ in range(budget):
@@ -178,7 +145,7 @@ def _greedy_search(
                 continue
             trial = mask.copy()
             trial[r0:r1, q0:q1] = True
-            e = _masked_energy(c_abs2, s0, s1, trial)
+            e = float(np.sum(c_abs2[_spans_inside(trial, s0, s1)]))
             gain = (e - cur_e) / (new_cells * cell_area)
             if gain > best_gain:
                 best_gain = gain

@@ -35,10 +35,9 @@ __all__ = [
     "CellRect",
     "CellSet",
     "enumerate_dyadic_rectangles",
-    "maximal_1d",
     "maximal_1d_level",
-    "strong_maximal",
     "strong_maximal_half_level",
+    "rectangles_inside",
     "save_signal",
     "load_signal",
 ]
@@ -360,9 +359,6 @@ class CellSet:
     def measure(self) -> float:
         return self.cell_count * 4.0**-self.n
 
-    def measure_exact(self) -> Fraction:
-        return Fraction(self.cell_count, 4**self.n)
-
     def __or__(self, other: "CellSet") -> "CellSet":
         self._check(other)
         return CellSet(self.n, self.mask | other.mask)
@@ -388,10 +384,6 @@ class CellSet:
     def contains(self, other: "CellSet") -> bool:
         self._check(other)
         return bool(np.all(self.mask | ~other.mask))
-
-    def translate(self, d1: int, d2: int) -> "CellSet":
-        """Cyclic translation by whole cells (torus shift of the mask)."""
-        return CellSet(self.n, np.roll(self.mask, (d1, d2), axis=(0, 1)))
 
     def _check(self, other: "CellSet") -> None:
         if self.n != other.n:
@@ -428,51 +420,24 @@ def enumerate_dyadic_rectangles(n: int) -> list[DyadicRectangle]:
     return [DyadicRectangle(i1, i2) for i1 in intervals for i2 in intervals]
 
 
-def _maximal_lines(lines: np.ndarray, one_sided: bool = False, heights=1.0) -> np.ndarray:
-    """Uncentered maximal function of each row of a (L, m) array of counts.
-
-    out[l, i] = max over intervals a <= i <= b of
-    sum(lines[l, a:b+1]) / (heights[l] * (b-a+1)), one division of integers
-    per interval, so an average of exactly 1/2 reads 0.5.  With
-    one_sided=True only intervals starting at the cell (a = i) count.
-    Intervals do not wrap.  Vectorized over an (L, m, m) tableau; callers
-    chunk L to bound memory.
-    """
-    L, m = lines.shape
-    csum = np.zeros((L, m + 1))
-    np.cumsum(lines, axis=1, out=csum[:, 1:])
-    # sums[l, a, b] = sum over cells a..b; lengths b-a+1 (junk for b < a)
-    sums = csum[:, None, 1:] - csum[:, :m, None]
-    a_idx = np.arange(m)
-    length = a_idx[None, :] - a_idx[:, None] + 1.0  # [a, b]
-    area = np.maximum(length, 1.0) * np.reshape(heights, (-1, 1, 1))
-    with np.errstate(invalid="ignore"):
-        avg = np.where(length > 0, sums / area, -np.inf)
-    # suffix max over b >= i, then prefix max over a <= i, read diagonal
-    suff = np.flip(np.maximum.accumulate(np.flip(avg, axis=2), axis=2), axis=2)
-    if one_sided:
-        return suff[:, a_idx, a_idx]
-    pref = np.maximum.accumulate(suff, axis=1)
-    return pref[:, a_idx, a_idx]
-
-
-def _covered(g: np.ndarray) -> np.ndarray:
+def _covered(g: np.ndarray, one_sided: bool = False) -> np.ndarray:
     """Cells of each row of an integer (L, m) array that lie in an interval of positive sum.
 
     With prefix sums P (P[0] = 0) the interval [a, b) has positive sum iff
     P[b] > P[a], so cell x is covered iff max_{b > x} P[b] > min_{a <= x} P[a].
-    This is the level-set primitive of :func:`maximal_1d_level` and
-    :func:`strong_maximal_half_level`.
+    With one_sided=True the interval must start at x, and the test is
+    max_{b > x} P[b] > P[x].  This is the level-set primitive of
+    :func:`maximal_1d_level` and :func:`strong_maximal_half_level`.
     """
     L, m = g.shape
     P = np.zeros((L, m + 1), dtype=np.int64)
     np.cumsum(g, axis=1, out=P[:, 1:])
     best_end = np.maximum.accumulate(P[:, :0:-1], axis=1)[:, ::-1]
-    best_start = np.minimum.accumulate(P[:, :-1], axis=1)
-    return best_end > best_start
+    start = P[:, :-1] if one_sided else np.minimum.accumulate(P[:, :-1], axis=1)
+    return best_end > start
 
 
-def _fraction_at_most(delta: float, m: int) -> Fraction:
+def _fraction_at_most(delta, m: int) -> Fraction:
     """The largest p/q <= delta with 1 <= q <= m, from the exact value of delta.
 
     No average c/l with l <= m lies in (p/q, delta], so the strict
@@ -482,84 +447,47 @@ def _fraction_at_most(delta: float, m: int) -> Fraction:
     return max(Fraction(d.numerator * q // d.denominator, q) for q in range(1, m + 1))
 
 
-def maximal_1d(U: CellSet, axis: int, one_sided: bool = False) -> np.ndarray:
-    """Uncentered one-dimensional maximal function of 1_U along one axis.
+def maximal_1d_level(U: CellSet, axis: int, delta, one_sided: bool = False) -> CellSet:
+    """The level set {M 1_U > delta} of the uncentered 1D maximal function along one axis.
 
-    Returns a float field on cells: at each cell, the largest average of the
-    indicator over discrete intervals of consecutive cells (same line,
-    containing the cell, no wrap-around).  axis=1 averages along the first
-    variable, axis=2 along the second.
+    M 1_U at a cell is the largest average of 1_U over intervals of
+    consecutive cells of its line that contain it, without wrap-around;
+    axis=1 runs along the first variable, axis=2 along the second.  With
+    one_sided=True only intervals starting at the cell count.  That is the
+    rising-sun form: its level sets obey the weak bound
+    |{M 1_U > delta}| <= |U| / delta with constant exactly one, which the
+    two-sided form does not (a single cell has a two-sided level set of
+    5 cells at delta = 1/4).
 
-    one_sided=True restricts to intervals whose first cell is the
-    evaluation cell.  That is the rising-sun form: its indicator level
-    sets obey the weak bound measure{M 1_U > d} <= measure(U)/d with
-    constant exactly one, which the two-sided form does not (a single
-    cell already has a two-sided level set of measure (2/d - 1)|U|).
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    mask = U.mask.astype(np.float64)
-    if axis == 1:
-        # lines run along the first index: transpose so lines are rows
-        return _maximal_lines(mask.T, one_sided).T
-    return _maximal_lines(mask, one_sided)
-
-
-def maximal_1d_level(U: CellSet, axis: int, delta: float) -> CellSet:
-    """The level set {maximal_1d(U, axis) > delta}, in exact integer arithmetic.
-
-    delta is first replaced by p/q = _fraction_at_most(delta, m), which
-    selects the same averages.  An interval [a, b) of a line averages more
-    than p/q iff q*count - p*(b - a) > 0, a positive sum of the weights
+    delta may be a float or a Fraction; either way it is decided on its
+    exact value.  It is first replaced by p/q = _fraction_at_most(delta, m),
+    which selects the same averages.  An interval [a, b) averages more than
+    p/q iff q*count - p*(b - a) > 0, a positive sum of the weights
     q*1_U - p, which :func:`_covered` decides in O(m) per line; every
-    integer stays below m^2 in size.  Ties are decided on the exact value
-    of delta: an average of exactly 1/3 exceeds the double nearest 1/3,
-    which rounds down, while the float field reads that average as equal.
+    integer stays below m^2 in size.  So an average of exactly 1/3 lies
+    above the double nearest 1/3, which rounds down, and not above
+    Fraction(1, 3).
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     t = _fraction_at_most(delta, 1 << U.n)
     lines = U.mask.T if axis == 1 else U.mask
-    covered = _covered(t.denominator * lines.astype(np.int64) - t.numerator)
+    covered = _covered(t.denominator * lines.astype(np.int64) - t.numerator, one_sided)
     return CellSet(U.n, covered.T if axis == 1 else covered)
 
 
-def strong_maximal(U: CellSet, chunk: int = 1024) -> np.ndarray:
-    """Maximal averages of 1_U over all axis-parallel cell rectangles.
-
-    For each row range the mask collapses to a line of integer column counts
-    whose 1D maximal function, divided once by height times width, covers
-    every rectangle with that exact row extent; the pointwise max over row
-    ranges is taken in chunks.  This float tableau costs O(m^4); the level
-    set {> 1/2} that the embeddedness nu needs comes from
-    :func:`strong_maximal_half_level`, for which this is the test oracle.
-    """
-    mask = U.mask.astype(np.float64)
-    m = mask.shape[0]
-    csum = np.zeros((m + 1, m))
-    np.cumsum(mask, axis=0, out=csum[1:])
-    ranges = [(r0, r1) for r0 in range(m) for r1 in range(r0, m)]
-    out = np.zeros((m, m))
-    for start in range(0, len(ranges), chunk):
-        batch = ranges[start : start + chunk]
-        lines = np.array([csum[r1 + 1] - csum[r0] for r0, r1 in batch])
-        heights = np.array([r1 - r0 + 1.0 for r0, r1 in batch])
-        maxed = _maximal_lines(lines, heights=heights)
-        for (r0, r1), line in zip(batch, maxed):
-            np.maximum(out[r0 : r1 + 1], line[None, :], out=out[r0 : r1 + 1])
-    return out
-
-
 def strong_maximal_half_level(U: CellSet) -> CellSet:
-    """The level set {strong_maximal(1_U) > 1/2}, in exact integer arithmetic.
+    """The level set {M_S 1_U > 1/2} of the strong maximal function, exactly.
 
-    A cell rectangle rows [r0, r1] x columns [a, b) averages more than 1/2
-    exactly when 2*count - area > 0, a positive sum over columns [a, b) of
-    the weights g = 2*colsum - (r1 - r0 + 1); :func:`_covered` finds the
-    columns of each row range that such an interval covers.  A cell lies
-    in the set iff some row range through its row covers its column.  One
-    row start at a time handles every row end at once, O(m^3) in all; every
-    value is an integer, so the strict tie at exactly 1/2 is decided exactly.
+    M_S 1_U at a cell is the largest average of 1_U over the axis-parallel
+    cell rectangles that contain it.  Rows [r0, r1] x columns [a, b)
+    average more than 1/2 exactly when 2*count - area > 0, a positive sum
+    over columns [a, b) of the weights g = 2*colsum - (r1 - r0 + 1);
+    :func:`_covered` finds the columns of each row range that such an
+    interval covers.  A cell lies in the set iff some row range through its
+    row covers its column.  One row start at a time handles every row end
+    at once, O(m^3) in all; every value is an integer, so the strict tie at
+    exactly 1/2 is decided exactly.
     """
     m = 1 << U.n
     mask = U.mask.astype(np.int64)
@@ -583,6 +511,46 @@ def _integral_image(mask: np.ndarray) -> np.ndarray:
 def _box_sum(ii: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
     """Mask cells in rows [r0, r1) x columns [c0, c1); index arrays broadcast."""
     return ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]
+
+
+def _interval_meta(max_scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and position arrays for interval indices 0..2^(J+1)-2.
+
+    Index a = 2^j - 1 + k is heap order: the parent of a is (a - 1) // 2.
+    """
+    js = []
+    ks = []
+    for j in range(max_scale + 1):
+        js.append(np.full(2**j, j, dtype=np.int64))
+        ks.append(np.arange(2**j, dtype=np.int64))
+    return np.concatenate(js), np.concatenate(ks)
+
+
+def _interval_spans(max_scale: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open cell spans of every interval index on the 2^n grid.
+
+    Intervals finer than a cell map to the single cell containing them.
+    """
+    j, k = _interval_meta(max_scale)
+    coarse = j <= n
+    start = np.where(coarse, k << np.maximum(n - j, 0), k >> np.maximum(j - n, 0))
+    stop = np.where(coarse, (k + 1) << np.maximum(n - j, 0), start + 1)
+    return start.astype(np.int64), stop.astype(np.int64)
+
+
+def _spans_inside(mask: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """(K, K) table: True where the box [s0[a1], s1[a1]) x [s0[a2], s1[a2]) lies in mask."""
+    box = _box_sum(_integral_image(mask), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
+    return box == (s1 - s0)[:, None] * (s1 - s0)[None, :]
+
+
+def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:
+    """Boolean (K, K) array marking rectangles contained in the cell union.
+
+    Entry [a1, a2] corresponds to the rectangle I_{a1} x I_{a2} in interval
+    index order; containment means every covered cell of U's grid lies in U.
+    """
+    return _spans_inside(U.mask, *_interval_spans(max_scale, U.n))
 
 
 def save_signal(path, sig) -> None:

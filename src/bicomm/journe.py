@@ -36,7 +36,9 @@ from .grid import (
     DyadicRectangle,
     _box_sum,
     _integral_image,
+    _interval_meta,
     maximal_1d_level,
+    rectangles_inside,
     strong_maximal_half_level,
 )
 
@@ -96,32 +98,19 @@ def maximal_rectangles(U: CellSet) -> RectCollection:
 
     A contained rectangle is non-maximal exactly when widening it one
     dyadic level in some axis stays inside U, so it suffices to test the
-    two axis parents.
+    two axis parents, which in heap index order sit at (a - 1) // 2.
     """
-    n = U.n
-    ii = _integral_image(U.mask)
-    contained = {}
-    for j1 in range(n + 1):
-        w1 = 1 << (n - j1)
-        r = np.arange(1 << j1) * w1
-        for j2 in range(n + 1):
-            w2 = 1 << (n - j2)
-            c = np.arange(1 << j2) * w2
-            box = _box_sum(ii, r[:, None], (r + w1)[:, None], c[None, :], (c + w2)[None, :])
-            contained[j1, j2] = box == w1 * w2
-    rects = []
-    for j1 in range(n + 1):
-        k1 = np.arange(1 << j1)
-        for j2 in range(n + 1):
-            k2 = np.arange(1 << j2)
-            good = contained[j1, j2].copy()
-            if j1 > 0:
-                good &= ~contained[j1 - 1, j2][(k1 // 2)[:, None], k2[None, :]]
-            if j2 > 0:
-                good &= ~contained[j1, j2 - 1][k1[:, None], (k2 // 2)[None, :]]
-            for a, b in np.argwhere(good):
-                rects.append(DyadicRectangle.from_indices(j1, int(a), j2, int(b)))
-    return RectCollection(n, tuple(rects))
+    inside = rectangles_inside(U, U.n)
+    idx = np.arange(inside.shape[0])
+    parent, has_parent = (idx - 1) // 2, idx > 0
+    good = inside & ~(inside[parent, :] & has_parent[:, None])
+    good &= ~(inside[:, parent] & has_parent[None, :])
+    j, k = _interval_meta(U.n)
+    rects = [
+        DyadicRectangle.from_indices(int(j[a]), int(k[a]), int(j[b]), int(k[b]))
+        for a, b in np.argwhere(good)
+    ]
+    return RectCollection(U.n, tuple(rects))
 
 
 def enlargement(U: CellSet, delta: float) -> CellSet:
@@ -214,7 +203,7 @@ def embeddedness(
 
     mu is the largest lambda with the centered dilate lambda*R (both axes
     scaled) rasterized inside V.  nu scales the first axis only and asks
-    for containment in {strong_maximal(1_U) > 1/2}, taken exactly from
+    for containment in {M_S 1_U > 1/2}, taken exactly from
     strong_maximal_half_level; it needs U, which is mandatory for
     mode='first_axis_only' and optional otherwise (nu is NaN when U is
     absent).  R may be a DyadicRectangle or a CellRect.  This is the batched

@@ -303,17 +303,15 @@ def commutator_kernel(I: DyadicInterval, J: DyadicInterval, N: int) -> KernelRes
     return KernelResult(kern, label)
 
 
-def gram_deviation(N: int, max_scale: int | None = None) -> float:
-    """max |<w_I, w_J> - delta_IJ| over all wavelets with scales <= max_scale."""
-    J = j_max(N) if max_scale is None else max_scale
-    _check_scale(J, N)
-    A = _wavelet_spectra(N, J)
+def gram_deviation(N: int) -> float:
+    """max |<w_I, w_J> - delta_IJ| over all wavelets with scales <= j_max(N)."""
+    A = _wavelet_spectra(N, j_max(N))
     G = A @ A.conj().T
     return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
 
-def decay_envelope_constant(I: DyadicInterval, N: int, exponent: int = 5) -> float:
-    """Smallest C with |w_I(x)| <= C |I|^{-1/2} chi_I(x)^exponent on the grid.
+def decay_envelope_constant(I: DyadicInterval, N: int) -> float:
+    """Smallest C with |w_I(x)| <= C |I|^{-1/2} chi_I(x)^5 on the grid.
 
     chi_I(x) = (1 + dist(x, I)/|I|)^{-1} with torus distance.  Stability of
     C across scales measures the actual spatial decay of the profile.
@@ -327,5 +325,5 @@ def decay_envelope_constant(I: DyadicInterval, N: int, exponent: int = 5) -> flo
     gap_wrap = np.minimum(gap_wrap, np.minimum(np.abs(x - lo - 1.0), np.abs(x - hi + 1.0)))
     d = np.minimum(gap_direct, gap_wrap)
     chi = 1.0 / (1.0 + d / I.length)
-    ratio = np.abs(w.samples) * math.sqrt(I.length) / chi**exponent
+    ratio = np.abs(w.samples) * math.sqrt(I.length) / chi**5
     return float(ratio.max())

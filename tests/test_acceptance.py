@@ -19,7 +19,7 @@ import pytest
 
 from bicomm.bmo import product_bmo_lower
 from bicomm.cli import ExperimentConfig, run
-from bicomm.grid import CellSet, maximal_1d
+from bicomm.grid import CellSet, maximal_1d_level
 from bicomm.journe import (
     bad_class,
     embeddedness,
@@ -140,11 +140,11 @@ def test_criterion_4_weak_maximal_bound():
             U = CellSet.from_cells(n, [(0, 0)])
         count_u = U.cell_count
         for d in deltas:
-            level = int((maximal_1d(U, 1, one_sided=True) > float(d)).sum())
+            level = maximal_1d_level(U, 1, d, one_sided=True).cell_count
             assert level * d <= count_u, f"weak bound failed: {level}*{d} > {count_u}"
             t = 1 - d
-            inner = CellSet(n, maximal_1d(U, 2, one_sided=True) > float(t))
-            outer = int((maximal_1d(inner, 1, one_sided=True) > float(t)).sum())
+            inner = maximal_1d_level(U, 2, t, one_sided=True)
+            outer = maximal_1d_level(inner, 1, t, one_sided=True).cell_count
             assert outer * t * t <= count_u, (
                 f"composed bound failed: {outer}*({t})^2 > {count_u}"
             )
@@ -154,7 +154,8 @@ def test_criterion_4_weak_maximal_bound():
         checked == 1500,
         "measure{M 1_U > d} <= measure(U)/d and the composed level set <= "
         f"measure(U)/(1-d)^2 for the rising-sun maximal function, exact in "
-        f"rational arithmetic, over 500 random U at n=6 and d in "
+        f"rational arithmetic by the integer level kernel, over 500 random U "
+        f"at n=6 and d in "
         f"(1/10, 1/4, 2/5): {checked} comparisons",
     )
 

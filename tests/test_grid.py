@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicomm.grid import (
     CellRect,
@@ -16,9 +18,9 @@ from bicomm.grid import (
     GridSignal2D,
     enumerate_dyadic_rectangles,
     load_signal,
-    maximal_1d,
+    maximal_1d_level,
     save_signal,
-    strong_maximal,
+    strong_maximal_half_level,
 )
 
 
@@ -164,60 +166,48 @@ def test_cellset_algebra():
     np.testing.assert_array_equal((~a).mask, ~a.mask)
     assert (a | b).contains(a)
     assert a.measure() == a.cell_count / 64
-    assert a.measure_exact() == Fraction(a.cell_count, 64)
     assert CellSet.full(n).measure() == 1.0
     assert CellSet.empty(n).cell_count == 0
     with pytest.raises(ValueError):
         a | CellSet.empty(2)
 
 
-def test_cellset_from_cells_translate_json():
+def test_cellset_from_cells_json():
     u = CellSet.from_cells(2, [(0, 1), (3, 2)])
     assert u.cell_count == 2
-    t = u.translate(1, 2)
-    assert t.mask[1, 3] and t.mask[0, 0]
     back = CellSet.from_json(u.to_json())
     assert back == u
 
 
-def brute_maximal_1d(mask, axis):
+def brute_maximal_1d(mask, axis, one_sided=False):
+    """Exact maximal averages: every interval of the line through each cell,
+    or with one_sided=True every interval starting at the cell."""
     m = mask.shape[0]
-    out = np.zeros(mask.shape)
+    out = np.full(mask.shape, Fraction(0), dtype=object)
     for i1 in range(m):
         for i2 in range(m):
             line = mask[:, i2] if axis == 1 else mask[i1, :]
             pos = i1 if axis == 1 else i2
-            best = 0.0
-            for a in range(pos + 1):
-                for b in range(pos, m):
-                    best = max(best, float(line[a : b + 1].mean()))
-            out[i1, i2] = best
+            starts = [pos] if one_sided else range(pos + 1)
+            out[i1, i2] = max(
+                Fraction(int(line[a : b + 1].sum()), b - a + 1) for a in starts for b in range(pos, m)
+            )
     return out
+
+
+def thresholds(field):
+    """Every value of the field below 1, where ties sit, and two doubles."""
+    return sorted({v for v in field.flat if v < 1}) + [0.3, 1 / 3]
 
 
 def test_maximal_1d_matches_bruteforce():
     rng = np.random.default_rng(4)
     for trial in range(4):
-        n = 3
-        u = CellSet(n, rng.random((8, 8)) < 0.35)
+        u = CellSet(3, rng.random((8, 8)) < 0.35)
         for axis in (1, 2):
-            got = maximal_1d(u, axis)
-            want = brute_maximal_1d(u.mask.astype(float), axis)
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def brute_maximal_one_sided(mask, axis):
-    m = mask.shape[0]
-    out = np.zeros(mask.shape)
-    for i1 in range(m):
-        for i2 in range(m):
-            line = mask[:, i2] if axis == 1 else mask[i1, :]
-            pos = i1 if axis == 1 else i2
-            best = 0.0
-            for b in range(pos, m):
-                best = max(best, float(line[pos : b + 1].mean()))
-            out[i1, i2] = best
-    return out
+            want = brute_maximal_1d(u.mask, axis)
+            for d in thresholds(want):
+                assert np.array_equal(maximal_1d_level(u, axis, d).mask, (want > d).astype(bool))
 
 
 def test_maximal_1d_one_sided_matches_bruteforce():
@@ -225,64 +215,72 @@ def test_maximal_1d_one_sided_matches_bruteforce():
     for trial in range(4):
         u = CellSet(3, rng.random((8, 8)) < 0.35)
         for axis in (1, 2):
-            got = maximal_1d(u, axis, one_sided=True)
-            want = brute_maximal_one_sided(u.mask.astype(float), axis)
-            np.testing.assert_allclose(got, want, atol=1e-12)
-            assert np.all(got <= maximal_1d(u, axis) + 1e-12)
+            want = brute_maximal_1d(u.mask, axis, one_sided=True)
+            for d in thresholds(want):
+                got = maximal_1d_level(u, axis, d, one_sided=True)
+                assert np.array_equal(got.mask, (want > d).astype(bool))
+                assert maximal_1d_level(u, axis, d).contains(got)
 
 
 def test_one_sided_weak_bound_exact():
-    """Rising-sun level sets pack with constant exactly one.
-
-    Exact integer comparison: count{M 1_U > p/q} * p <= count(U) * q.
-    Single-cell check shows the two-sided form genuinely needs constant
-    two, so the restriction to one-sided intervals is what carries the
-    bound.
-    """
-    rng = np.random.default_rng(8)
+    """A single cell shows that the two-sided form needs constant two: at
+    d = 1/4 its level set has 5 cells, where constant one allows 4.  The
+    one-sided level set has 3."""
     n = 5
     m = 1 << n
-    for trial in range(30):
-        u = CellSet(n, rng.random((m, m)) < rng.uniform(0.05, 0.7))
-        for p, q in ((1, 10), (1, 4), (2, 5), (1, 2), (3, 4)):
-            for axis in (1, 2):
-                level = int((maximal_1d(u, axis, one_sided=True) > p / q).sum())
-                assert level * p <= u.cell_count * q
     single = CellSet.from_cells(n, [(m // 2, m // 2)])
-    two_sided = int((maximal_1d(single, 1) > 0.25).sum())
+    d = Fraction(1, 4)
+    two_sided = maximal_1d_level(single, 1, d).cell_count
     assert two_sided == 5  # intervals up to length 3 reach 2 cells each way
-    assert two_sided * 1 > single.cell_count * 4  # constant one fails two-sided
+    assert two_sided * d > single.cell_count  # constant one fails two-sided
+    assert maximal_1d_level(single, 1, d, one_sided=True).cell_count == 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.05, 0.2, 0.4, 0.7]),
+    st.sampled_from(
+        [Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4)]
+    ),
+)
+def test_rising_sun_weak_bound(n, seed, density, d):
+    """Rising-sun level sets pack with constant exactly one, in exact
+    arithmetic: count{M 1_U > d} * d <= count(U) on both axes."""
+    m = 1 << n
+    u = CellSet(n, np.random.default_rng(seed).random((m, m)) < density)
+    for axis in (1, 2):
+        assert maximal_1d_level(u, axis, d, one_sided=True).cell_count * d <= u.cell_count
 
 
 def test_strong_maximal_matches_bruteforce():
-    """Check against averages over every axis-parallel cell rectangle."""
+    """The half-level set against every axis-parallel cell rectangle, in integers."""
     rng = np.random.default_rng(5)
     n = 3
     m = 1 << n
-    u = CellSet(n, rng.random((m, m)) < 0.3)
-    ii = np.zeros((m + 1, m + 1))
-    ii[1:, 1:] = np.cumsum(np.cumsum(u.mask, axis=0), axis=1)
-    want = np.zeros((m, m))
-    for r0 in range(m):
-        for r1 in range(r0, m):
-            for c0 in range(m):
-                for c1 in range(c0, m):
-                    s = ii[r1 + 1, c1 + 1] - ii[r0, c1 + 1] - ii[r1 + 1, c0] + ii[r0, c0]
-                    avg = s / ((r1 - r0 + 1) * (c1 - c0 + 1))
-                    want[r0 : r1 + 1, c0 : c1 + 1] = np.maximum(
-                        want[r0 : r1 + 1, c0 : c1 + 1], avg
-                    )
-    np.testing.assert_allclose(strong_maximal(u), want, atol=1e-12)
+    for density in (0.3, 0.45):
+        u = CellSet(n, rng.random((m, m)) < density)
+        ii = np.zeros((m + 1, m + 1), dtype=np.int64)
+        ii[1:, 1:] = np.cumsum(np.cumsum(u.mask, axis=0), axis=1)
+        want = np.zeros((m, m), dtype=bool)
+        for r0 in range(m):
+            for r1 in range(r0, m):
+                for c0 in range(m):
+                    for c1 in range(c0, m):
+                        s = ii[r1 + 1, c1 + 1] - ii[r0, c1 + 1] - ii[r1 + 1, c0] + ii[r0, c0]
+                        if 2 * s > (r1 - r0 + 1) * (c1 - c0 + 1):
+                            want[r0 : r1 + 1, c0 : c1 + 1] = True
+        assert np.array_equal(strong_maximal_half_level(u).mask, want)
 
 
 def test_strong_maximal_dominates_axes():
     rng = np.random.default_rng(6)
     u = CellSet(4, rng.random((16, 16)) < 0.4)
-    ms = strong_maximal(u)
-    assert np.all(ms >= maximal_1d(u, 1) - 1e-12)
-    assert np.all(ms >= maximal_1d(u, 2) - 1e-12)
-    assert np.all(ms <= 1.0 + 1e-12)
-    assert np.all(ms[u.mask] >= 1.0 - 1e-12)
+    half = strong_maximal_half_level(u)
+    assert half.contains(u)
+    for axis in (1, 2):
+        assert half.contains(maximal_1d_level(u, axis, 0.5))
 
 
 def test_save_load_roundtrip(tmp_path):

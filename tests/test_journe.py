@@ -13,9 +13,7 @@ from bicomm.grid import (
     CellSet,
     DyadicRectangle,
     enumerate_dyadic_rectangles,
-    maximal_1d,
     maximal_1d_level,
-    strong_maximal,
     strong_maximal_half_level,
 )
 from bicomm.journe import (
@@ -97,28 +95,30 @@ def test_maximal_rectangles_antichain_and_cover():
                 assert any(M.contains(R) for M in rects)
 
 
+def brute_level(mask, axis, delta):
+    """Cells of some interval of consecutive cells averaging more than delta.
+
+    Enumerates every interval of every line; an integer count over l cells
+    exceeds delta * l exactly when it exceeds floor(delta * l), taken on
+    the exact value of delta.
+    """
+    d = Fraction(delta)
+    lines = mask.T if axis == 1 else mask
+    m = lines.shape[1]
+    P = np.zeros((m, m + 1), dtype=np.int64)
+    P[:, 1:] = np.cumsum(lines, axis=1)
+    out = np.zeros((m, m), dtype=bool)
+    for a in range(m):
+        for b in range(a + 1, m + 1):
+            out[P[:, b] - P[:, a] > math.floor(d * (b - a)), a:b] = True
+    return out.T if axis == 1 else out
+
+
 def brute_enlargement(U, delta):
     """Composition of strict-threshold 1D maximal sets, exact arithmetic."""
-    n = U.n
-    m = 2**n
-    d = Fraction(delta)
-
-    def level(mask, axis):
-        out = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            for j in range(m):
-                line = mask[:, j] if axis == 1 else mask[i, :]
-                pos = i if axis == 1 else j
-                best = Fraction(0)
-                for a in range(pos + 1):
-                    for b in range(pos + 1, m + 1):
-                        best = max(best, Fraction(int(line[a:b].sum()), b - a))
-                out[i, j] = best > d
-        return out
-
-    w2 = level(U.mask, 2)
-    w1 = level(U.mask, 1)
-    return level(w2, 1) | level(w1, 2)
+    w2 = brute_level(U.mask, 2, delta)
+    w1 = brute_level(U.mask, 1, delta)
+    return brute_level(w2, 1, delta) | brute_level(w1, 2, delta)
 
 
 def test_enlargement_matches_bruteforce():
@@ -128,13 +128,6 @@ def test_enlargement_matches_bruteforce():
         for delta in (0.25, 0.5, 0.75):
             V = enlargement(U, delta)
             assert np.array_equal(V.mask, brute_enlargement(U, delta))
-
-
-def float_enlargement(U, delta):
-    """The float path: thresholds of the maximal_1d tableaux, read as doubles."""
-    inner2 = CellSet(U.n, maximal_1d(U, 2) > delta)
-    inner1 = CellSet(U.n, maximal_1d(U, 1) > delta)
-    return (maximal_1d(inner2, 1) > delta) | (maximal_1d(inner1, 2) > delta)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -151,24 +144,37 @@ def test_enlargement_matches_fraction_oracle(n, seed, density, delta):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.7]))
-def test_level_kernel_matches_float_field_at_half(n, seed, density):
-    """At delta = 1/2 no average c/l with l <= 64 rounds across 1/2, so the
-    float tableaux decide the same cells as the exact kernel."""
+def test_level_kernel_matches_oracle_at_half(n, seed, density):
+    """The level sets and the enlargement at delta = 1/2, the value every
+    command uses, against the interval enumeration up to n = 6."""
     U = random_set(n, seed, density)
     for axis in (1, 2):
-        assert np.array_equal(maximal_1d_level(U, axis, 0.5).mask, maximal_1d(U, axis) > 0.5)
-    assert np.array_equal(enlargement(U, 0.5).mask, float_enlargement(U, 0.5))
+        assert np.array_equal(maximal_1d_level(U, axis, 0.5).mask, brute_level(U.mask, axis, 0.5))
+    assert np.array_equal(enlargement(U, 0.5).mask, brute_enlargement(U, 0.5))
+
+
+def best_average(mask, cell, axis):
+    """The exact largest average of a line over the intervals through a cell."""
+    i, j = cell
+    line, pos = (mask[:, j], i) if axis == 1 else (mask[i, :], j)
+    m = len(line)
+    return max(
+        Fraction(int(line[a:b].sum()), b - a) for a in range(pos + 1) for b in range(pos + 1, m + 1)
+    )
 
 
 def test_level_kernel_decides_float_ties_exactly():
-    """float(1/3) rounds down, so an average of exactly 1/3 exceeds it; the
-    float field reads that average as equal and drops the cell."""
+    """float(1/3) rounds down, so an average of exactly 1/3 exceeds it but
+    not Fraction(1, 3); both deltas are decided on their exact value."""
     U = CellSet.from_cells(2, [(0, 0)])
-    assert maximal_1d(U, 2)[0, 2] == 1 / 3
+    assert best_average(U.mask, (0, 2), 2) == Fraction(1, 3)
     assert maximal_1d_level(U, 2, 1 / 3).mask[0, 2]
+    assert not maximal_1d_level(U, 2, Fraction(1, 3)).mask[0, 2]
     want = brute_enlargement(U, 1 / 3)
-    assert want[0, 2] and not float_enlargement(U, 1 / 3)[0, 2]
+    exact = brute_enlargement(U, Fraction(1, 3))
+    assert want[0, 2] and not exact[0, 2]
     assert np.array_equal(enlargement(U, 1 / 3).mask, want)
+    assert np.array_equal(enlargement(U, Fraction(1, 3)).mask, exact)
     with pytest.raises(ValueError):
         maximal_1d_level(U, 3, 0.5)
 
@@ -334,17 +340,24 @@ def test_embeddedness_matches_fraction_oracle(case):
 @example(TIE_SET)
 @example(row_of_squares(4).cells)
 def test_half_level_matches_oracles(U):
-    """Equal to the exact rectangle enumeration and to the float strong
-    maximal function thresholded at 1/2, ties included."""
-    got = strong_maximal_half_level(U).mask
-    assert np.array_equal(got, oracle_half_level(U))
-    assert np.array_equal(got, strong_maximal(U) > 0.5)
+    """Equal to the exact rectangle enumeration, ties included."""
+    assert np.array_equal(strong_maximal_half_level(U).mask, oracle_half_level(U))
 
 
 def test_half_level_decides_ties_exactly():
-    field = strong_maximal(TIE_SET)
+    """The best rectangle average through cell (6, 6) is exactly 1/2."""
+    m = 1 << TIE_SET.n
+    ii = np.zeros((m + 1, m + 1), dtype=np.int64)
+    ii[1:, 1:] = np.cumsum(np.cumsum(TIE_SET.mask, axis=0), axis=1)
+    best = max(
+        Fraction(int(ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]), (r1 - r0) * (c1 - c0))
+        for r0 in range(7)
+        for r1 in range(7, m + 1)
+        for c0 in range(7)
+        for c1 in range(7, m + 1)
+    )
     got = strong_maximal_half_level(TIE_SET).mask
-    assert field[6, 6] == 0.5 and not got[6, 6]
+    assert best == Fraction(1, 2) and not got[6, 6]
     assert np.array_equal(got, oracle_half_level(TIE_SET))
 
 
