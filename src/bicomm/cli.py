@@ -35,7 +35,7 @@ from .commutator import (
     power_iteration_norm,
 )
 from .grid import CellSet, DyadicInterval, DyadicRectangle, GridSignal1D, GridSignal2D, load_signal
-from .journe import embeddedness, enlargement, journe_sum, row_of_squares
+from .journe import embeddedness, enlargement, journe_sum, row_layout, row_of_squares
 from .transforms import (
     project_admissible_1d,
     project_halfline,
@@ -70,29 +70,6 @@ _FAMILIES = (
     "multiscale-square",
     "file",
 )
-
-_HASH_FIELDS = (
-    "command",
-    "N",
-    "n",
-    "seed",
-    "family",
-    "instances",
-    "delta",
-    "epsilon",
-    "budget",
-    "tol",
-    "max_iter",
-    "K",
-    "density",
-    "decay",
-    "file",
-    "source",
-    "kind",
-    "metrics",
-    "bins",
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
@@ -158,8 +135,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh), command)
 
     def config_hash(self) -> str:
-        """Hash of _HASH_FIELDS and, for the file family, of the symbol file's bytes."""
-        payload = {k: getattr(self, k) for k in _HASH_FIELDS}
+        """Hash of every field but out and, for the file family, of the symbol file's bytes."""
+        fields = [f.name for f in dataclasses.fields(self) if f.name != "out"]
+        payload = {k: getattr(self, k) for k in fields}
         if payload["metrics"] is not None:
             payload["metrics"] = list(payload["metrics"])
         if self.family == "file" and self.file is not None:
@@ -323,10 +301,9 @@ def _family_coefficients(cfg: ExperimentConfig, rng: np.random.Generator) -> Wav
             )
         return WaveletCoefficients.from_dict(n, vals)
     if cfg.family == "row-of-squares-dual":
-        row = row_of_squares(cfg.K, cfg.density)
-        if row.n > int(math.log2(cfg.N)) - 4:
+        if row_layout(cfg.K, cfg.density)[2] > int(math.log2(cfg.N)) - 4:
             raise ValueError("row-of-squares layout too fine for this N")
-        return _carleson_coefficients(rng, row.cells)
+        return _carleson_coefficients(rng, row_of_squares(cfg.K, cfg.density).cells)
     raise ValueError(f"family {cfg.family!r} does not generate coefficients")
 
 
@@ -502,6 +479,9 @@ def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
 
 def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
     if cfg.family == "row-of-squares-dual":
+        # instance i lays out K * 2^i squares; the last one is the finest
+        if row_layout(cfg.K * 2 ** (cfg.instances - 1), cfg.density)[2] > int(math.log2(cfg.N)):
+            raise ValueError("row-of-squares layout too fine for this N")
 
         def worker(i: int) -> list:
             K = cfg.K * 2**i
@@ -518,8 +498,7 @@ def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
         m = 1 << cfg.n
         U = CellSet(cfg.n, rng.random((m, m)) < 0.5)
         js = journe_sum(U, cfg.delta, cfg.epsilon)
-        mus = [rep.mu for rep in js.table]
-        return [i, U.measure(), js.value, js.ratio, max(mus, default=0.0), len(js.table)]
+        return [i, U.measure(), js.value, js.ratio, max(js.mus, default=0.0), len(js.mus)]
 
     cols = ["instance", "measure", "journe_value", "journe_ratio", "max_mu", "maximal_count"]
     return cols, _run_instances(cfg, jobs, worker)

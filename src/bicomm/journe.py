@@ -9,6 +9,10 @@ weighted rectangle sum they control, bad classes, arithmetic-progression
 thinning, scale strata, and the row-of-squares example separating nu
 from mu.
 
+A collection of dyadic rectangles is one sorted integer array of keys
+(j1, k1, j2, k2); rectangle objects are built only when a caller
+iterates over it.
+
 Dilations never wrap: the grid is treated as a window on the plane, and
 any part of a dilate falling outside [0,1)^2 fails containment.  The
 supremum defining mu and nu is attained at a grid-line crossing of the
@@ -16,16 +20,18 @@ dilate boundary and is computed exactly over those finitely many
 crossing values, in integer half-cell units: a cell rectangle [a, b) has
 integer center C = a + b and half-width W = b - a, grid line p sits at
 2p, and the crossing of line p is the ratio |2p - C| / W of two small
-integers.  Rasterized spans are floors and ceilings of integer
-quotients, so non-dyadic square sizes (the row of squares has side 3
-cells and period 5) stay exact, and every maximal rectangle of a set is
-handled in one numpy pass over one integral image.
+integers.  The rasterized dilate only grows with the factor, so the
+supremum is the largest crossing whose dilate stays inside, with no
+sort.  Rasterized spans are floors and ceilings of integer quotients, so
+non-dyadic square sizes (the row of squares has side 3 cells and period
+5) stay exact, and every maximal rectangle of a set is handled in one
+numpy pass over one integral image.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,44 +49,58 @@ from .grid import (
 )
 
 
-def _rect_key(R: DyadicRectangle) -> tuple[int, int, int, int]:
-    """(j1, k1, j2, k2), whose tuple order is the dataclass order of R."""
-    return R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectCollection:
     """A duplicate-free collection of dyadic rectangles at resolution n.
 
-    Rectangles are kept sorted by (j1, k1, j2, k2).  attrs carries
-    optional per-rectangle annotations (mu, stratum) produced by the
-    operations below; it does not participate in equality.
+    keys is a read-only (R, 4) int64 array of rows (j1, k1, j2, k2),
+    sorted in that order, which is the dataclass order of DyadicRectangle.
     """
 
     n: int
-    rectangles: tuple[DyadicRectangle, ...]
-    attrs: dict = field(default_factory=dict, compare=False)
+    keys: np.ndarray
 
     def __post_init__(self):
-        # sorting on integer keys gives the dataclass order at a fraction
-        # of the cost of DyadicRectangle.__lt__
-        by_key = {_rect_key(R): R for R in self.rectangles}
-        if len(by_key) != len(self.rectangles):
+        keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, 4)
+        j, k = keys[:, 0::2], keys[:, 1::2]
+        if np.any((j < 0) | (j > self.n) | (k >> j != 0)):
+            raise ValueError(f"rectangle key out of range at resolution {self.n}")
+        keys = keys[np.lexsort(keys.T[::-1])]
+        if np.any(np.all(keys[1:] == keys[:-1], axis=1)):
             raise ValueError("duplicate rectangles in collection")
-        keys = sorted(by_key)
-        for j1, k1, j2, k2 in keys:
-            if j1 > self.n or j2 > self.n:
-                raise ValueError(f"{by_key[j1, k1, j2, k2]} is finer than resolution {self.n}")
-        object.__setattr__(self, "rectangles", tuple(by_key[k] for k in keys))
+        keys.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+
+    @classmethod
+    def of(cls, n: int, rects) -> "RectCollection":
+        """The collection of an iterable of DyadicRectangle objects."""
+        keys = [(R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k) for R in rects]
+        return cls(n, keys)
+
+    @property
+    def rectangles(self) -> tuple[DyadicRectangle, ...]:
+        return tuple(DyadicRectangle.from_indices(*key) for key in self.keys.tolist())
+
+    def spans(self) -> np.ndarray:
+        """(R, 4) int64 array of the cell spans (a1, b1, a2, b2) at resolution n."""
+        width = 1 << (self.n - self.keys[:, 0::2])
+        start = self.keys[:, 1::2] * width
+        return np.stack([start, start + width], axis=2).reshape(-1, 4)
 
     def __iter__(self):
         return iter(self.rectangles)
 
     def __len__(self) -> int:
-        return len(self.rectangles)
+        return len(self.keys)
 
     def __contains__(self, R: DyadicRectangle) -> bool:
-        return R in set(self.rectangles)
+        key = (R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k)
+        return bool(np.any(np.all(self.keys == key, axis=1)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RectCollection):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.keys, other.keys)
 
 
 @dataclass(frozen=True)
@@ -99,6 +119,7 @@ def maximal_rectangles(U: CellSet) -> RectCollection:
     A contained rectangle is non-maximal exactly when widening it one
     dyadic level in some axis stays inside U, so it suffices to test the
     two axis parents, which in heap index order sit at (a - 1) // 2.
+    Heap index order is key order, so the keys come out sorted.
     """
     inside = rectangles_inside(U, U.n)
     idx = np.arange(inside.shape[0])
@@ -106,11 +127,8 @@ def maximal_rectangles(U: CellSet) -> RectCollection:
     good = inside & ~(inside[parent, :] & has_parent[:, None])
     good &= ~(inside[:, parent] & has_parent[None, :])
     j, k = _interval_meta(U.n)
-    rects = [
-        DyadicRectangle.from_indices(int(j[a]), int(k[a]), int(j[b]), int(k[b]))
-        for a, b in np.argwhere(good)
-    ]
-    return RectCollection(U.n, tuple(rects))
+    a, b = np.nonzero(good)
+    return RectCollection(U.n, np.stack([j[a], k[a], j[b], k[b]], axis=1))
 
 
 def enlargement(U: CellSet, delta: float) -> CellSet:
@@ -145,15 +163,15 @@ def _dilation_limits(
 
     ii is the integral image of the set; spans is an (R, 4) integer array of
     cell rectangles (a1, b1, a2, b2).  In half-cell units the crossing of
-    line p on an axis is lambda = |2p - C| / W (p = C/2 excluded), and the
+    line p on an axis is lambda = |2p - C| / W (0 at p = C/2), and the
     dilate rasterizes to the cells [floor((C - lambda W)/2),
     ceil((C + lambda W)/2)), computed from lambda = num/den as integer
-    quotients.  Crossings are sorted by the float num/den, which is exact:
-    correctly rounded division is monotone, and distinct crossings differ
-    by at least 1/m^2.  The result is the last crossing before the first
-    dilate that leaves the set, 0.0 if the first one does, as float num/den.
-    With first_axis_only, crossings come from the first axis alone and the
-    second-axis span stays [a2, b2).
+    quotients.  Both ends move outward as lambda grows, so a dilate inside
+    the set keeps every smaller one inside: the last crossing before the
+    first dilate that leaves the set is the largest crossing whose dilate
+    stays inside.  The result is that crossing as float num/den, 0.0 if
+    none stays inside.  With first_axis_only, crossings come from the
+    first axis alone and the second-axis span stays [a2, b2).
     """
     m = ii.shape[0] - 1
     out = np.empty(len(spans))
@@ -165,31 +183,13 @@ def _dilation_limits(
         center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
         num = np.concatenate([np.abs(lines - center[ax]) for ax in axes], axis=1)
         den = np.concatenate([np.broadcast_to(half[ax], (len(a1), m + 1)) for ax in axes], axis=1)
-        lam = np.where(num > 0, num / den, np.inf)
-        order = np.argsort(lam, axis=1, kind="stable")
-        num, den, lam = (np.take_along_axis(x, order, axis=1) for x in (num, den, lam))
         r0, r1 = _half_cell_span(center[0], half[0], num, den)
         c0, c1 = (a2, b2) if first_axis_only else _half_cell_span(center[1], half[1], num, den)
-        inside = (r0 >= 0) & (c0 >= 0) & (r1 <= m) & (c1 <= m) & np.isfinite(lam)
+        inside = (r0 >= 0) & (c0 >= 0) & (r1 <= m) & (c1 <= m)
         r0, r1, c0, c1 = (np.clip(x, 0, m) for x in (r0, r1, c0, c1))
         inside &= _box_sum(ii, r0, r1, c0, c1) == (r1 - r0) * (c1 - c0)
-        # first failing crossing; a sentinel column fails for every rectangle
-        first = np.argmin(np.pad(inside, ((0, 0), (0, 1))), axis=1)
-        last = lam[np.arange(len(first)), np.maximum(first - 1, 0)]
-        out[start : start + len(first)] = np.where(first > 0, last, 0.0)
+        out[start : start + len(a1)] = np.where(inside, num / den, 0.0).max(axis=1)
     return out
-
-
-def _cell_spans(rects, n: int) -> np.ndarray:
-    """(len(rects), 4) int64 array of the cell spans (a1, b1, a2, b2) of dyadic rectangles."""
-    return np.array(
-        [R.interval1.cell_span(n) + R.interval2.cell_span(n) for R in rects], dtype=np.int64
-    ).reshape(-1, 4)
-
-
-def _maximal_mus(rects, V: CellSet) -> list[float]:
-    """mu of each dyadic rectangle of rects inside V, in one batched pass."""
-    return _dilation_limits(_integral_image(V.mask), _cell_spans(rects, V.n)).tolist()
 
 
 def embeddedness(
@@ -226,9 +226,12 @@ def embeddedness(
 
 @dataclass(frozen=True)
 class JourneSum:
+    """The sum and its ratio to |U|, with the maximal rectangles and their mu."""
+
     value: float
     ratio: float
-    table: tuple[EmbeddednessReport, ...]
+    rectangles: RectCollection
+    mus: tuple[float, ...]
 
 
 def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
@@ -241,15 +244,15 @@ def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
         raise ValueError("delta and epsilon must lie in (0,1)")
     V = enlargement(U, delta)
     rects = maximal_rectangles(U)
-    reports = []
+    mus = _dilation_limits(_integral_image(V.mask), rects.spans()).tolist()
+    areas = (2.0 ** -(rects.keys[:, 0] + rects.keys[:, 2])).tolist()
     total = 0.0
-    # a sequential sum, so that the value keeps its last bit
-    for R, mu in zip(rects, _maximal_mus(rects, V)):
-        reports.append(EmbeddednessReport(R, mu, float("nan"), delta))
-        total += mu**-epsilon * R.area
+    # a sequential sum of Python floats, so that the value keeps its last bit
+    for mu, area in zip(mus, areas):
+        total += mu**-epsilon * area
     meas = U.measure()
     ratio = total / meas if meas > 0.0 else 0.0
-    return JourneSum(total, ratio, tuple(reports))
+    return JourneSum(total, ratio, rects, tuple(mus))
 
 
 def bad_class(S: RectCollection, axis: int, gamma: float) -> RectCollection:
@@ -267,19 +270,21 @@ def bad_class(S: RectCollection, axis: int, gamma: float) -> RectCollection:
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0,1)")
     n = S.n
-    spans = _cell_spans(S, n)
+    spans = S.spans()
     a1, b1, a2, b2 = spans.T
     sides = b1 - a1 if axis == 1 else b2 - a2
     covered = np.zeros(len(S), dtype=np.int64)
     union = np.zeros((1 << n, 1 << n), dtype=bool)
-    for side in np.unique(sides)[::-1]:
+    lengths = np.unique(sides)[::-1]
+    # the longest members have no wider peers and stay uncovered
+    for wider, side in zip(lengths, lengths[1:]):
+        for r0, r1, c0, c1 in spans[sides == wider].tolist():
+            union[r0:r1, c0:c1] = True
         at = np.flatnonzero(sides == side)
         covered[at] = _box_sum(_integral_image(union), a1[at], b1[at], a2[at], b2[at])
-        for r0, r1, c0, c1 in spans[at]:
-            union[r0:r1, c0:c1] = True
     # gamma|R| in cells: the common factor 4^-n is a power of two
     bad = covered > gamma * ((b1 - a1) * (b2 - a2))
-    return RectCollection(n, tuple(R for R, b in zip(S, bad) if b))
+    return RectCollection(n, S.keys[bad])
 
 
 def thin_collection(S: RectCollection, mu: float, gamma: float) -> list[RectCollection]:
@@ -295,25 +300,16 @@ def thin_collection(S: RectCollection, mu: float, gamma: float) -> list[RectColl
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0,1)")
     d = math.ceil(math.log2(32.0 * mu / (1.0 - gamma)))
-    groups: dict[tuple[int, int], list[DyadicRectangle]] = {}
-    for R in S:
-        j1, j2 = R.scales
-        groups.setdefault((j1 % d, j2 % d), []).append(R)
-    return [RectCollection(S.n, tuple(v)) for _, v in sorted(groups.items())]
+    # (j1 mod d, j2 mod d) as one integer, in residue order
+    residue = (S.keys[:, 0] % d) * d + S.keys[:, 2] % d
+    return [RectCollection(S.n, S.keys[residue == r]) for r in np.unique(residue)]
 
 
 def stratify(Ucol: RectCollection, V: CellSet) -> dict[int, RectCollection]:
     """Group rectangles by dyadic strata of mu: k=0 for mu <= 1, else 2^{k-1} < mu <= 2^k."""
-    buckets: dict[int, list[DyadicRectangle]] = {}
-    attrs: dict[DyadicRectangle, dict] = {}
-    for R, mu in zip(Ucol, _maximal_mus(Ucol, V)):
-        k = 0 if mu <= 1.0 else math.ceil(math.log2(mu))
-        buckets.setdefault(k, []).append(R)
-        attrs[R] = {"mu": mu, "stratum": k}
-    return {
-        k: RectCollection(Ucol.n, tuple(v), {R: attrs[R] for R in v})
-        for k, v in sorted(buckets.items())
-    }
+    mus = _dilation_limits(_integral_image(V.mask), Ucol.spans()).tolist()
+    strata = np.array([0 if mu <= 1.0 else math.ceil(math.log2(mu)) for mu in mus], dtype=np.int64)
+    return {int(k): RectCollection(Ucol.n, Ucol.keys[strata == k]) for k in np.unique(strata)}
 
 
 @dataclass(frozen=True)
@@ -328,24 +324,26 @@ class RowOfSquares:
     period: int
 
 
-def row_of_squares(K: int, density: float = 0.6) -> RowOfSquares:
-    """K evenly spaced congruent squares in a horizontal row.
+def row_layout(K: int, density: float = 0.6) -> tuple[int, int, int]:
+    """(side, period, n) of a row of K squares, without building its grid.
 
     The squares occupy `side` cells of every `period` cells along the
     first axis, with side/period matching the requested density (> 1/2,
     so the strong-maximal half-level set spans the whole row).  The grid
-    resolution is the smallest n fitting K periods.
+    resolution n is the smallest fitting K periods: 2^n >= K * period.
     """
     if K < 2:
         raise ValueError("need at least two squares")
     frac = Fraction(density).limit_denominator(64)
     if frac <= Fraction(1, 2) or frac >= 1:
         raise ValueError(f"infeasible layout: density {density} not in (1/2, 1)")
-    side, period = frac.numerator, frac.denominator
-    n = math.ceil(math.log2(K * period))
+    return frac.numerator, frac.denominator, (K * frac.denominator - 1).bit_length()
+
+
+def row_of_squares(K: int, density: float = 0.6) -> RowOfSquares:
+    """K evenly spaced congruent squares in a horizontal row, laid out by row_layout."""
+    side, period, n = row_layout(K, density)
     m = 1 << n
-    if K * period > m or side > m:
-        raise ValueError("infeasible layout: row does not fit the grid")
     mask = np.zeros((m, m), dtype=bool)
     squares = []
     for q in range(K):

@@ -1,8 +1,13 @@
 """Config handling, report format, determinism and the command surface."""
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +81,27 @@ def test_config_hash_sensitivity(tmp_path):
     for dead in ("restarts", "gamma"):
         with pytest.raises(ValueError, match=dead):
             ExperimentConfig.from_dict({**base, dead: 4})
+    # every field but out is hashed: changing any single one changes the hash
+    cfg = ExperimentConfig.from_dict(base)
+    changed = {
+        "command": "bmo-scan",
+        "N": 128,
+        "n": 1,
+        "family": "single-rectangle",
+        "file": "x.sig",
+        "source": "a.csv",
+        "kind": "scatter",
+        "metrics": ("a",),
+        "out": "elsewhere",
+    }
+    for f in dataclasses.fields(cfg):
+        old = getattr(cfg, f.name)
+        if f.name not in changed:
+            changed[f.name] = old / 2 if isinstance(old, float) else old + 1
+    assert len(changed) == len(dataclasses.fields(cfg))
+    hashes = {k: dataclasses.replace(cfg, **{k: v}).config_hash() for k, v in changed.items()}
+    assert hashes.pop("out") == h
+    assert h not in hashes.values()
     # a file symbol is hashed by content: the same path with other bytes differs
     sig_path = tmp_path / "b.sig"
     cfg = ExperimentConfig.from_dict({**base, "family": "file", "file": str(sig_path)})
@@ -242,6 +268,34 @@ def test_journe_scan_row_family(tmp_path):
     assert abs(float(rows[1]["nu_middle"]) - 43.0 / 3.0) < 1e-12
     assert float(rows[0]["mu_middle"]) == 1.0
     assert float(rows[1]["nu_over_mu"]) >= 2.0
+
+
+def test_journe_scan_row_family_rejects_too_fine_layout(tmp_path):
+    """Instance i lays out K * 2^i squares; a grid finer than N cells per
+    side is rejected before any instance runs."""
+    # instance 2 has K = 16 squares of period 5: 80 cells need n = 7 > log2(64)
+    cfg = ExperimentConfig(
+        "journe-scan", N=64, family="row-of-squares-dual", K=4, instances=3, out=str(tmp_path / "r")
+    )
+    with pytest.raises(ValueError, match="too fine"):
+        run(cfg)
+    assert not (tmp_path / "r").exists()
+    # the default 100 instances would reach K = 4 * 2^99
+    with pytest.raises(ValueError, match="too fine"):
+        run(dataclasses.replace(cfg, N=1024, instances=100))
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command run imports bicomm.cli; scipy.optimize or
+    scipy.sparse.linalg would add tens of MB of peak RSS and tenths of a
+    second of start-up to each one."""
+    src = str(Path(bicomm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, bicomm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_oracle_audit(tmp_path):

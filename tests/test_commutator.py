@@ -15,7 +15,8 @@ from bicomm.commutator import (
     operator_norm,
     power_iteration_norm,
 )
-from bicomm.grid import GridSignal2D
+from bicomm.cli import _basic_identity_residual
+from bicomm.grid import GridSignal1D, GridSignal2D
 from bicomm.transforms import project_admissible_2d, project_quadrant
 
 
@@ -23,13 +24,14 @@ def rand_signal(rng, N):
     return GridSignal2D(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
 
 
-def band_limited(rng, N):
-    """Unit-norm symbol supported on 0 < |k_i| <= N/4 (admissible)."""
+def band_limited(rng, N, B1=None, B2=None):
+    """Unit-norm symbol supported on 0 < |k_i| <= B_i, N/4 by default (admissible)."""
+    B1, B2 = B1 or N // 4, B2 or N // 4
     spec = np.zeros((N, N), dtype=complex)
     k = np.fft.fftfreq(N, 1.0 / N).astype(int)
     keep = (
-        (np.abs(k[:, None]) <= N // 4)
-        & (np.abs(k[None, :]) <= N // 4)
+        (np.abs(k[:, None]) <= B1)
+        & (np.abs(k[None, :]) <= B2)
         & (k[:, None] != 0)
         & (k[None, :] != 0)
     )
@@ -63,40 +65,58 @@ def test_constant_symbol_commutes():
     assert out.norm2() < 1e-14 * f.norm2()
 
 
-def test_four_projection_identity():
+@st.composite
+def bands(draw, top):
+    """(N, B1, B2, seed): N in {16, 32} and bands 1 <= B_i <= top(N)."""
+    N = draw(st.sampled_from([16, 32]))
+    B1, B2 = draw(st.integers(1, top(N))), draw(st.integers(1, top(N)))
+    return N, B1, B2, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(bands(lambda N: N // 2 - 1))
+def test_four_projection_identity(case):
     """[[M_b,H1],H2] = 4 sum_{s} s1 s2 P_{s} M_b P_{-s} on admissible inputs."""
-    rng = np.random.default_rng(51)
-    N = 32
-    worst = 0.0
-    for _ in range(25):
-        b = rand_signal(rng, N)
-        f = project_admissible_2d(rand_signal(rng, N))
-        lhs = commutator_apply(b, f)
-        rhs = GridSignal2D(np.zeros((N, N), dtype=complex))
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                term = project_quadrant(b * project_quadrant(f, -s1, -s2), s1, s2)
-                rhs = rhs + term * (4.0 * s1 * s2)
-        worst = max(worst, (lhs - rhs).norm2() / f.norm2())
-    assert worst < 1e-11
+    N, B1, B2, seed = case
+    b = box_symbol(N, B1, B2, seed)
+    f = project_admissible_2d(rand_signal(np.random.default_rng([seed, 1]), N))
+    lhs = commutator_apply(b, f)
+    rhs = GridSignal2D(np.zeros((N, N), dtype=complex))
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            term = project_quadrant(b * project_quadrant(f, -s1, -s2), s1, s2)
+            rhs = rhs + term * (4.0 * s1 * s2)
+    assert (lhs - rhs).norm2() < 1e-11 * f.norm2()
 
 
-def test_two_parameter_paraproduct_identity():
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(bands(lambda N: N // 4))
+def test_two_parameter_paraproduct_identity(case):
     """(1/4){b, b} = sum_s s1 s2 P_s |P_s b|^2 for admissible b."""
-    rng = np.random.default_rng(52)
-    N = 32
-    worst = 0.0
-    for _ in range(10):
-        b = band_limited(rng, N)
-        lhs = bracket(b, b) * 0.25
-        rhs = GridSignal2D(np.zeros((N, N), dtype=complex))
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                pb = project_quadrant(b, s1, s2)
-                sq = GridSignal2D(np.abs(pb.samples) ** 2 + 0j)
-                rhs = rhs + project_quadrant(sq, s1, s2) * float(s1 * s2)
-        worst = max(worst, (lhs - rhs).norm2())
-    assert worst < 1e-11
+    N, B1, B2, seed = case
+    b = band_limited(np.random.default_rng(seed), N, B1, B2)
+    lhs = bracket(b, b) * 0.25
+    rhs = GridSignal2D(np.zeros((N, N), dtype=complex))
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            pb = project_quadrant(b, s1, s2)
+            sq = GridSignal2D(np.abs(pb.samples) ** 2 + 0j)
+            rhs = rhs + project_quadrant(sq, s1, s2) * float(s1 * s2)
+    assert (lhs - rhs).norm2() < 1e-11
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(bands(lambda N: N // 4))
+def test_one_variable_identity(case):
+    """(1/2)(b S(conj b) - S|b|^2) = P_-|P_- b|^2 - P_+|P_+ b|^2 on admissible
+    frequencies, S = P_+ - P_-, for b of unit norm on 0 < |k| <= B."""
+    N, B, _, seed = case
+    rng = np.random.default_rng(seed)
+    ks = np.array([k for k in range(-B, B + 1) if k != 0])
+    spec = np.zeros(N, dtype=complex)
+    spec[ks % N] = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
+    b = GridSignal1D.from_spectrum(spec)
+    assert _basic_identity_residual(b * (1.0 / b.norm2())) < 1e-12
 
 
 def test_adjoint_pairing():
@@ -230,24 +250,23 @@ def test_hankel_symbol_validation():
         hankel_apply(bad, mode(N, 1, 1))
 
 
-def holomorphic_symbol(rng, N):
+def holomorphic_symbol(rng, N, B1=None, B2=None):
+    """Spectrum on 1 <= k_i <= B_i, N/4 by default: inside the open (+,+) quadrant."""
+    B1, B2 = B1 or N // 4, B2 or N // 4
     spec = np.zeros((N, N), dtype=complex)
-    block = rng.standard_normal((N // 4, N // 4)) + 1j * rng.standard_normal((N // 4, N // 4))
-    spec[1 : N // 4 + 1, 1 : N // 4 + 1] = block
+    spec[1 : B1 + 1, 1 : B2 + 1] = rng.standard_normal((B1, B2)) + 1j * rng.standard_normal((B1, B2))
     return GridSignal2D.from_spectrum(spec)
 
 
-def test_hankel_quarter_of_commutator():
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(bands(lambda N: N // 4))
+def test_hankel_quarter_of_commutator(case):
     """For holomorphic symbols, ||Gamma_b|| = (1/4)||[[M_conj(b),H1],H2]||."""
-    rng = np.random.default_rng(60)
-    N = 16
-    worst = 0.0
-    for _ in range(10):
-        b = holomorphic_symbol(rng, N)
-        hank = float(np.linalg.svd(dense_hankel_matrix(b), compute_uv=False)[0])
-        comm = float(np.linalg.svd(dense_operator_matrix(b.conj()), compute_uv=False)[0])
-        worst = max(worst, abs(4.0 * hank - comm))
-    assert worst < 1e-10
+    N, B1, B2, seed = case
+    b = holomorphic_symbol(np.random.default_rng(seed), N, B1, B2)
+    hank = float(np.linalg.svd(dense_hankel_matrix(b), compute_uv=False)[0])
+    comm = float(np.linalg.svd(dense_operator_matrix(b.conj()), compute_uv=False)[0])
+    assert abs(4.0 * hank - comm) < 1e-10 * max(1.0, comm)
 
 
 def column_hankel_matrix(b):

@@ -367,9 +367,10 @@ def test_journe_sum_keeps_sequential_bits(n, seed):
     V = enlargement(U, 0.5)
     js = journe_sum(U, 0.5, 0.5)
     total = 0.0
-    for R, rep in zip(maximal_rectangles(U), js.table, strict=True):
+    assert js.rectangles == maximal_rectangles(U)
+    for R, got in zip(js.rectangles, js.mus, strict=True):
         mu = oracle_mu(R, V)
-        assert rep.rectangle == R and rep.mu == mu
+        assert got == mu
         total += mu**-0.5 * R.area
     assert js.value == total
 
@@ -417,7 +418,7 @@ def test_journe_sum_single_square():
     js = journe_sum(sq, 0.5, 0.5)
     assert js.ratio == 1.0
     assert js.value == sq.measure()
-    assert len(js.table) == 1
+    assert len(js.rectangles) == 1 and js.mus == (1.0,)
 
 
 def test_journe_sum_monotone_in_epsilon():
@@ -452,18 +453,18 @@ def test_journe_sum_dense_set_bounded():
 
 def test_bad_class_singleton_and_example():
     n = 2
-    S = RectCollection(n, (DyadicRectangle.from_indices(1, 0, 1, 0),))
+    S = RectCollection.of(n, (DyadicRectangle.from_indices(1, 0, 1, 0),))
     assert len(bad_class(S, 1, 0.5)) == 0
 
     square = DyadicRectangle.from_indices(1, 0, 1, 0)
     w1 = DyadicRectangle.from_indices(0, 0, 2, 0)
     w2 = DyadicRectangle.from_indices(0, 0, 2, 1)
-    S = RectCollection(n, (square, w1, w2))
+    S = RectCollection.of(n, (square, w1, w2))
     bad = bad_class(S, 1, 0.75)
     assert set(bad) == {square}
 
     # strictness: coverage exactly gamma|R| is not bad
-    S2 = RectCollection(n, (square, w1))
+    S2 = RectCollection.of(n, (square, w1))
     assert len(bad_class(S2, 1, 0.5)) == 0
     assert set(bad_class(S2, 1, 0.49)) == {square}
     with pytest.raises(ValueError):
@@ -476,12 +477,13 @@ def loop_bad_class(S, axis, gamma):
     """Cell-by-cell cover of each member by its strictly axis-wider peers."""
     n = S.n
     scale = (lambda R: R.interval1.j) if axis == 1 else (lambda R: R.interval2.j)
-    spans = {R: (R.interval1.cell_span(n), R.interval2.cell_span(n)) for R in S}
+    rects = S.rectangles
+    spans = {R: (R.interval1.cell_span(n), R.interval2.cell_span(n)) for R in rects}
     bad = []
-    for R in S:
+    for R in rects:
         (r0, r1), (c0, c1) = spans[R]
         cover = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-        for other in S:
+        for other in rects:
             if other == R or scale(other) >= scale(R):
                 continue
             (a0, a1), (b0, b1) = spans[other]
@@ -491,7 +493,7 @@ def loop_bad_class(S, axis, gamma):
                 cover[x0 - r0 : x1 - r0, y0 - c0 : y1 - c0] = True
         if int(cover.sum()) * 4.0**-n > gamma * R.area:
             bad.append(R)
-    return RectCollection(n, tuple(bad))
+    return RectCollection.of(n, bad)
 
 
 @st.composite
@@ -502,7 +504,7 @@ def rect_collections(draw):
     n = draw(st.integers(1, 3))
     rects = enumerate_dyadic_rectangles(n)
     keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(len(rects))
-    return RectCollection(n, tuple(R for R, k in zip(rects, keep) if k < 0.15))
+    return RectCollection.of(n, (R for R, k in zip(rects, keep) if k < 0.15))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -526,10 +528,14 @@ def test_thin_collection_separation():
             k1 = int(rng.integers(0, 2**j1))
             k2 = int(rng.integers(0, 2**j2))
             picks.append(DyadicRectangle.from_indices(j1, k1, j2, k2))
-        S = RectCollection(n, tuple(set(picks)))
+        S = RectCollection.of(n, set(picks))
         subclasses = thin_collection(S, mu, gamma)
         assert sum(len(c) for c in subclasses) == len(S)
         assert len(subclasses) <= d * d
+        # one scale residue pair per subclass, in residue order
+        residues = [{(R.scales[0] % d, R.scales[1] % d) for R in sub} for sub in subclasses]
+        assert all(len(r) == 1 for r in residues)
+        assert [min(r) for r in residues] == sorted(min(r) for r in residues)
         for sub in subclasses:
             for a in sub:
                 for b in sub:
@@ -544,7 +550,7 @@ def test_thin_collection_congruent_single_class():
     rects = tuple(
         DyadicRectangle.from_indices(2, k1, 1, k2) for k1 in range(4) for k2 in range(2)
     )
-    S = RectCollection(n, rects)
+    S = RectCollection.of(n, rects)
     subclasses = thin_collection(S, 1.0, 0.5)
     assert len(subclasses) == 1
     assert len(subclasses[0]) == len(rects)
@@ -552,17 +558,38 @@ def test_thin_collection_congruent_single_class():
         thin_collection(S, 0.5, 0.5)
 
 
+def test_rect_collection_keys():
+    """Integer keys, sorted in rectangle order; objects only on iteration."""
+    n = 3
+    rects = [R for R in enumerate_dyadic_rectangles(n) if (R.interval1.k + R.interval2.j) % 3 == 0]
+    col = RectCollection.of(n, reversed(rects))
+    assert col.rectangles == tuple(sorted(rects)) and list(col) == sorted(rects)
+    assert col.keys.dtype == np.int64 and not col.keys.flags.writeable
+    assert col == RectCollection(n, col.keys[::-1]) and col != RectCollection(n + 1, col.keys)
+    assert col.spans().tolist() == [
+        [*R.interval1.cell_span(n), *R.interval2.cell_span(n)] for R in sorted(rects)
+    ]
+    outside = DyadicRectangle.from_indices(1, 1, 0, 0)
+    assert rects[0] in col and outside not in col
+    assert len(RectCollection.of(n, ())) == 0 and RectCollection.of(n, ()).spans().shape == (0, 4)
+    with pytest.raises(ValueError, match="duplicate"):
+        RectCollection.of(n, [rects[0], rects[1], rects[0]])
+    for key in ((4, 0, 0, 0), (1, 2, 0, 0), (0, 0, -1, 0), (2, -1, 0, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            RectCollection(n, [key])
+
+
 def test_stratify():
     full = CellSet.full(2)
     center = DyadicRectangle.from_indices(2, 2, 2, 2)
     corner = DyadicRectangle.from_indices(2, 0, 2, 0)
-    col = RectCollection(2, (center, corner))
+    col = RectCollection.of(2, (center, corner))
     strata = stratify(col, full)
+    # mu is 3.0 at the center (stratum 2) and 1.0 at the corner (stratum 0)
     assert set(strata) == {0, 2}
-    assert corner in strata[0]
-    assert center in strata[2]
-    assert strata[2].attrs[center]["mu"] == 3.0
-    assert strata[0].attrs[corner]["stratum"] == 0
+    assert strata[0].rectangles == (corner,)
+    assert strata[2].rectangles == (center,)
+    assert corner in strata[0] and center not in strata[0]
     assert sum(len(s) for s in strata.values()) == len(col)
 
 
