@@ -94,8 +94,7 @@ class RectCollection:
         return len(self.keys)
 
     def __contains__(self, R: DyadicRectangle) -> bool:
-        key = (R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k)
-        return bool(np.any(np.all(self.keys == key, axis=1)))
+        return R in self.rectangles
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RectCollection):
