@@ -21,6 +21,7 @@ API always means the first variable, i.e. numpy axis 0.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -526,16 +527,21 @@ def _interval_meta(max_scale: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(js), np.concatenate(ks)
 
 
+@functools.lru_cache(maxsize=None)
 def _interval_spans(max_scale: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-open cell spans of every interval index on the 2^n grid.
 
     Intervals finer than a cell map to the single cell containing them.
+    The arrays are cached per (max_scale, n) and read-only.
     """
     j, k = _interval_meta(max_scale)
     coarse = j <= n
     start = np.where(coarse, k << np.maximum(n - j, 0), k >> np.maximum(j - n, 0))
     stop = np.where(coarse, (k + 1) << np.maximum(n - j, 0), start + 1)
-    return start.astype(np.int64), stop.astype(np.int64)
+    spans = start.astype(np.int64), stop.astype(np.int64)
+    for s in spans:
+        s.flags.writeable = False
+    return spans
 
 
 def _spans_inside(mask: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from .grid import (
     _box_sum,
     _integral_image,
     _interval_meta,
+    _interval_spans,
     maximal_1d_level,
     rectangles_inside,
     strong_maximal_half_level,
@@ -71,21 +72,16 @@ class RectCollection:
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
 
-    @classmethod
-    def of(cls, n: int, rects) -> "RectCollection":
-        """The collection of an iterable of DyadicRectangle objects."""
-        keys = [(R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k) for R in rects]
-        return cls(n, keys)
-
     @property
     def rectangles(self) -> tuple[DyadicRectangle, ...]:
         return tuple(DyadicRectangle.from_indices(*key) for key in self.keys.tolist())
 
     def spans(self) -> np.ndarray:
         """(R, 4) int64 array of the cell spans (a1, b1, a2, b2) at resolution n."""
-        width = 1 << (self.n - self.keys[:, 0::2])
-        start = self.keys[:, 1::2] * width
-        return np.stack([start, start + width], axis=2).reshape(-1, 4)
+        s0, s1 = _interval_spans(self.n, self.n)
+        # heap index 2^j - 1 + k of each side's interval
+        h = (1 << self.keys[:, 0::2]) - 1 + self.keys[:, 1::2]
+        return np.stack([s0[h], s1[h]], axis=2).reshape(-1, 4)
 
     def __iter__(self):
         return iter(self.rectangles)

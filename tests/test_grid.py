@@ -16,6 +16,7 @@ from bicomm.grid import (
     DyadicRectangle,
     GridSignal1D,
     GridSignal2D,
+    _interval_spans,
     enumerate_dyadic_rectangles,
     load_signal,
     maximal_1d_level,
@@ -121,6 +122,12 @@ def test_cell_span():
     assert I.cell_span(5) == (24, 32)
     with pytest.raises(ValueError):
         I.cell_span(1)
+    # the heap-order array form agrees, and its cached arrays are read-only
+    s0, s1 = _interval_spans(4, 4)
+    assert not s0.flags.writeable and not s1.flags.writeable
+    assert list(zip(s0.tolist(), s1.tolist())) == [
+        DyadicInterval(j, k).cell_span(4) for j in range(5) for k in range(2**j)
+    ]
 
 
 def test_dyadic_rectangle():

@@ -30,6 +30,12 @@ from bicomm.journe import (
 from bicomm.wavelets import product_wavelet
 
 
+def collection(n, rects):
+    """The RectCollection of an iterable of DyadicRectangle objects."""
+    keys = [(R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k) for R in rects]
+    return RectCollection(n, keys)
+
+
 def rect_inside(R, U):
     a1, b1 = R.interval1.cell_span(U.n)
     a2, b2 = R.interval2.cell_span(U.n)
@@ -453,18 +459,18 @@ def test_journe_sum_dense_set_bounded():
 
 def test_bad_class_singleton_and_example():
     n = 2
-    S = RectCollection.of(n, (DyadicRectangle.from_indices(1, 0, 1, 0),))
+    S = collection(n, (DyadicRectangle.from_indices(1, 0, 1, 0),))
     assert len(bad_class(S, 1, 0.5)) == 0
 
     square = DyadicRectangle.from_indices(1, 0, 1, 0)
     w1 = DyadicRectangle.from_indices(0, 0, 2, 0)
     w2 = DyadicRectangle.from_indices(0, 0, 2, 1)
-    S = RectCollection.of(n, (square, w1, w2))
+    S = collection(n, (square, w1, w2))
     bad = bad_class(S, 1, 0.75)
     assert set(bad) == {square}
 
     # strictness: coverage exactly gamma|R| is not bad
-    S2 = RectCollection.of(n, (square, w1))
+    S2 = collection(n, (square, w1))
     assert len(bad_class(S2, 1, 0.5)) == 0
     assert set(bad_class(S2, 1, 0.49)) == {square}
     with pytest.raises(ValueError):
@@ -493,7 +499,7 @@ def loop_bad_class(S, axis, gamma):
                 cover[x0 - r0 : x1 - r0, y0 - c0 : y1 - c0] = True
         if int(cover.sum()) * 4.0**-n > gamma * R.area:
             bad.append(R)
-    return RectCollection.of(n, bad)
+    return collection(n, bad)
 
 
 @st.composite
@@ -504,7 +510,7 @@ def rect_collections(draw):
     n = draw(st.integers(1, 3))
     rects = enumerate_dyadic_rectangles(n)
     keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(len(rects))
-    return RectCollection.of(n, (R for R, k in zip(rects, keep) if k < 0.15))
+    return collection(n, (R for R, k in zip(rects, keep) if k < 0.15))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -528,7 +534,7 @@ def test_thin_collection_separation():
             k1 = int(rng.integers(0, 2**j1))
             k2 = int(rng.integers(0, 2**j2))
             picks.append(DyadicRectangle.from_indices(j1, k1, j2, k2))
-        S = RectCollection.of(n, set(picks))
+        S = collection(n, set(picks))
         subclasses = thin_collection(S, mu, gamma)
         assert sum(len(c) for c in subclasses) == len(S)
         assert len(subclasses) <= d * d
@@ -550,7 +556,7 @@ def test_thin_collection_congruent_single_class():
     rects = tuple(
         DyadicRectangle.from_indices(2, k1, 1, k2) for k1 in range(4) for k2 in range(2)
     )
-    S = RectCollection.of(n, rects)
+    S = collection(n, rects)
     subclasses = thin_collection(S, 1.0, 0.5)
     assert len(subclasses) == 1
     assert len(subclasses[0]) == len(rects)
@@ -562,7 +568,7 @@ def test_rect_collection_keys():
     """Integer keys, sorted in rectangle order; objects only on iteration."""
     n = 3
     rects = [R for R in enumerate_dyadic_rectangles(n) if (R.interval1.k + R.interval2.j) % 3 == 0]
-    col = RectCollection.of(n, reversed(rects))
+    col = collection(n, reversed(rects))
     assert col.rectangles == tuple(sorted(rects)) and list(col) == sorted(rects)
     assert col.keys.dtype == np.int64 and not col.keys.flags.writeable
     assert col == RectCollection(n, col.keys[::-1]) and col != RectCollection(n + 1, col.keys)
@@ -571,9 +577,9 @@ def test_rect_collection_keys():
     ]
     outside = DyadicRectangle.from_indices(1, 1, 0, 0)
     assert rects[0] in col and outside not in col
-    assert len(RectCollection.of(n, ())) == 0 and RectCollection.of(n, ()).spans().shape == (0, 4)
+    assert len(collection(n, ())) == 0 and collection(n, ()).spans().shape == (0, 4)
     with pytest.raises(ValueError, match="duplicate"):
-        RectCollection.of(n, [rects[0], rects[1], rects[0]])
+        collection(n, [rects[0], rects[1], rects[0]])
     for key in ((4, 0, 0, 0), (1, 2, 0, 0), (0, 0, -1, 0), (2, -1, 0, 0)):
         with pytest.raises(ValueError, match="out of range"):
             RectCollection(n, [key])
@@ -583,7 +589,7 @@ def test_stratify():
     full = CellSet.full(2)
     center = DyadicRectangle.from_indices(2, 2, 2, 2)
     corner = DyadicRectangle.from_indices(2, 0, 2, 0)
-    col = RectCollection.of(2, (center, corner))
+    col = collection(2, (center, corner))
     strata = stratify(col, full)
     # mu is 3.0 at the center (stratum 2) and 1.0 at the corner (stratum 0)
     assert set(strata) == {0, 2}
