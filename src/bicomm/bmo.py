@@ -4,10 +4,15 @@ The rectangular functional is an exact supremum over dyadic rectangles,
 computed by accumulating coefficient energy over the dyadic tree in each
 axis.  The product functional's supremum over open sets is approximated
 from below by unions of grid cells: a greedy search over dyadic squares
-seeded at the rectangular witness, or an exhaustive scan of every cell
-union when the grid is small enough to afford it (resolution n <= 2).
-Estimates carry the witness set achieving them so certificates can be
-re-checked after the fact.
+seeded at the rectangular witness, run until no square improves the
+ratio, or an exhaustive scan of every cell union when the grid is small
+enough to afford it (resolution n <= 2).  Estimates carry the witness set
+achieving them so certificates can be re-checked after the fact.
+
+Every containment, of an interval in an interval, of a rectangle in a
+cell union or of a cell in a rectangle, is read off the cached cell spans
+of the dyadic intervals (grid._interval_spans), with box sums over one
+integral image where cells are counted.
 
 Open sets are always unions of cells of the 2^n x 2^n partition; an
 arbitrary open set's coefficient sum is approached from within by such
@@ -22,9 +27,9 @@ import numpy as np
 
 from .grid import (
     CellSet,
-    DyadicRectangle,
     _interval_meta,
     _interval_spans,
+    _span_box_sums,
     _spans_inside,
     rectangles_inside,
 )
@@ -34,17 +39,14 @@ _EXHAUSTIVE_MAX_SCALE = 2
 _CERT_TOL = 1e-12
 
 
-def _containment_matrix(max_scale: int) -> np.ndarray:
-    """C[a, b] = True when interval b is contained in interval a."""
-    j, k = _interval_meta(max_scale)
-    dj = j[None, :] - j[:, None]
-    shifted = k[None, :] >> np.maximum(dj, 0)
-    return (dj >= 0) & (shifted == k[:, None])
-
-
 def _subtree_energy(c: WaveletCoefficients) -> np.ndarray:
-    """E[a1, a2] = sum of |c_R|^2 over rectangles R inside I_{a1} x I_{a2}."""
-    C = _containment_matrix(c.max_scale).astype(np.float64)
+    """E[a1, a2] = sum of |c_R|^2 over rectangles R inside I_{a1} x I_{a2}.
+
+    C[a, b] says interval b lies in interval a: its cell span at the finest
+    scale lies in a's.
+    """
+    s0, s1 = _interval_spans(c.max_scale, c.max_scale)
+    C = ((s0[:, None] <= s0) & (s1 <= s1[:, None])).astype(np.float64)
     A = np.abs(c.matrix) ** 2
     return C @ A @ C.T
 
@@ -89,44 +91,36 @@ def rect_bmo(c: WaveletCoefficients) -> BmoEstimate:
     witness is returned as a cell union at resolution n = max_scale.
     """
     J = c.max_scale
-    E = _subtree_energy(c)
-    best = -1.0
-    best_rect = DyadicRectangle.from_indices(0, 0, 0, 0)
-    for j1 in range(J + 1):
-        lo1, hi1 = 2**j1 - 1, 2 ** (j1 + 1) - 1
-        for j2 in range(J + 1):
-            lo2, hi2 = 2**j2 - 1, 2 ** (j2 + 1) - 1
-            block = E[lo1:hi1, lo2:hi2] * 2.0 ** (j1 + j2)
-            flat = int(np.argmax(block))
-            val = float(block.flat[flat])
-            if val > best:
-                best = val
-                k1, k2 = divmod(flat, 2**j2)
-                best_rect = DyadicRectangle.from_indices(j1, k1, j2, k2)
-    witness = CellSet(J, best_rect.to_cellrect(J).to_mask())
-    return BmoEstimate(float(np.sqrt(best)), witness, exact=True)
+    j, _ = _interval_meta(J)
+    ratio = _subtree_energy(c) * 2.0 ** (j[:, None] + j[None, :])
+    best = ratio.max()
+    a1, a2 = np.nonzero(ratio == best)
+    # heap order within a scale is k order, so the last two keys order k1, k2
+    first = np.lexsort((a2, a1, j[a2], j[a1]))[0]
+    a1, a2 = a1[first], a2[first]
+    s0, s1 = _interval_spans(J, J)
+    mask = np.zeros((1 << J, 1 << J), dtype=bool)
+    mask[s0[a1] : s1[a1], s0[a2] : s1[a2]] = True
+    return BmoEstimate(float(np.sqrt(best)), CellSet(J, mask), exact=True)
 
 
 def _square_spans(n: int) -> list[tuple[int, int, int, int]]:
-    """Cell spans of all dyadic squares at scales 0..n, in (j, k1, k2) order."""
-    out = []
-    for j in range(n + 1):
-        w = 1 << (n - j)
-        for k1 in range(1 << j):
-            for k2 in range(1 << j):
-                out.append((k1 * w, (k1 + 1) * w, k2 * w, (k2 + 1) * w))
-    return out
+    """Cell spans of all dyadic squares at scales 0..n, in (j, k1, k2) order:
+    the pairs of equal-scale interval spans."""
+    s0, s1 = _interval_spans(n, n)
+    j, _ = _interval_meta(n)
+    a1, a2 = np.nonzero(j[:, None] == j[None, :])
+    return list(zip(s0[a1].tolist(), s1[a1].tolist(), s0[a2].tolist(), s1[a2].tolist()))
 
 
-def _greedy_search(
-    c: WaveletCoefficients, budget: int, seed: BmoEstimate
-) -> tuple[np.ndarray, float, float]:
+def _greedy_search(c: WaveletCoefficients, seed: BmoEstimate) -> tuple[np.ndarray, float, float]:
     """Grow the rectangular witness seed (rect_bmo(c)) by dyadic squares with
     the best marginal gain.
 
     Returns the final mask, its energy and its measure.  Each step adds the
     square maximizing the marginal energy-to-measure gain, accepted only
-    while the overall ratio improves.
+    while the overall ratio improves.  Every accepted square adds a cell, so
+    the search stops within 4^n steps.
     """
     n = c.max_scale
     c_abs2 = np.abs(c.matrix) ** 2
@@ -136,7 +130,7 @@ def _greedy_search(
     cur_e = float(np.sum(c_abs2[_spans_inside(mask, s0, s1)]))
     cur_m = float(np.count_nonzero(mask)) * cell_area
     squares = _square_spans(n)
-    for _ in range(budget):
+    while True:
         best_gain = -np.inf
         best = None
         for r0, r1, q0, q1 in squares:
@@ -164,16 +158,10 @@ def _exhaustive_scan(c: WaveletCoefficients) -> BmoEstimate:
     n = c.max_scale
     m = 1 << n
     cells = m * m
-    s0, s1 = _interval_spans(n, n)
-    K = s0.shape[0]
-    rmask = np.zeros((K, K), dtype=np.uint32)
-    for a1 in range(K):
-        for a2 in range(K):
-            bits = 0
-            for i1 in range(s0[a1], s1[a1]):
-                for i2 in range(s0[a2], s1[a2]):
-                    bits |= 1 << (i1 * m + i2)
-            rmask[a1, a2] = bits
+    # cell (i1, i2) is bit i1*m + i2; the bits of a box are disjoint, so
+    # their sum is the box's cell set
+    cell_bits = (1 << np.arange(cells, dtype=np.int64)).reshape(m, m)
+    rmask = _span_box_sums(cell_bits, *_interval_spans(n, n)).astype(np.uint32)
     energies = (np.abs(c.matrix) ** 2).ravel()
     flat_rmask = rmask.ravel()
     sets = np.arange(1, 2**cells, dtype=np.uint32)
@@ -187,22 +175,18 @@ def _exhaustive_scan(c: WaveletCoefficients) -> BmoEstimate:
     return BmoEstimate(float(np.sqrt(ratio[idx])), witness, exact=True)
 
 
-def product_bmo_lower(
-    c: WaveletCoefficients, budget: int = 32, method: str = "auto"
-) -> BmoEstimate:
+def product_bmo_lower(c: WaveletCoefficients, method: str = "auto") -> BmoEstimate:
     """Certified lower bound for the open-set supremum of the BMO ratio.
 
     method='exhaustive' scans all cell unions (only at max_scale <= 2),
     'greedy' runs the seeded square-growing search, and 'auto' picks
     exhaustive when affordable.  The greedy result is a lower bound with a
-    witness.  Both searches cover rect_bmo's witness but sum its energy in
+    witness; its search runs until no square improves the ratio.  Both searches cover rect_bmo's witness but sum its energy in
     another order, so the result is the larger of the search's value and
     rect_bmo's: it dominates rect_bmo to the last bit.  Greedy cost grows with
     4^max_scale per step, so it is intended for the small resolutions the
     experiments use.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     if method not in ("auto", "greedy", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
     exhaustive = method == "exhaustive" or (method == "auto" and c.max_scale <= _EXHAUSTIVE_MAX_SCALE)
@@ -212,7 +196,7 @@ def product_bmo_lower(
     if exhaustive:
         est = _exhaustive_scan(c)
     else:
-        mask, e, m = _greedy_search(c, budget, rect)
+        mask, e, m = _greedy_search(c, rect)
         est = BmoEstimate(float(np.sqrt(e / m)), CellSet(c.max_scale, mask), exact=False)
     if est.value >= rect.value:
         return est

@@ -30,7 +30,6 @@ from .commutator import (
     bracket,
     commutator_apply,
     dense_hankel_matrix,
-    dense_operator_matrix,
     operator_norm,
     power_iteration_norm,
 )
@@ -83,7 +82,6 @@ class ExperimentConfig:
     instances: int = 100
     delta: float = 0.5
     epsilon: float = 0.5
-    budget: int = 32
     tol: float = 1e-8
     max_iter: int = 10000
     K: int = 4
@@ -109,8 +107,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if not 0.0 < self.delta < 1.0 or not 0.0 < self.epsilon < 1.0:
             raise ValueError("delta and epsilon must lie in (0,1)")
-        if self.instances < 1 or self.budget < 1 or self.bins < 1:
-            raise ValueError("instances, budget and bins must be positive")
+        if self.instances < 1 or self.bins < 1:
+            raise ValueError("instances and bins must be positive")
 
     @classmethod
     def from_dict(cls, obj: dict, command: str | None = None) -> "ExperimentConfig":
@@ -445,8 +443,8 @@ def _run_bmo_scan(cfg: ExperimentConfig, jobs: int):
         rng = np.random.default_rng([cfg.seed, i])
         c = _family_coefficients(cfg, rng)
         rect = rect_bmo(c)
-        greedy = product_bmo_lower(c, cfg.budget, method="greedy")
-        best = product_bmo_lower(c, cfg.budget, method="auto")
+        greedy = product_bmo_lower(c, method="greedy")
+        best = product_bmo_lower(c)
         ratio = greedy.value / best.value if best.value > 0 else 1.0
         return [i, rect.value, greedy.value, best.value, int(best.exact), ratio]
 
@@ -463,7 +461,7 @@ def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
         b, c = loaded or _family_symbol(cfg, rng)
         norm = operator_norm(b, tol=cfg.tol, max_iter=cfg.max_iter, seed=[cfg.seed, i, 1]).value
         rect = rect_bmo(c).value
-        prod = product_bmo_lower(c, cfg.budget).value
+        prod = product_bmo_lower(c).value
         return [i, norm, rect, prod, norm / prod, prod / norm]
 
     cols = [
@@ -487,7 +485,7 @@ def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
             K = cfg.K * 2**i
             row = row_of_squares(K, cfg.density)
             V = enlargement(row.cells, cfg.delta)
-            rep = embeddedness(row.middle, V, mode="first_axis_only", U=row.cells, delta=cfg.delta)
+            rep = embeddedness(row.middle, V, U=row.cells)
             return [i, K, rep.mu, rep.nu, rep.nu / rep.mu]
 
         cols = ["instance", "K", "mu_middle", "nu_middle", "nu_over_mu"]
@@ -564,16 +562,20 @@ def _run_decomposition(cfg: ExperimentConfig, jobs: int):
 
 def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
     if cfg.N > 32:
-        raise ValueError("oracle-audit needs N <= 32 for the dense assembly")
+        raise ValueError("oracle-audit needs N <= 32 for the dense Hankel matrix")
 
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
         b = _band_limited_2d(rng, cfg.N)
-        svd = float(np.linalg.svd(dense_operator_matrix(b), compute_uv=False)[0])
+        # each comparison sets the definition (commutator_apply, through the
+        # power iteration) against the quadrant-Hankel blocks
+        svd = operator_norm(b).value
         power = power_iteration_norm(b, tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 1]).value
         h = _holomorphic_2d(rng, cfg.N)
         hankel = float(np.linalg.svd(dense_hankel_matrix(h), compute_uv=False)[0])
-        comm = float(np.linalg.svd(dense_operator_matrix(h.conj()), compute_uv=False)[0])
+        comm = power_iteration_norm(
+            h.conj(), tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 2]
+        ).value
         return [i, power, svd, abs(power - svd), hankel, comm, 4.0 * hankel / comm]
 
     cols = [

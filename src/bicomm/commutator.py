@@ -11,10 +11,10 @@ so each term is a direct sum of copies of the four little Hankel matrices
 built by `quadrant_hankel`, and the operator norm is exactly
 4 max_q sigma_max(Gamma_q), found by the SVD of four (B1-1)(B2-1)-square
 matrices.  Wider spectra fall back to power iteration on T*T with a seeded
-start vector, which also serves as the test oracle, as does a densely
-assembled matrix over the admissible Fourier modes at small grid sizes.
-The little Hankel operator with a holomorphic symbol, whose dense matrix
-comes from the same `quadrant_hankel`, rounds out the module.
+start vector, which is built on `commutator_apply` alone and so serves as
+the oracle of the block form.  The little Hankel operator with a
+holomorphic symbol, whose dense matrix comes from the same
+`quadrant_hankel`, rounds out the module: every matrix here is built by it.
 """
 
 from __future__ import annotations
@@ -188,36 +188,6 @@ def power_iteration_norm(
         v = u * (1.0 / nu)
         prev = r
     raise PowerIterationError(math.sqrt(prev), trace[-1].gap, tuple(trace))
-
-
-def _admissible_modes(N: int) -> list[tuple[int, int]]:
-    ks = [k for k in range(-N // 2 + 1, N // 2) if k != 0]
-    return [(k1, k2) for k1 in ks for k2 in ks]
-
-
-def _mode_signal(N: int, k1: int, k2: int) -> GridSignal2D:
-    spec = np.zeros((N, N), dtype=complex)
-    spec[k1 % N, k2 % N] = 1.0
-    return GridSignal2D.from_spectrum(spec)
-
-
-def dense_operator_matrix(b: GridSignal2D) -> np.ndarray:
-    """The commutator as a matrix over the admissible Fourier modes.
-
-    Columns are indexed by input mode, rows by output mode, both in the
-    order of _admissible_modes.  Only for N <= 32; the matrix is
-    (N-2)^2 x (N-2)^2.
-    """
-    N = b.n_points
-    if N > _DENSE_MAX_N:
-        raise ValueError(f"dense assembly limited to N <= {_DENSE_MAX_N}")
-    modes = _admissible_modes(N)
-    rows = np.array([[k1 % N, k2 % N] for k1, k2 in modes])
-    M = np.zeros((len(modes), len(modes)), dtype=complex)
-    for col, (k1, k2) in enumerate(modes):
-        out = commutator_apply(b, _mode_signal(N, k1, k2))
-        M[:, col] = out.spectrum()[rows[:, 0], rows[:, 1]]
-    return M
 
 
 def _check_holomorphic(spec: np.ndarray) -> None:

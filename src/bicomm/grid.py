@@ -502,7 +502,7 @@ def strong_maximal_half_level(U: CellSet) -> CellSet:
 
 
 def _integral_image(mask: np.ndarray) -> np.ndarray:
-    """Zero-padded 2D prefix sums: ii[r, c] counts mask cells above-left of (r, c)."""
+    """Zero-padded 2D prefix sums: ii[r, c] sums the cells above-left of (r, c)."""
     m = mask.shape[0]
     ii = np.zeros((m + 1, m + 1), dtype=np.int64)
     np.cumsum(np.cumsum(mask, axis=0), axis=1, out=ii[1:, 1:])
@@ -544,10 +544,14 @@ def _interval_spans(max_scale: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return spans
 
 
+def _span_box_sums(cells: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """(K, K) table of the sums of cells over [s0[a1], s1[a1]) x [s0[a2], s1[a2])."""
+    return _box_sum(_integral_image(cells), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
+
+
 def _spans_inside(mask: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """(K, K) table: True where the box [s0[a1], s1[a1]) x [s0[a2], s1[a2]) lies in mask."""
-    box = _box_sum(_integral_image(mask), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
-    return box == (s1 - s0)[:, None] * (s1 - s0)[None, :]
+    return _span_box_sums(mask, s0, s1) == (s1 - s0)[:, None] * (s1 - s0)[None, :]
 
 
 def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:

@@ -100,12 +100,10 @@ class RectCollection:
 
 @dataclass(frozen=True)
 class EmbeddednessReport:
-    """mu and nu for one rectangle; delta records the enlargement used."""
+    """mu and nu for one rectangle."""
 
-    rectangle: object
     mu: float
     nu: float
-    delta: float
 
 
 def maximal_rectangles(U: CellSet) -> RectCollection:
@@ -187,36 +185,28 @@ def _dilation_limits(
     return out
 
 
-def embeddedness(
-    R,
-    V: CellSet,
-    mode: str = "both_axes",
-    U: CellSet | None = None,
-    delta: float = float("nan"),
-) -> EmbeddednessReport:
+def embeddedness(R, V: CellSet, U: CellSet | None = None) -> EmbeddednessReport:
     """mu and nu of a rectangle: how far it dilates inside the enlargement.
 
     mu is the largest lambda with the centered dilate lambda*R (both axes
     scaled) rasterized inside V.  nu scales the first axis only and asks
     for containment in {M_S 1_U > 1/2}, taken exactly from
-    strong_maximal_half_level; it needs U, which is mandatory for
-    mode='first_axis_only' and optional otherwise (nu is NaN when U is
-    absent).  R may be a DyadicRectangle or a CellRect.  This is the batched
-    kernel of journe_sum and stratify run on one rectangle.
+    strong_maximal_half_level; it is NaN when U is not given.  R may be a
+    DyadicRectangle or a CellRect on V's grid, and U lives on that grid
+    too.  This is the batched kernel of journe_sum and stratify run on one
+    rectangle.
     """
-    if mode not in ("both_axes", "first_axis_only"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "first_axis_only" and U is None:
-        raise ValueError("mode='first_axis_only' requires U")
     n = V.n
     cr = R.to_cellrect(n) if isinstance(R, DyadicRectangle) else R
+    if cr.n != n or (U is not None and U.n != n):
+        raise ValueError("R, V and U must lie on one cell grid")
     spans = np.array([[cr.a1, cr.b1, cr.a2, cr.b2]], dtype=np.int64)
     mu = float(_dilation_limits(_integral_image(V.mask), spans)[0])
     nu = float("nan")
     if U is not None:
         level = strong_maximal_half_level(U)
         nu = float(_dilation_limits(_integral_image(level.mask), spans, first_axis_only=True)[0])
-    return EmbeddednessReport(R, mu, nu, delta)
+    return EmbeddednessReport(mu, nu)
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ def test_criterion_5_journe_scan():
     for K in (4, 8, 16):
         row = row_of_squares(K)
         V = enlargement(row.cells, 0.5)
-        rep = embeddedness(row.middle, V, mode="first_axis_only", U=row.cells, delta=0.5)
+        rep = embeddedness(row.middle, V, U=row.cells)
         vals.append(rep.nu / rep.mu)
     ok = worst <= 100.0 and vals[1] >= 2.0 and vals[0] <= vals[1] <= vals[2]
     report(

@@ -7,6 +7,7 @@ import pytest
 
 from bicomm.bmo import (
     BmoEstimate,
+    _square_spans,
     coefficient_energy,
     product_bmo_lower,
     rect_bmo,
@@ -77,6 +78,25 @@ def test_rect_bmo_matches_bruteforce():
         assert abs(est.value - want) < 1e-10 * max(1.0, want)
         assert est.exact
         assert est.recheck(c)
+
+
+def test_rect_bmo_tie_order():
+    """Ties go to the first rectangle in (j1, j2, k1, k2) order."""
+    for first, second in (((1, 0, 2, 0), (2, 3, 1, 1)), ((2, 0, 2, 3), (2, 3, 2, 0))):
+        R = DyadicRectangle.from_indices(*first)
+        S = DyadicRectangle.from_indices(*second)
+        c = WaveletCoefficients.from_dict(2, {R: 1.0, S: 1.0})
+        est = rect_bmo(c)
+        assert est.value == np.sqrt(1.0 / R.area)
+        assert np.array_equal(est.witness.mask, R.to_cellrect(2).to_mask())
+
+
+def test_square_spans_are_the_dyadic_squares():
+    for n in range(4):
+        rects = enumerate_dyadic_rectangles(n)
+        squares = sorted(R for R in rects if R.interval1.j == R.interval2.j)
+        want = [R.interval1.cell_span(n) + R.interval2.cell_span(n) for R in squares]
+        assert _square_spans(n) == want
 
 
 def test_bmo_estimate_json_roundtrip():
@@ -198,8 +218,6 @@ def test_dilation_invariance():
 
 def test_method_validation():
     c = WaveletCoefficients.zeros(3)
-    with pytest.raises(ValueError):
-        product_bmo_lower(c, budget=0)
     with pytest.raises(ValueError):
         product_bmo_lower(c, method="annealing")
     with pytest.raises(ValueError):

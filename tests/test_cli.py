@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -60,6 +61,17 @@ def test_config_validation():
         ExperimentConfig.from_dict({"command": "bmo-scan"}, command="identity-check")
 
 
+def test_readme_configs_load():
+    """Every JSON config in README.md is a valid config, so removing a field
+    cannot leave the README stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) >= 2
+    for block in blocks:
+        # the command comes from the command line; any command checks the fields
+        ExperimentConfig.from_dict(json.loads(block), command="norm-compare")
+
+
 def test_config_hash_sensitivity(tmp_path):
     base = {"command": "norm-compare", "N": 64, "seed": 1}
     h = ExperimentConfig.from_dict(base).config_hash()
@@ -77,8 +89,9 @@ def test_config_hash_sensitivity(tmp_path):
         for src in ("a.csv", "b.csv")
     }
     assert len(hashes) == 2
-    # restarts and gamma were hashed and validated but read by no command
-    for dead in ("restarts", "gamma"):
+    # restarts and gamma were hashed and validated but read by no command;
+    # budget capped a greedy search that always stops well before it
+    for dead in ("restarts", "gamma", "budget"):
         with pytest.raises(ValueError, match=dead):
             ExperimentConfig.from_dict({**base, dead: 4})
     # every field but out is hashed: changing any single one changes the hash

@@ -317,7 +317,7 @@ def open_sets(draw, max_n=5):
 
 @st.composite
 def embedding_cases(draw):
-    """(U, R, delta, mode) with R dyadic or an arbitrary cell rectangle."""
+    """(U, R, delta) with R dyadic or an arbitrary cell rectangle."""
     U = draw(open_sets())
     n, m = U.n, 1 << U.n
     if draw(st.booleans()):
@@ -327,16 +327,15 @@ def embedding_cases(draw):
     else:
         a1, a2 = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         R = CellRect(n, a1, draw(st.integers(a1 + 1, m)), a2, draw(st.integers(a2 + 1, m)))
-    delta = draw(st.sampled_from([0.25, 0.5, 0.75]))
-    return U, R, delta, draw(st.sampled_from(["both_axes", "first_axis_only"]))
+    return U, R, draw(st.sampled_from([0.25, 0.5, 0.75]))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(embedding_cases())
 def test_embeddedness_matches_fraction_oracle(case):
-    U, R, delta, mode = case
+    U, R, delta = case
     V = enlargement(U, delta)
-    rep = embeddedness(R, V, mode=mode, U=U, delta=delta)
+    rep = embeddedness(R, V, U=U)
     assert rep.mu == oracle_mu(R, V)
     assert rep.nu == oracle_nu(R, oracle_half_level(U))
 
@@ -404,19 +403,21 @@ def test_embeddedness_at_least_one_on_maximal_rectangles():
             continue
         V = enlargement(U, 0.5)
         for R in maximal_rectangles(U):
-            rep = embeddedness(R, V, U=U, delta=0.5)
+            rep = embeddedness(R, V, U=U)
             assert rep.mu >= 1.0
             assert rep.nu >= 1.0
 
 
 def test_embeddedness_validation():
+    """nu needs U; R, V and U must share V's grid."""
     V = CellSet.full(2)
     R = CellRect(2, 0, 2, 0, 2)
-    with pytest.raises(ValueError):
-        embeddedness(R, V, mode="diagonal")
-    with pytest.raises(ValueError):
-        embeddedness(R, V, mode="first_axis_only")
     assert math.isnan(embeddedness(R, V).nu)
+    assert embeddedness(R, V, U=V).nu == 1.0
+    with pytest.raises(ValueError):
+        embeddedness(CellRect(3, 0, 2, 0, 2), V)
+    with pytest.raises(ValueError):
+        embeddedness(R, V, U=CellSet.full(3))
 
 
 def test_journe_sum_single_square():
@@ -653,7 +654,7 @@ def test_row_of_squares_separates_nu_from_mu():
     for K in (4, 8, 16):
         row = row_of_squares(K)
         V = enlargement(row.cells, 0.5)
-        rep = embeddedness(row.middle, V, mode="first_axis_only", U=row.cells, delta=0.5)
+        rep = embeddedness(row.middle, V, U=row.cells)
         assert rep.mu == 1.0
         vals.append(rep.nu)
     assert abs(vals[0] - 23.0 / 3.0) < 1e-12
