@@ -76,13 +76,6 @@ class BmoEstimate:
         lhs = self.value**2 * self.witness.measure()
         return lhs <= coefficient_energy(c, self.witness) + _CERT_TOL
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "witness": self.witness.to_json(), "exact": self.exact}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BmoEstimate":
-        return cls(float(obj["value"]), CellSet.from_json(obj["witness"]), bool(obj["exact"]))
-
 
 def rect_bmo(c: WaveletCoefficients) -> BmoEstimate:
     """Exact sup over dyadic rectangles S of sqrt(|S|^{-1} sum_{R in S} |c_R|^2).

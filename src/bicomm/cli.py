@@ -221,23 +221,15 @@ def _run_instances(cfg: ExperimentConfig, jobs: int, worker) -> list[list]:
 # symbol families
 
 
-def _band_limited_1d(rng: np.random.Generator, N: int) -> GridSignal1D:
+def _band_limited(cls, rng: np.random.Generator, N: int):
+    """Unit-norm signal of class cls with Gaussian coefficients on 0 < |k_i| <= N/4."""
     lim = N // 4
-    ks = np.array([k for k in range(-lim, lim + 1) if k != 0])
-    coeffs = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
-    spec = np.zeros(N, dtype=complex)
-    spec[ks % N] = coeffs
-    sig = GridSignal1D.from_spectrum(spec)
-    return sig * (1.0 / sig.norm2())
-
-
-def _band_limited_2d(rng: np.random.Generator, N: int) -> GridSignal2D:
-    lim = N // 4
-    ks = np.array([k for k in range(-lim, lim + 1) if k != 0])
-    block = rng.standard_normal((ks.size, ks.size)) + 1j * rng.standard_normal((ks.size, ks.size))
-    spec = np.zeros((N, N), dtype=complex)
-    spec[np.ix_(ks % N, ks % N)] = block
-    sig = GridSignal2D.from_spectrum(spec)
+    ks = np.array([k for k in range(-lim, lim + 1) if k != 0]) % N
+    shape = (ks.size,) * cls.ndim
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec = np.zeros((N,) * cls.ndim, dtype=complex)
+    spec[np.ix_(*(ks,) * cls.ndim)] = block
+    sig = cls.from_spectrum(spec)
     return sig * (1.0 / sig.norm2())
 
 
@@ -360,9 +352,9 @@ def _two_parameter_residual(b: GridSignal2D) -> float:
 def _run_identity_check(cfg: ExperimentConfig, jobs: int):
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
-        e_basic = _basic_identity_residual(_band_limited_1d(rng, cfg.N))
-        b = _band_limited_2d(rng, cfg.N)
-        f = _band_limited_2d(rng, cfg.N)
+        e_basic = _basic_identity_residual(_band_limited(GridSignal1D, rng, cfg.N))
+        b = _band_limited(GridSignal2D, rng, cfg.N)
+        f = _band_limited(GridSignal2D, rng, cfg.N)
         return [
             i,
             e_basic,
@@ -443,8 +435,9 @@ def _run_bmo_scan(cfg: ExperimentConfig, jobs: int):
         rng = np.random.default_rng([cfg.seed, i])
         c = _family_coefficients(cfg, rng)
         rect = rect_bmo(c)
-        greedy = product_bmo_lower(c, method="greedy")
         best = product_bmo_lower(c)
+        # 'auto' is the greedy search itself whenever it is not exact
+        greedy = product_bmo_lower(c, method="greedy") if best.exact else best
         ratio = greedy.value / best.value if best.value > 0 else 1.0
         return [i, rect.value, greedy.value, best.value, int(best.exact), ratio]
 
@@ -566,7 +559,7 @@ def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
 
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
-        b = _band_limited_2d(rng, cfg.N)
+        b = _band_limited(GridSignal2D, rng, cfg.N)
         # each comparison sets the definition (commutator_apply, through the
         # power iteration) against the quadrant-Hankel blocks
         svd = operator_norm(b).value

@@ -25,6 +25,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "maximal_1d_level",
     "strong_maximal_half_level",
     "rectangles_inside",
+    "interval_index",
+    "index_interval",
     "save_signal",
     "load_signal",
 ]
@@ -56,148 +59,93 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridSignal1D:
-    """Complex samples of a function on [0,1), taken at x_i = i/N.
+class _GridSignal:
+    """Complex samples on the periodic grid x_i = i/N of the torus [0,1)^ndim.
 
-    Signals are immutable; arithmetic returns new instances.  A signal is
-    called *admissible* when its mean (DC Fourier coefficient) and its
-    Nyquist coefficient both vanish; identities involving half-line
-    projections are exact only on that subspace.
+    samples[i1, ..., id] = f(i1/N, ..., id/N), with the same power-of-two N
+    on every axis.  Signals are immutable; arithmetic returns new instances
+    of the same class, and an operand that is a signal must have the same
+    class and grid.  A signal is called *admissible* when its spectrum
+    vanishes on the zero and Nyquist lines of every axis; identities
+    involving half-line projections are exact only on that subspace.
     """
 
     samples: np.ndarray
+    ndim: ClassVar[int]  # the number of axes, set by each subclass
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _freeze(np.asarray(self.samples)))
-        if self.samples.ndim != 1:
-            raise ValueError("GridSignal1D expects a 1D sample array")
-        _check_power_of_two(self.samples.shape[0])
+        shape = self.samples.shape
+        if len(shape) != self.ndim or len(set(shape)) != 1:
+            name = type(self).__name__
+            raise ValueError(f"{name} expects a {self.ndim}D sample array with equal axes")
+        _check_power_of_two(shape[0])
 
     @property
     def n_points(self) -> int:
         return self.samples.shape[0]
 
     def spectrum(self) -> np.ndarray:
-        """Fourier coefficients normalized so that f = sum fhat_k e^{2 pi i k x}."""
-        return np.fft.fft(self.samples) / self.n_points
+        """Fourier coefficients normalized so that f = sum fhat_k e^{2 pi i k.x}."""
+        return np.fft.fftn(self.samples) / self.samples.size
 
     @classmethod
-    def from_spectrum(cls, fhat: np.ndarray) -> "GridSignal1D":
+    def from_spectrum(cls, fhat: np.ndarray):
         fhat = np.asarray(fhat, dtype=np.complex128)
-        return cls(np.fft.ifft(fhat * fhat.shape[0]))
+        return cls(np.fft.ifftn(fhat * fhat.size))
 
     def is_admissible(self, tol: float = 1e-12) -> bool:
-        fhat = self.spectrum()
-        scale = np.sqrt(np.sum(np.abs(fhat) ** 2))
-        bad = max(abs(fhat[0]), abs(fhat[self.n_points // 2]))
+        """True when the spectrum vanishes on the zero and Nyquist lines of every axis."""
+        fhat = np.abs(self.spectrum())
+        scale = np.sqrt(np.sum(fhat**2))
+        edges = [0, self.n_points // 2]
+        bad = max(float(np.take(fhat, edges, axis=ax).max()) for ax in range(self.ndim))
         return bad <= tol * max(scale, 1e-300)
+
+    def _operand(self, other):
+        if isinstance(other, _GridSignal):
+            if type(other) is not type(self) or other.n_points != self.n_points:
+                raise ValueError("signals live on different grids")
+            return other.samples
+        return other
 
     # pointwise algebra
     def __add__(self, other):
-        return GridSignal1D(self.samples + _coerce1d(other, self.n_points))
+        return type(self)(self.samples + self._operand(other))
 
     def __sub__(self, other):
-        return GridSignal1D(self.samples - _coerce1d(other, self.n_points))
+        return type(self)(self.samples - self._operand(other))
 
     def __mul__(self, other):
-        return GridSignal1D(self.samples * _coerce1d(other, self.n_points))
+        return type(self)(self.samples * self._operand(other))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GridSignal1D(-self.samples)
+        return type(self)(-self.samples)
 
-    def conj(self) -> "GridSignal1D":
-        return GridSignal1D(np.conj(self.samples))
+    def conj(self):
+        return type(self)(np.conj(self.samples))
 
-    def inner(self, other: "GridSignal1D") -> complex:
-        """<f,g> = N^{-1} sum f conj(g); equals sum_k fhat conj(ghat)."""
-        return complex(np.vdot(other.samples, self.samples) / self.n_points)
+    def inner(self, other) -> complex:
+        """<f,g> = N^{-d} sum f conj(g); equals sum_k fhat conj(ghat)."""
+        return complex(np.vdot(self._operand(other), self.samples) / self.samples.size)
 
     def norm2(self) -> float:
         return float(np.sqrt(np.mean(np.abs(self.samples) ** 2)))
 
 
-def _coerce1d(other, n):
-    if isinstance(other, GridSignal1D):
-        if other.n_points != n:
-            raise ValueError("grid size mismatch")
-        return other.samples
-    return other
+class GridSignal1D(_GridSignal):
+    """Complex samples of a function on [0,1), taken at x_i = i/N."""
+
+    ndim = 1
 
 
-@dataclass(frozen=True)
-class GridSignal2D:
+class GridSignal2D(_GridSignal):
     """Complex samples on the N x N periodic grid, samples[i1, i2] = f(i1/N, i2/N)."""
 
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _freeze(np.asarray(self.samples)))
-        a = self.samples
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("GridSignal2D expects a square 2D sample array")
-        _check_power_of_two(a.shape[0])
-
-    @property
-    def n_points(self) -> int:
-        return self.samples.shape[0]
-
-    def spectrum(self) -> np.ndarray:
-        return np.fft.fft2(self.samples) / self.n_points**2
-
-    @classmethod
-    def from_spectrum(cls, fhat: np.ndarray) -> "GridSignal2D":
-        fhat = np.asarray(fhat, dtype=np.complex128)
-        return cls(np.fft.ifft2(fhat * fhat.shape[0] * fhat.shape[1]))
-
-    def is_admissible(self, tol: float = 1e-12) -> bool:
-        """True when the spectrum vanishes on the k1=0, k2=0 and Nyquist lines."""
-        fhat = self.spectrum()
-        n = self.n_points
-        scale = np.sqrt(np.sum(np.abs(fhat) ** 2))
-        lines = np.concatenate(
-            [
-                np.abs(fhat[0, :]),
-                np.abs(fhat[n // 2, :]),
-                np.abs(fhat[:, 0]),
-                np.abs(fhat[:, n // 2]),
-            ]
-        )
-        return float(lines.max()) <= tol * max(scale, 1e-300)
-
-    def __add__(self, other):
-        return GridSignal2D(self.samples + _coerce2d(other, self.n_points))
-
-    def __sub__(self, other):
-        return GridSignal2D(self.samples - _coerce2d(other, self.n_points))
-
-    def __mul__(self, other):
-        return GridSignal2D(self.samples * _coerce2d(other, self.n_points))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridSignal2D(-self.samples)
-
-    def conj(self) -> "GridSignal2D":
-        return GridSignal2D(np.conj(self.samples))
-
-    def inner(self, other: "GridSignal2D") -> complex:
-        return complex(np.vdot(other.samples, self.samples) / self.n_points**2)
-
-    def norm2(self) -> float:
-        return float(np.sqrt(np.mean(np.abs(self.samples) ** 2)))
-
-
-def _coerce2d(other, n):
-    if isinstance(other, GridSignal2D):
-        if other.n_points != n:
-            raise ValueError("grid size mismatch")
-        return other.samples
-    return other
+    ndim = 2
 
 
 @dataclass(frozen=True, order=True)
@@ -514,17 +462,26 @@ def _box_sum(ii: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
     return ii[r1, c1] - ii[r0, c1] - ii[r1, c0] + ii[r0, c0]
 
 
-def _interval_meta(max_scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scale and position arrays for interval indices 0..2^(J+1)-2.
+def interval_index(j, k):
+    """Heap index 2^j - 1 + k of the dyadic interval (j, k); ints or int arrays.
 
-    Index a = 2^j - 1 + k is heap order: the parent of a is (a - 1) // 2.
+    Heap order lists the intervals by scale, then position: the parent of
+    index a is (a - 1) // 2.
     """
-    js = []
-    ks = []
-    for j in range(max_scale + 1):
-        js.append(np.full(2**j, j, dtype=np.int64))
-        ks.append(np.arange(2**j, dtype=np.int64))
-    return np.concatenate(js), np.concatenate(ks)
+    return (1 << j) - 1 + k
+
+
+def index_interval(a) -> tuple[np.ndarray, np.ndarray]:
+    """The scales and positions (j, k) of heap indices a: the inverse of interval_index."""
+    a = np.asarray(a, dtype=np.int64)
+    # a + 1 = m 2^e with 1/2 <= m < 1, so j = e - 1 = floor(log2(a + 1))
+    j = np.frexp(a + 1)[1].astype(np.int64) - 1
+    return j, a - interval_index(j, 0)
+
+
+def _interval_meta(max_scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and position arrays for interval indices 0..2^(J+1)-2."""
+    return index_interval(np.arange(2 ** (max_scale + 1) - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -594,6 +551,4 @@ def load_signal(path):
     if not np.all(np.isfinite(raw)):
         raise ValueError("signal has non-finite samples")
     flat = raw[0::2] + 1j * raw[1::2]
-    if len(dims) == 1:
-        return GridSignal1D(flat)
-    return GridSignal2D(flat.reshape(dims))
+    return (GridSignal1D if len(dims) == 1 else GridSignal2D)(flat.reshape(dims))

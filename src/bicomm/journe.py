@@ -44,6 +44,7 @@ from .grid import (
     _integral_image,
     _interval_meta,
     _interval_spans,
+    interval_index,
     maximal_1d_level,
     rectangles_inside,
     strong_maximal_half_level,
@@ -79,8 +80,7 @@ class RectCollection:
     def spans(self) -> np.ndarray:
         """(R, 4) int64 array of the cell spans (a1, b1, a2, b2) at resolution n."""
         s0, s1 = _interval_spans(self.n, self.n)
-        # heap index 2^j - 1 + k of each side's interval
-        h = (1 << self.keys[:, 0::2]) - 1 + self.keys[:, 1::2]
+        h = interval_index(self.keys[:, 0::2], self.keys[:, 1::2])
         return np.stack([s0[h], s1[h]], axis=2).reshape(-1, 4)
 
     def __iter__(self):

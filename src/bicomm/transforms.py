@@ -15,6 +15,9 @@ from it by a factor of -i.
 Edge bins: sgn(0) = 0 and the Nyquist multiplier is 0, and the
 half-line/quadrant projections exclude both bins, so P+ + P- is the
 projection onto the admissible subspace rather than the identity.
+
+Every operator here is one Fourier multiplier read off the cached sign
+table _sign(N) and applied by _multiply, in one or two dimensions alike.
 """
 
 from __future__ import annotations
@@ -44,28 +47,21 @@ def frequencies(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _sign_mult(N: int) -> np.ndarray:
-    k = frequencies(N)
-    s = np.sign(k).astype(np.float64)
+def _sign(N: int) -> np.ndarray:
+    """sgn(k) in FFT storage order, with the Nyquist bin set to 0.
+
+    The half-lines are the bins == +1 and == -1, and the admissible bins
+    are those != 0.
+    """
+    s = np.sign(frequencies(N)).astype(np.float64)
     s[N // 2] = 0.0
     s.flags.writeable = False
     return s
 
 
-@lru_cache(maxsize=32)
-def _halfline_mask(N: int, sign: int) -> np.ndarray:
-    k = frequencies(N)
-    m = (np.sign(k) == sign) & (np.abs(k) != N // 2)
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=32)
-def _admissible_mask_1d(N: int) -> np.ndarray:
-    k = frequencies(N)
-    m = (k != 0) & (np.abs(k) != N // 2)
-    m.flags.writeable = False
-    return m
+def _multiply(f, m: np.ndarray):
+    """The Fourier multiplier m applied to f; m broadcasts against the spectrum."""
+    return type(f)(np.fft.ifftn(np.fft.fftn(f.samples) * m))
 
 
 # ---------------------------------------------------------------------------
@@ -81,23 +77,17 @@ def project_halfline(f: GridSignal1D, sign: int) -> GridSignal1D:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    fhat = np.fft.fft(f.samples)
-    return GridSignal1D(np.fft.ifft(fhat * _halfline_mask(f.n_points, sign)))
+    return _multiply(f, _sign(f.n_points) == sign)
 
 
 def project_admissible_1d(f: GridSignal1D) -> GridSignal1D:
     """Zero the DC and Nyquist coefficients."""
-    fhat = np.fft.fft(f.samples)
-    return GridSignal1D(np.fft.ifft(fhat * _admissible_mask_1d(f.n_points)))
+    return _multiply(f, _sign(f.n_points) != 0)
 
 
 # ---------------------------------------------------------------------------
 # 2D operators (signature convention along each axis)
 # ---------------------------------------------------------------------------
-
-
-def _axis_array(values: np.ndarray, axis: int) -> np.ndarray:
-    return values[:, None] if axis == 1 else values[None, :]
 
 
 def hilbert_2d_axis(f: GridSignal2D, axis: int) -> GridSignal2D:
@@ -109,25 +99,19 @@ def hilbert_2d_axis(f: GridSignal2D, axis: int) -> GridSignal2D:
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    N = f.n_points
-    fhat = np.fft.fft2(f.samples)
-    out = fhat * _axis_array(_sign_mult(N), axis)
-    return GridSignal2D(np.fft.ifft2(out))
+    s = _sign(f.n_points)
+    return _multiply(f, s[:, None] if axis == 1 else s[None, :])
 
 
 def project_quadrant(f: GridSignal2D, s1: int, s2: int) -> GridSignal2D:
     """Projection onto the open frequency quadrant sign(k1)=s1, sign(k2)=s2."""
     if s1 not in (1, -1) or s2 not in (1, -1):
         raise ValueError("quadrant signs must be +1 or -1")
-    N = f.n_points
-    fhat = np.fft.fft2(f.samples)
-    m = _halfline_mask(N, s1)[:, None] & _halfline_mask(N, s2)[None, :]
-    return GridSignal2D(np.fft.ifft2(fhat * m))
+    s = _sign(f.n_points)
+    return _multiply(f, (s == s1)[:, None] & (s == s2)[None, :])
 
 
 def project_admissible_2d(f: GridSignal2D) -> GridSignal2D:
     """Zero the k1=0, k2=0 and both Nyquist frequency lines."""
-    N = f.n_points
-    fhat = np.fft.fft2(f.samples)
-    m = _admissible_mask_1d(N)
-    return GridSignal2D(np.fft.ifft2(fhat * (m[:, None] & m[None, :])))
+    m = _sign(f.n_points) != 0
+    return _multiply(f, m[:, None] & m[None, :])

@@ -37,7 +37,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DyadicInterval, DyadicRectangle, GridSignal1D, GridSignal2D
+from .grid import (
+    DyadicInterval,
+    DyadicRectangle,
+    GridSignal1D,
+    GridSignal2D,
+    index_interval,
+    interval_index,
+)
 from .transforms import frequencies
 
 __all__ = [
@@ -99,7 +106,7 @@ def j_max(N: int) -> int:
 
 @lru_cache(maxsize=64)
 def _wavelet_spectra(N: int, J: int) -> np.ndarray:
-    """Spectra of all wavelets with scales 0..J, rows ordered by 2^j-1+k."""
+    """Spectra of all wavelets with scales 0..J, rows in interval_index order."""
     k = frequencies(N).astype(np.float64)
     K = 2 ** (J + 1) - 1
     out = np.zeros((K, N), dtype=np.complex128)
@@ -108,7 +115,7 @@ def _wavelet_spectra(N: int, J: int) -> np.ndarray:
         prof = meyer_profile(2.0 * m * k)
         for pos in range(2**j):
             c = (pos + 0.5) * m
-            out[2**j - 1 + pos] = math.sqrt(m) * np.exp(-2j * np.pi * k * c) * prof
+            out[interval_index(j, pos)] = math.sqrt(m) * np.exp(-2j * np.pi * k * c) * prof
     out.flags.writeable = False
     return out
 
@@ -146,10 +153,8 @@ def wavelet_sample(I: DyadicInterval, N: int) -> SampledWavelet:
     k = frequencies(N).astype(np.float64)
     m = I.length
     what = math.sqrt(m) * np.exp(-2j * np.pi * k * I.center) * meyer_profile(2.0 * m * k)
-    full = np.fft.ifft(what * N)
-    plus = np.fft.ifft(np.where(k > 0, what, 0) * N)
-    minus = np.fft.ifft(np.where(k < 0, what, 0) * N)
-    return SampledWavelet(GridSignal1D(full), GridSignal1D(plus), GridSignal1D(minus))
+    parts = (what, np.where(k > 0, what, 0), np.where(k < 0, what, 0))
+    return SampledWavelet(*(GridSignal1D.from_spectrum(p) for p in parts))
 
 
 def product_wavelet(R: DyadicRectangle, N: int) -> GridSignal2D:
@@ -158,8 +163,8 @@ def product_wavelet(R: DyadicRectangle, N: int) -> GridSignal2D:
     _check_scale(R.interval2.j, N)
     J = max(R.interval1.j, R.interval2.j)
     W = _wavelet_samples(N, J)
-    row1 = W[2**R.interval1.j - 1 + R.interval1.k]
-    row2 = W[2**R.interval2.j - 1 + R.interval2.k]
+    row1 = W[interval_index(R.interval1.j, R.interval1.k)]
+    row2 = W[interval_index(R.interval2.j, R.interval2.k)]
     return GridSignal2D(np.outer(row1, row2))
 
 
@@ -168,8 +173,9 @@ class WaveletCoefficients:
     """Coefficients c_R = <f, v_R> over rectangles with both scales <= max_scale.
 
     Stored densely as a (K, K) complex matrix with K = 2^{max_scale+1} - 1;
-    interval (j, k) maps to row/column 2^j - 1 + k.  The mapping view
-    (:meth:`items`, :meth:`get`) exposes only nonzero entries.
+    interval (j, k) maps to row/column interval_index(j, k) = 2^j - 1 + k.
+    The mapping view (:meth:`items`, :meth:`get`) exposes only nonzero
+    entries.
     """
 
     max_scale: int
@@ -183,15 +189,6 @@ class WaveletCoefficients:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @staticmethod
-    def interval_index(j: int, k: int) -> int:
-        return 2**j - 1 + k
-
-    @staticmethod
-    def index_interval(idx: int) -> DyadicInterval:
-        j = idx.bit_length() if idx == 0 else (idx + 1).bit_length() - 1
-        return DyadicInterval(j, idx - (2**j - 1))
-
     @classmethod
     def zeros(cls, max_scale: int) -> "WaveletCoefficients":
         K = 2 ** (max_scale + 1) - 1
@@ -202,53 +199,27 @@ class WaveletCoefficients:
         K = 2 ** (max_scale + 1) - 1
         m = np.zeros((K, K), dtype=np.complex128)
         for R, v in values.items():
-            a = cls.interval_index(R.interval1.j, R.interval1.k)
-            b = cls.interval_index(R.interval2.j, R.interval2.k)
+            a = interval_index(R.interval1.j, R.interval1.k)
+            b = interval_index(R.interval2.j, R.interval2.k)
             m[a, b] = v
         return cls(max_scale, m)
 
     def get(self, R: DyadicRectangle) -> complex:
-        a = self.interval_index(R.interval1.j, R.interval1.k)
-        b = self.interval_index(R.interval2.j, R.interval2.k)
+        a = interval_index(R.interval1.j, R.interval1.k)
+        b = interval_index(R.interval2.j, R.interval2.k)
         return complex(self.matrix[a, b])
 
     def items(self):
-        for a, b in zip(*np.nonzero(self.matrix)):
-            yield (
-                DyadicRectangle(self.index_interval(int(a)), self.index_interval(int(b))),
-                complex(self.matrix[a, b]),
-            )
+        a, b = np.nonzero(self.matrix)
+        keys = np.stack([*index_interval(a), *index_interval(b)], axis=1)
+        for key, v in zip(keys.tolist(), self.matrix[a, b].tolist()):
+            yield DyadicRectangle.from_indices(*key), v
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
     def scaled(self, t: complex) -> "WaveletCoefficients":
         return WaveletCoefficients(self.max_scale, self.matrix * t)
-
-    def to_json(self) -> list:
-        records = []
-        for R, v in self.items():
-            records.append(
-                {
-                    "j1": R.interval1.j,
-                    "k1": R.interval1.k,
-                    "j2": R.interval2.j,
-                    "k2": R.interval2.k,
-                    "re": v.real,
-                    "im": v.imag,
-                }
-            )
-        return records
-
-    @classmethod
-    def from_json(cls, records: list, max_scale: int | None = None) -> "WaveletCoefficients":
-        if max_scale is None:
-            max_scale = max((max(r["j1"], r["j2"]) for r in records), default=0)
-        out = {}
-        for r in records:
-            R = DyadicRectangle.from_indices(r["j1"], r["k1"], r["j2"], r["k2"])
-            out[R] = r["re"] + 1j * r["im"]
-        return cls.from_dict(max_scale, out)
 
 
 def analyze(f: GridSignal2D, n: int) -> WaveletCoefficients:

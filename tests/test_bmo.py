@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bicomm.bmo import (
-    BmoEstimate,
     _square_spans,
     coefficient_energy,
     product_bmo_lower,
@@ -14,7 +13,7 @@ from bicomm.bmo import (
     rectangles_inside,
 )
 from bicomm.cli import ExperimentConfig, run
-from bicomm.grid import CellSet, DyadicRectangle, enumerate_dyadic_rectangles
+from bicomm.grid import CellSet, DyadicRectangle, enumerate_dyadic_rectangles, interval_index
 from bicomm.wavelets import WaveletCoefficients
 
 
@@ -38,8 +37,8 @@ def test_rectangles_inside_matches_bruteforce():
         U = CellSet(n, rng.random((2**n, 2**n)) < 0.5)
         inside = rectangles_inside(U, n)
         for R in enumerate_dyadic_rectangles(n):
-            i = WaveletCoefficients.interval_index(R.interval1.j, R.interval1.k)
-            j = WaveletCoefficients.interval_index(R.interval2.j, R.interval2.k)
+            i = interval_index(R.interval1.j, R.interval1.k)
+            j = interval_index(R.interval2.j, R.interval2.k)
             assert inside[i, j] == rect_inside_cellset(R, U)
 
 
@@ -97,17 +96,6 @@ def test_square_spans_are_the_dyadic_squares():
         squares = sorted(R for R in rects if R.interval1.j == R.interval2.j)
         want = [R.interval1.cell_span(n) + R.interval2.cell_span(n) for R in squares]
         assert _square_spans(n) == want
-
-
-def test_bmo_estimate_json_roundtrip():
-    rng = np.random.default_rng(33)
-    c = rand_coeffs(rng, 2)
-    est = product_bmo_lower(c)
-    back = BmoEstimate.from_json(est.to_json())
-    assert back.value == est.value
-    assert back.exact == est.exact
-    assert back.witness == est.witness
-    assert back.recheck(c)
 
 
 def brute_product_bmo(c):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import bicomm
-from bicomm.cli import ExperimentConfig, _run_instances, main, run
+from bicomm.bmo import product_bmo_lower
+from bicomm.cli import ExperimentConfig, _family_coefficients, _run_instances, main, run
 from bicomm.grid import GridSignal2D, save_signal
 
 
@@ -199,6 +200,20 @@ def test_bmo_scan_exact_at_small_scale(tmp_path):
         assert row["product_exact"] == "1"
         assert float(row["greedy_over_product"]) <= 1.0 + 1e-9
         assert float(row["product_value"]) >= float(row["rect_value"]) - 1e-9
+
+
+def test_bmo_scan_columns_are_the_two_searches(tmp_path):
+    """greedy_value is product_bmo_lower(c, 'greedy') and product_value is
+    product_bmo_lower(c), bit for bit.  At n = 3 'auto' is the greedy search,
+    which runs once; at n = 2 it is the exhaustive scan, and the greedy value
+    of instance 5 differs from it in the last bit."""
+    for n, N in ((2, 64), (3, 128)):
+        cfg = ExperimentConfig("bmo-scan", N=N, n=n, instances=6, out=str(tmp_path / str(n)))
+        _, rows = read_csv(run(cfg)[0])
+        for i, row in enumerate(rows):
+            c = _family_coefficients(cfg, np.random.default_rng([cfg.seed, i]))
+            assert float(row["greedy_value"]) == product_bmo_lower(c, method="greedy").value
+            assert float(row["product_value"]) == product_bmo_lower(c).value
 
 
 def test_norm_compare_and_plot_data(tmp_path):

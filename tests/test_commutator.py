@@ -62,17 +62,45 @@ def admissible_modes(N):
 
 
 def column_operator_matrix(b):
-    """The commutator over the admissible Fourier modes, one commutator_apply
-    column per input mode; rows are output modes, both in admissible_modes
-    order.  The oracle of the quadrant-Hankel block form."""
+    """The commutator over the admissible Fourier modes: column c is
+    commutator_apply(b, mode) for the c-th input mode, and rows are output
+    modes, both in admissible_modes order.  All columns go through
+    commutator_apply's operations at once, on a (M, N, N) stack of the unit
+    modes, with sign multipliers of their own.  The oracle of the
+    quadrant-Hankel block form."""
     N = b.n_points
-    modes = admissible_modes(N)
-    rows = np.array([[k1 % N, k2 % N] for k1, k2 in modes])
-    M = np.zeros((len(modes), len(modes)), dtype=complex)
-    for col, (k1, k2) in enumerate(modes):
-        out = commutator_apply(b, mode(N, k1, k2))
-        M[:, col] = out.spectrum()[rows[:, 0], rows[:, 1]]
-    return M
+    at = np.array(admissible_modes(N)) % N
+    units = np.zeros((len(at), N, N), dtype=complex)
+    units[np.arange(len(at)), at[:, 0], at[:, 1]] = N * N
+    f = np.fft.ifft2(units)
+    k = np.fft.fftfreq(N, 1.0 / N)
+    s = np.where(np.abs(k) == N // 2, 0.0, np.sign(k))
+    H1, H2 = s[:, None], s[None, :]
+
+    def mult(g, m):
+        return np.fft.ifft2(np.fft.fft2(g, axes=(-2, -1)) * m, axes=(-2, -1))
+
+    bs = b.samples
+    h1, h2 = mult(f, H1), mult(f, H2)
+    out = bs * mult(h2, H1) - mult(bs * h2, H1) - mult(bs * h1, H2) + mult(mult(bs * f, H2), H1)
+    out = mult(out, (H1 != 0) & (H2 != 0))
+    spec = np.fft.fft2(out, axes=(-2, -1)) / N**2
+    return spec[:, at[:, 0], at[:, 1]].T
+
+
+def test_column_oracle_is_commutator_apply():
+    """Columns of the batched oracle equal commutator_apply on the same unit
+    modes bit for bit: same operations in the same order."""
+    rng = np.random.default_rng(49)
+    symbols = [rand_signal(rng, 16), box_symbol(32, 16, 16, 54), band_limited(rng, 32)]
+    for b in symbols:
+        N = b.n_points
+        modes = admissible_modes(N)
+        at = np.array(modes) % N
+        M = column_operator_matrix(b)
+        for col in rng.choice(len(modes), size=5, replace=False):
+            out = commutator_apply(b, mode(N, *modes[col])).spectrum()
+            np.testing.assert_array_equal(M[:, col], out[at[:, 0], at[:, 1]])
 
 
 def dense_top(b):

@@ -18,6 +18,8 @@ from bicomm.grid import (
     GridSignal2D,
     _interval_spans,
     enumerate_dyadic_rectangles,
+    index_interval,
+    interval_index,
     load_signal,
     maximal_1d_level,
     save_signal,
@@ -72,6 +74,24 @@ def test_signal_algebra_matches_numpy():
     np.testing.assert_array_equal((-f).samples, -f.samples)
     np.testing.assert_array_equal(f.conj().samples, np.conj(f.samples))
     assert abs(f.norm2() - np.sqrt(np.mean(np.abs(f.samples) ** 2))) < 1e-15
+    assert type(f + g) is GridSignal1D and type(2.0 * rand_signal_2d(rng, 8)) is GridSignal2D
+
+
+def test_mixed_grid_arithmetic_rejected():
+    """A signal operand must live on the same grid: same dimension and size."""
+    one, two = GridSignal1D(np.ones(16)), GridSignal2D(np.ones((16, 16)))
+    pairs = [(one, two), (two, one)]
+    pairs += [(one, GridSignal1D(np.ones(32))), (two, GridSignal2D(np.ones((8, 8))))]
+    ops = [
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x * y,
+        lambda x, y: x.inner(y),
+    ]
+    for a, b in pairs:
+        for op in ops:
+            with pytest.raises(ValueError):
+                op(a, b)
 
 
 def test_power_of_two_enforced():
@@ -91,6 +111,14 @@ def test_admissibility_flag():
     spec[0] = 0.0
     spec[N // 2] = 1.0  # Nyquist
     assert not GridSignal1D.from_spectrum(spec).is_admissible()
+    # in 2D every zero and Nyquist line of either axis counts
+    spec2 = np.zeros((N, N), dtype=complex)
+    spec2[3, 5] = 1.0
+    assert GridSignal2D.from_spectrum(spec2).is_admissible()
+    for line in ((0, 5), (N // 2, 5), (3, 0), (3, N // 2)):
+        bad = spec2.copy()
+        bad[line] = 1e-6
+        assert not GridSignal2D.from_spectrum(bad).is_admissible()
 
 
 def test_dyadic_interval_geometry():
@@ -114,6 +142,17 @@ def test_dyadic_interval_containment_exhaustive():
         for b in ivals:
             real = a.left <= b.left and b.left + b.length <= a.left + a.length
             assert a.contains(b) == real
+
+
+def test_interval_index_is_heap_order():
+    """interval_index lists intervals by scale, then position; index_interval inverts it."""
+    ivals = [DyadicInterval(j, k) for j in range(8) for k in range(2**j)]
+    assert [interval_index(I.j, I.k) for I in ivals] == list(range(len(ivals)))
+    j, k = index_interval(np.arange(len(ivals)))
+    assert list(zip(j.tolist(), k.tolist())) == [(I.j, I.k) for I in ivals]
+    np.testing.assert_array_equal(interval_index(j, k), np.arange(len(ivals)))
+    for a, I in enumerate(ivals[1:], start=1):
+        assert ivals[(a - 1) // 2] == I.parent()
 
 
 def test_cell_span():
