@@ -69,6 +69,9 @@ _FAMILIES = (
     "multiscale-square",
     "file",
 )
+# multiscale-square: the scale-j square's coefficient has modulus _MULTISCALE_DECAY**j
+_MULTISCALE_DECAY = 0.5
+_HISTOGRAM_BINS = 20
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,15 +86,11 @@ class ExperimentConfig:
     delta: float = 0.5
     epsilon: float = 0.5
     tol: float = 1e-8
-    max_iter: int = 10000
     K: int = 4
-    density: float = 0.6
-    decay: float = 0.5
     file: str | None = None
     source: str | None = None
     kind: str | None = None
     metrics: tuple[str, ...] = ()
-    bins: int = 20
     out: str = "reports"
 
     def __post_init__(self):
@@ -107,8 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if not 0.0 < self.delta < 1.0 or not 0.0 < self.epsilon < 1.0:
             raise ValueError("delta and epsilon must lie in (0,1)")
-        if self.instances < 1 or self.bins < 1:
-            raise ValueError("instances and bins must be positive")
+        if self.instances < 1:
+            raise ValueError("instances must be positive")
 
     @classmethod
     def from_dict(cls, obj: dict, command: str | None = None) -> "ExperimentConfig":
@@ -221,24 +220,19 @@ def _run_instances(cfg: ExperimentConfig, jobs: int, worker) -> list[list]:
 # symbol families
 
 
-def _band_limited(cls, rng: np.random.Generator, N: int):
-    """Unit-norm signal of class cls with Gaussian coefficients on 0 < |k_i| <= N/4."""
+def _band_limited(cls, rng: np.random.Generator, N: int, holomorphic: bool = False):
+    """Unit-norm signal of class cls with Gaussian coefficients on 0 < |k_i| <= N/4.
+
+    With holomorphic=True the coefficients sit on 0 <= k_i <= N/4 instead.
+    """
     lim = N // 4
-    ks = np.array([k for k in range(-lim, lim + 1) if k != 0]) % N
+    band = range(lim + 1) if holomorphic else [k for k in range(-lim, lim + 1) if k != 0]
+    ks = np.array(band) % N
     shape = (ks.size,) * cls.ndim
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     spec = np.zeros((N,) * cls.ndim, dtype=complex)
     spec[np.ix_(*(ks,) * cls.ndim)] = block
     sig = cls.from_spectrum(spec)
-    return sig * (1.0 / sig.norm2())
-
-
-def _holomorphic_2d(rng: np.random.Generator, N: int) -> GridSignal2D:
-    lim = N // 4
-    spec = np.zeros((N, N), dtype=complex)
-    block = rng.standard_normal((lim + 1, lim + 1)) + 1j * rng.standard_normal((lim + 1, lim + 1))
-    spec[: lim + 1, : lim + 1] = block
-    sig = GridSignal2D.from_spectrum(spec)
     return sig * (1.0 / sig.norm2())
 
 
@@ -286,14 +280,14 @@ def _family_coefficients(cfg: ExperimentConfig, rng: np.random.Generator) -> Wav
         vals = {}
         for j in range(1, n + 1):
             phase = float(rng.uniform(0.0, 2.0 * math.pi))
-            vals[DyadicRectangle.from_indices(j, 0, j, 0)] = cfg.decay**j * complex(
+            vals[DyadicRectangle.from_indices(j, 0, j, 0)] = _MULTISCALE_DECAY**j * complex(
                 math.cos(phase), math.sin(phase)
             )
         return WaveletCoefficients.from_dict(n, vals)
     if cfg.family == "row-of-squares-dual":
-        if row_layout(cfg.K, cfg.density)[2] > int(math.log2(cfg.N)) - 4:
+        if row_layout(cfg.K)[2] > int(math.log2(cfg.N)) - 4:
             raise ValueError("row-of-squares layout too fine for this N")
-        return _carleson_coefficients(rng, row_of_squares(cfg.K, cfg.density).cells)
+        return _carleson_coefficients(rng, row_of_squares(cfg.K).cells)
     raise ValueError(f"family {cfg.family!r} does not generate coefficients")
 
 
@@ -317,14 +311,17 @@ def _axis_sign_transform(s: GridSignal1D) -> GridSignal1D:
     return project_halfline(s, 1) - project_halfline(s, -1)
 
 
+def _halfline_energy_difference(minus: GridSignal1D, plus: GridSignal1D) -> GridSignal1D:
+    """P-(|b-|^2) - P+(|b+|^2) for the half-line parts b- = P- b and b+ = P+ b."""
+    return project_halfline(GridSignal1D(np.abs(minus.samples) ** 2), -1) - project_halfline(
+        GridSignal1D(np.abs(plus.samples) ** 2), 1
+    )
+
+
 def _basic_identity_residual(b: GridSignal1D) -> float:
     lhs = (b * _axis_sign_transform(b.conj()) - _axis_sign_transform(b * b.conj())) * 0.5
     lhs = project_admissible_1d(lhs)
-    minus = project_halfline(b, -1)
-    plus = project_halfline(b, 1)
-    rhs = project_halfline(GridSignal1D(np.abs(minus.samples) ** 2), -1) - project_halfline(
-        GridSignal1D(np.abs(plus.samples) ** 2), 1
-    )
+    rhs = _halfline_energy_difference(project_halfline(b, -1), project_halfline(b, 1))
     return (lhs - rhs).norm2()
 
 
@@ -368,6 +365,9 @@ def _run_identity_check(cfg: ExperimentConfig, jobs: int):
 
 def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
     N = cfg.N
+    if N < 32:
+        # the zero and coarse items draw two scales at least 2 apart
+        raise ValueError(f"wavelet-audit needs N >= 32 (j_max >= 2), got N={N}")
     J = j_max(N)
     rows: list[list] = []
 
@@ -396,9 +396,7 @@ def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
         I = DyadicInterval(j, int(rng.integers(0, 2**j)))
         sw = wavelet_sample(I, N)
         kern = project_admissible_1d(commutator_kernel(I, I, N).signal)
-        rhs = project_halfline(GridSignal1D(np.abs(sw.minus.samples) ** 2), -1) - project_halfline(
-            GridSignal1D(np.abs(sw.plus.samples) ** 2), 1
-        )
+        rhs = _halfline_energy_difference(sw.minus, sw.plus)
         add(f"wij_diagonal_{idx}", (kern - rhs).norm2())
     rng = np.random.default_rng([cfg.seed, 3])
     for idx in range(cfg.instances):
@@ -445,6 +443,11 @@ def _run_bmo_scan(cfg: ExperimentConfig, jobs: int):
     return cols, _run_instances(cfg, jobs, worker)
 
 
+def _ratio(a: float, b: float) -> float:
+    """a / b of norms, x / 0 = inf and 0 / 0 = nan (|k_i| <= 1 on one axis gives norm 0)."""
+    return a / b if b else (math.inf if a else math.nan)
+
+
 def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
     # a file symbol is the same for every instance: load and check it once
     loaded = _family_symbol(cfg, None) if cfg.family == "file" else None
@@ -452,10 +455,10 @@ def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
         b, c = loaded or _family_symbol(cfg, rng)
-        norm = operator_norm(b, tol=cfg.tol, max_iter=cfg.max_iter, seed=[cfg.seed, i, 1]).value
+        norm = operator_norm(b, tol=cfg.tol, seed=[cfg.seed, i, 1]).value
         rect = rect_bmo(c).value
         prod = product_bmo_lower(c).value
-        return [i, norm, rect, prod, norm / prod, prod / norm]
+        return [i, norm, rect, prod, _ratio(norm, prod), _ratio(prod, norm)]
 
     cols = [
         "instance",
@@ -471,12 +474,12 @@ def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
 def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
     if cfg.family == "row-of-squares-dual":
         # instance i lays out K * 2^i squares; the last one is the finest
-        if row_layout(cfg.K * 2 ** (cfg.instances - 1), cfg.density)[2] > int(math.log2(cfg.N)):
+        if row_layout(cfg.K * 2 ** (cfg.instances - 1))[2] > int(math.log2(cfg.N)):
             raise ValueError("row-of-squares layout too fine for this N")
 
         def worker(i: int) -> list:
             K = cfg.K * 2**i
-            row = row_of_squares(K, cfg.density)
+            row = row_of_squares(K)
             V = enlargement(row.cells, cfg.delta)
             rep = embeddedness(row.middle, V, U=row.cells)
             return [i, K, rep.mu, rep.nu, rep.nu / rep.mu]
@@ -524,7 +527,7 @@ def _run_decomposition(cfg: ExperimentConfig, jobs: int):
         bU = synthesize(WaveletCoefficients(cfg.n, np.where(in_u, mat, 0.0)), cfg.N)
         bV = synthesize(WaveletCoefficients(cfg.n, np.where(in_v, mat, 0.0)), cfg.N)
         bW = synthesize(WaveletCoefficients(cfg.n, np.where(in_w, mat, 0.0)), cfg.N)
-        norm = operator_norm(b, tol=cfg.tol, max_iter=cfg.max_iter, seed=[cfg.seed, i, 1]).value
+        norm = operator_norm(b, tol=cfg.tol, seed=[cfg.seed, i, 1]).value
         return [
             i,
             U.measure(),
@@ -564,7 +567,7 @@ def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
         # power iteration) against the quadrant-Hankel blocks
         svd = operator_norm(b).value
         power = power_iteration_norm(b, tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 1]).value
-        h = _holomorphic_2d(rng, cfg.N)
+        h = _band_limited(GridSignal2D, rng, cfg.N, holomorphic=True)
         hankel = float(np.linalg.svd(dense_hankel_matrix(h), compute_uv=False)[0])
         comm = power_iteration_norm(
             h.conj(), tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 2]
@@ -616,10 +619,10 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
             vals = data[name]
             if vals:
                 lo, hi = min(vals), max(vals)
-                width = (hi - lo) / cfg.bins or 1.0
-                counts = [0] * cfg.bins
+                width = (hi - lo) / _HISTOGRAM_BINS or 1.0
+                counts = [0] * _HISTOGRAM_BINS
                 for v in vals:
-                    idx = min(int((v - lo) / width), cfg.bins - 1)
+                    idx = min(int((v - lo) / width), _HISTOGRAM_BINS - 1)
                     counts[idx] += 1
                 for idx, count in enumerate(counts):
                     center = lo + (idx + 0.5) * width

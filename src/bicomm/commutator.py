@@ -110,7 +110,7 @@ def quadrant_hankel(spec: np.ndarray, q: tuple[int, int], L1: int, L2: int) -> n
 
 
 def operator_norm(
-    b: GridSignal2D, tol: float = 1e-10, max_iter: int = 2000, seed: int = 0
+    b: GridSignal2D, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0
 ) -> NormResult:
     """Largest singular value of the commutator with symbol b.
 

@@ -173,11 +173,6 @@ class DyadicInterval:
     def center(self) -> float:
         return (self.k + 0.5) * 2.0**-self.j
 
-    def parent(self) -> "DyadicInterval":
-        if self.j == 0:
-            raise ValueError("the unit interval has no parent")
-        return DyadicInterval(self.j - 1, self.k // 2)
-
     def contains(self, other: "DyadicInterval") -> bool:
         if other.j < self.j:
             return False
@@ -201,10 +196,6 @@ class DyadicRectangle:
     @property
     def area(self) -> float:
         return 2.0 ** -(self.interval1.j + self.interval2.j)
-
-    @property
-    def scales(self) -> tuple[int, int]:
-        return self.interval1.j, self.interval2.j
 
     def contains(self, other: "DyadicRectangle") -> bool:
         return self.interval1.contains(other.interval1) and self.interval2.contains(
@@ -253,26 +244,15 @@ class CellRect:
         h = Fraction(1, 1 << self.n)
         return Fraction(self.a1 + self.b1, 2) * h, Fraction(self.a2 + self.b2, 2) * h
 
-    @property
-    def area(self) -> float:
-        w1, w2 = self.widths
-        return float(w1 * w2)
-
-    def to_mask(self) -> np.ndarray:
-        m = 1 << self.n
-        out = np.zeros((m, m), dtype=bool)
-        out[self.a1 : self.b1, self.a2 : self.b2] = True
-        return out
-
 
 @dataclass(frozen=True)
 class CellSet:
     """A union of cells of the uniform 2^n x 2^n partition of [0,1)^2.
 
     The mask is boolean with mask[i1, i2] covering
-    [i1 h, (i1+1) h) x [i2 h, (i2+1) h), h = 2^{-n}.  Set algebra is exact;
-    measure is the dyadic rational (set bits) * 4^{-n}, which float64
-    represents exactly for every n used here.
+    [i1 h, (i1+1) h) x [i2 h, (i2+1) h), h = 2^{-n}.  Union and containment
+    are exact; measure is the dyadic rational (set bits) * 4^{-n}, which
+    float64 represents exactly for every n used here.
     """
 
     n: int
@@ -285,14 +265,6 @@ class CellSet:
             raise ValueError(f"mask shape {mask.shape} does not match n={self.n}")
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def empty(cls, n: int) -> "CellSet":
-        return cls(n, np.zeros((1 << n, 1 << n), dtype=bool))
-
-    @classmethod
-    def full(cls, n: int) -> "CellSet":
-        return cls(n, np.ones((1 << n, 1 << n), dtype=bool))
 
     @classmethod
     def from_cells(cls, n: int, cells) -> "CellSet":
@@ -311,17 +283,6 @@ class CellSet:
     def __or__(self, other: "CellSet") -> "CellSet":
         self._check(other)
         return CellSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "CellSet") -> "CellSet":
-        self._check(other)
-        return CellSet(self.n, self.mask & other.mask)
-
-    def __invert__(self) -> "CellSet":
-        return CellSet(self.n, ~self.mask)
-
-    def __sub__(self, other: "CellSet") -> "CellSet":
-        self._check(other)
-        return CellSet(self.n, self.mask & ~other.mask)
 
     def __eq__(self, other) -> bool:
         return (

@@ -89,9 +89,6 @@ class RectCollection:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, R: DyadicRectangle) -> bool:
-        return R in self.rectangles
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RectCollection):
             return NotImplemented
@@ -185,22 +182,20 @@ def _dilation_limits(
     return out
 
 
-def embeddedness(R, V: CellSet, U: CellSet | None = None) -> EmbeddednessReport:
+def embeddedness(R: CellRect, V: CellSet, U: CellSet | None = None) -> EmbeddednessReport:
     """mu and nu of a rectangle: how far it dilates inside the enlargement.
 
     mu is the largest lambda with the centered dilate lambda*R (both axes
     scaled) rasterized inside V.  nu scales the first axis only and asks
     for containment in {M_S 1_U > 1/2}, taken exactly from
-    strong_maximal_half_level; it is NaN when U is not given.  R may be a
-    DyadicRectangle or a CellRect on V's grid, and U lives on that grid
-    too.  This is the batched kernel of journe_sum and stratify run on one
-    rectangle.
+    strong_maximal_half_level; it is NaN when U is not given.  R is a
+    CellRect on V's grid (a dyadic rectangle passes R.to_cellrect(V.n)),
+    and U lives on that grid too.  This is the batched kernel of
+    journe_sum and stratify run on one rectangle.
     """
-    n = V.n
-    cr = R.to_cellrect(n) if isinstance(R, DyadicRectangle) else R
-    if cr.n != n or (U is not None and U.n != n):
+    if R.n != V.n or (U is not None and U.n != V.n):
         raise ValueError("R, V and U must lie on one cell grid")
-    spans = np.array([[cr.a1, cr.b1, cr.a2, cr.b2]], dtype=np.int64)
+    spans = np.array([[R.a1, R.b1, R.a2, R.b2]], dtype=np.int64)
     mu = float(_dilation_limits(_integral_image(V.mask), spans)[0])
     nu = float("nan")
     if U is not None:

@@ -150,9 +150,8 @@ def wavelet_sample(I: DyadicInterval, N: int) -> SampledWavelet:
     half-line parts are the positive/negative frequency restrictions.
     """
     _check_scale(I.j, N)
-    k = frequencies(N).astype(np.float64)
-    m = I.length
-    what = math.sqrt(m) * np.exp(-2j * np.pi * k * I.center) * meyer_profile(2.0 * m * k)
+    k = frequencies(N)
+    what = _wavelet_spectra(N, I.j)[interval_index(I.j, I.k)]
     parts = (what, np.where(k > 0, what, 0), np.where(k < 0, what, 0))
     return SampledWavelet(*(GridSignal1D.from_spectrum(p) for p in parts))
 
@@ -190,11 +189,6 @@ class WaveletCoefficients:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def zeros(cls, max_scale: int) -> "WaveletCoefficients":
-        K = 2 ** (max_scale + 1) - 1
-        return cls(max_scale, np.zeros((K, K), dtype=np.complex128))
-
-    @classmethod
     def from_dict(cls, max_scale: int, values: dict) -> "WaveletCoefficients":
         K = 2 ** (max_scale + 1) - 1
         m = np.zeros((K, K), dtype=np.complex128)
@@ -214,12 +208,6 @@ class WaveletCoefficients:
         keys = np.stack([*index_interval(a), *index_interval(b)], axis=1)
         for key, v in zip(keys.tolist(), self.matrix[a, b].tolist()):
             yield DyadicRectangle.from_indices(*key), v
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
-    def scaled(self, t: complex) -> "WaveletCoefficients":
-        return WaveletCoefficients(self.max_scale, self.matrix * t)
 
 
 def analyze(f: GridSignal2D, n: int) -> WaveletCoefficients:
@@ -288,13 +276,9 @@ def decay_envelope_constant(I: DyadicInterval, N: int) -> float:
     C across scales measures the actual spatial decay of the profile.
     """
     w = wavelet_sample(I, N).signal
-    x = np.arange(N) / N
-    lo, hi = I.left, I.left + I.length
-    # torus distance to the interval: direct gap or wrap-around gap
-    gap_direct = np.where((x >= lo) & (x < hi), 0.0, np.minimum(np.abs(x - lo), np.abs(x - hi)))
-    gap_wrap = np.minimum(np.abs(x - lo + 1.0), np.abs(x - hi - 1.0))
-    gap_wrap = np.minimum(gap_wrap, np.minimum(np.abs(x - lo - 1.0), np.abs(x - hi + 1.0)))
-    d = np.minimum(gap_direct, gap_wrap)
+    # torus distance to the interval from the offset past its left end
+    t = (np.arange(N) / N - I.left) % 1.0
+    d = np.where(t < I.length, 0.0, np.minimum(t - I.length, 1.0 - t))
     chi = 1.0 / (1.0 + d / I.length)
     ratio = np.abs(w.samples) * math.sqrt(I.length) / chi**5
     return float(ratio.max())

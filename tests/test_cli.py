@@ -91,8 +91,9 @@ def test_config_hash_sensitivity(tmp_path):
     }
     assert len(hashes) == 2
     # restarts and gamma were hashed and validated but read by no command;
-    # budget capped a greedy search that always stops well before it
-    for dead in ("restarts", "gamma", "budget"):
+    # budget capped a greedy search that always stops well before it;
+    # max_iter, decay, density and bins only ever took their one value
+    for dead in ("restarts", "gamma", "budget", "max_iter", "decay", "density", "bins"):
         with pytest.raises(ValueError, match=dead):
             ExperimentConfig.from_dict({**base, dead: 4})
     # every field but out is hashed: changing any single one changes the hash
@@ -190,6 +191,11 @@ def test_wavelet_audit_small_grid(tmp_path):
     assert all(v < 1e-8 for k, v in items.items() if k.startswith("wij_zero"))
     # the kernel-orthogonality quadruples need scales past this grid
     assert not any(k.startswith("orthoI") for k in items)
+    # the zero and coarse items draw two scales at least 2 apart: j_max >= 2
+    small = ExperimentConfig("wavelet-audit", N=16, instances=1, out=str(tmp_path / "16"))
+    with pytest.raises(ValueError, match="N >= 32.*N=16"):
+        run(small)
+    assert not (tmp_path / "16").exists()
 
 
 def test_bmo_scan_exact_at_small_scale(tmp_path):
@@ -216,6 +222,25 @@ def test_bmo_scan_columns_are_the_two_searches(tmp_path):
             assert float(row["product_value"]) == product_bmo_lower(c).value
 
 
+def test_norm_compare_keeps_a_zero_norm_row(tmp_path):
+    """Instance 2 is a rectangle with a side at scale 0: its spectrum sits on
+    |k_i| <= 1 in that axis, where no quadrant Hankel entry lies, so the norm
+    is exactly 0 and bmo_over_norm is inf."""
+    cfg = ExperimentConfig(
+        "norm-compare", N=128, n=2, family="single-rectangle", instances=3, out=str(tmp_path)
+    )
+    _, rows = read_csv(run(cfg)[0])
+    assert [float(row["operator_norm"]) == 0.0 for row in rows] == [False, False, True]
+    assert rows[2]["bmo_over_norm"] == "inf" and float(rows[2]["norm_over_bmo"]) == 0.0
+    assert float(rows[2]["product_bmo_lower"]) > 0.0
+    # multiscale-square at n = 0 has no squares: the zero symbol, 0 / 0 both ways
+    cfg = ExperimentConfig(
+        "norm-compare", N=16, family="multiscale-square", instances=1, out=str(tmp_path)
+    )
+    _, rows = read_csv(run(cfg)[0])
+    assert rows[0]["norm_over_bmo"] == rows[0]["bmo_over_norm"] == "nan"
+
+
 def test_norm_compare_and_plot_data(tmp_path):
     out = tmp_path / "r"
     cfg = ExperimentConfig("norm-compare", N=32, instances=4, out=str(out))
@@ -239,10 +264,11 @@ def test_norm_compare_and_plot_data(tmp_path):
     assert len(lines) == 1 + len(rows)
 
     hist = ExperimentConfig(
-        "plot-data", source=csv_path, kind="histogram", metrics=("rect_bmo",), bins=5, out=str(out)
+        "plot-data", source=csv_path, kind="histogram", metrics=("rect_bmo",), out=str(out)
     )
     path, _ = run(hist)
     lines = open(path).read().splitlines()
+    assert len(lines) == 1 + 20
     counts = [int(line.split()[1]) for line in lines[1:]]
     assert sum(counts) == len(rows)
 

@@ -51,10 +51,10 @@ def test_maximal_rectangles_basic_shapes():
     got = maximal_rectangles(sq)
     assert got.rectangles == (DyadicRectangle.from_indices(1, 0, 1, 0),)
 
-    empty = CellSet.empty(2)
+    empty = CellSet(2, np.zeros((4, 4), dtype=bool))
     assert len(maximal_rectangles(empty)) == 0
 
-    full = CellSet.full(2)
+    full = CellSet(2, np.ones((4, 4), dtype=bool))
     assert maximal_rectangles(full).rectangles == (
         DyadicRectangle.from_indices(0, 0, 0, 0),
     )
@@ -196,7 +196,7 @@ def test_enlargement_monotonicity():
     rng = np.random.default_rng(73)
     U = CellSet(3, rng.random((8, 8)) < 0.3)
     big = CellSet(3, U.mask | (rng.random((8, 8)) < 0.2))
-    assert (U & enlargement(U, 0.5)) == U  # contains U
+    assert enlargement(U, 0.5).contains(U)
     V_small = enlargement(U, 0.5)
     V_big = enlargement(big, 0.5)
     assert np.all(V_big.mask | ~V_small.mask)  # monotone in U
@@ -251,9 +251,8 @@ def oracle_mu(R, V: CellSet) -> float:
     return float(mu)
 
 
-def oracle_nu(R, level: np.ndarray) -> float:
+def oracle_nu(cr: CellRect, level: np.ndarray) -> float:
     m = level.shape[0]
-    cr = R.to_cellrect(int(math.log2(m))) if isinstance(R, DyadicRectangle) else R
     c1, w1 = cr.center[0], cr.widths[0]
     nu = Fraction(0)
     for lam in sorted(set(_axis_crossings(c1, w1 / 2, m))):
@@ -317,13 +316,13 @@ def open_sets(draw, max_n=5):
 
 @st.composite
 def embedding_cases(draw):
-    """(U, R, delta) with R dyadic or an arbitrary cell rectangle."""
+    """(U, R, delta) with R the cells of a dyadic rectangle or an arbitrary cell rectangle."""
     U = draw(open_sets())
     n, m = U.n, 1 << U.n
     if draw(st.booleans()):
         j1, j2 = draw(st.integers(0, n)), draw(st.integers(0, n))
         k1, k2 = draw(st.integers(0, 2**j1 - 1)), draw(st.integers(0, 2**j2 - 1))
-        R = DyadicRectangle.from_indices(j1, k1, j2, k2)
+        R = DyadicRectangle.from_indices(j1, k1, j2, k2).to_cellrect(n)
     else:
         a1, a2 = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         R = CellRect(n, a1, draw(st.integers(a1 + 1, m)), a2, draw(st.integers(a2 + 1, m)))
@@ -382,7 +381,7 @@ def test_journe_sum_keeps_sequential_bits(n, seed):
 
 def test_embeddedness_plane_semantics():
     """Dilates never wrap: a corner cell stops at the boundary."""
-    full = CellSet.full(2)
+    full = CellSet(2, np.ones((4, 4), dtype=bool))
     corner = CellRect(2, 0, 1, 0, 1)
     center = CellRect(2, 2, 3, 2, 3)
     assert embeddedness(corner, full).mu == 1.0
@@ -403,21 +402,21 @@ def test_embeddedness_at_least_one_on_maximal_rectangles():
             continue
         V = enlargement(U, 0.5)
         for R in maximal_rectangles(U):
-            rep = embeddedness(R, V, U=U)
+            rep = embeddedness(R.to_cellrect(U.n), V, U=U)
             assert rep.mu >= 1.0
             assert rep.nu >= 1.0
 
 
 def test_embeddedness_validation():
     """nu needs U; R, V and U must share V's grid."""
-    V = CellSet.full(2)
+    V = CellSet(2, np.ones((4, 4), dtype=bool))
     R = CellRect(2, 0, 2, 0, 2)
     assert math.isnan(embeddedness(R, V).nu)
     assert embeddedness(R, V, U=V).nu == 1.0
     with pytest.raises(ValueError):
         embeddedness(CellRect(3, 0, 2, 0, 2), V)
     with pytest.raises(ValueError):
-        embeddedness(R, V, U=CellSet.full(3))
+        embeddedness(R, V, U=CellSet(3, np.ones((8, 8), dtype=bool)))
 
 
 def test_journe_sum_single_square():
@@ -540,7 +539,7 @@ def test_thin_collection_separation():
         assert sum(len(c) for c in subclasses) == len(S)
         assert len(subclasses) <= d * d
         # one scale residue pair per subclass, in residue order
-        residues = [{(R.scales[0] % d, R.scales[1] % d) for R in sub} for sub in subclasses]
+        residues = [{(R.interval1.j % d, R.interval2.j % d) for R in sub} for sub in subclasses]
         assert all(len(r) == 1 for r in residues)
         assert [min(r) for r in residues] == sorted(min(r) for r in residues)
         for sub in subclasses:
@@ -577,7 +576,7 @@ def test_rect_collection_keys():
         [*R.interval1.cell_span(n), *R.interval2.cell_span(n)] for R in sorted(rects)
     ]
     outside = DyadicRectangle.from_indices(1, 1, 0, 0)
-    assert rects[0] in col and outside not in col
+    assert rects[0] in col.rectangles and outside not in col.rectangles
     assert len(collection(n, ())) == 0 and collection(n, ()).spans().shape == (0, 4)
     with pytest.raises(ValueError, match="duplicate"):
         collection(n, [rects[0], rects[1], rects[0]])
@@ -587,7 +586,7 @@ def test_rect_collection_keys():
 
 
 def test_stratify():
-    full = CellSet.full(2)
+    full = CellSet(2, np.ones((4, 4), dtype=bool))
     center = DyadicRectangle.from_indices(2, 2, 2, 2)
     corner = DyadicRectangle.from_indices(2, 0, 2, 0)
     col = collection(2, (center, corner))
@@ -596,7 +595,7 @@ def test_stratify():
     assert set(strata) == {0, 2}
     assert strata[0].rectangles == (corner,)
     assert strata[2].rectangles == (center,)
-    assert corner in strata[0] and center not in strata[0]
+    assert corner in strata[0].rectangles and center not in strata[0].rectangles
     assert sum(len(s) for s in strata.values()) == len(col)
 
 
