@@ -165,12 +165,12 @@ def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -
             continue
         vals = [row[idx] for row in rows if isinstance(row[idx], (int, float))]
         if vals and len(vals) == len(rows):
-            vals = [float(v) for v in vals]
-            stats[name] = {
-                "min": min(vals),
-                "max": max(vals),
-                "mean": sum(vals) / len(vals),
-            }
+            # inf and nan (ratios to a zero norm) are counted apart: strict JSON
+            finite = [float(v) for v in vals if math.isfinite(v)]
+            entry = {"nonfinite": len(vals) - len(finite)} if len(finite) < len(vals) else {}
+            if finite:
+                entry.update(min=min(finite), max=max(finite), mean=sum(finite) / len(finite))
+            stats[name] = entry
     summary = {
         "command": cfg.command,
         "config_hash": chash,
@@ -179,7 +179,7 @@ def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -
     }
     json_path = os.path.join(cfg.out, f"{cfg.command}_summary.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return csv_path, json_path
 
@@ -220,13 +220,8 @@ def _run_instances(cfg: ExperimentConfig, jobs: int, worker) -> list[list]:
 # symbol families
 
 
-def _band_limited(cls, rng: np.random.Generator, N: int, holomorphic: bool = False):
-    """Unit-norm signal of class cls with Gaussian coefficients on 0 < |k_i| <= N/4.
-
-    With holomorphic=True the coefficients sit on 0 <= k_i <= N/4 instead.
-    """
-    lim = N // 4
-    band = range(lim + 1) if holomorphic else [k for k in range(-lim, lim + 1) if k != 0]
+def _band_limited(cls, rng: np.random.Generator, N: int, band):
+    """Unit-norm signal of class cls with Gaussian coefficients at k_i in band."""
     ks = np.array(band) % N
     shape = (ks.size,) * cls.ndim
     block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -234,6 +229,11 @@ def _band_limited(cls, rng: np.random.Generator, N: int, holomorphic: bool = Fal
     spec[np.ix_(*(ks,) * cls.ndim)] = block
     sig = cls.from_spectrum(spec)
     return sig * (1.0 / sig.norm2())
+
+
+def _punctured_band(N: int) -> list[int]:
+    """The frequencies 0 < |k| <= N/4."""
+    return [k for k in range(-(N // 4), N // 4 + 1) if k != 0]
 
 
 def _random_open_set(rng: np.random.Generator, n: int) -> CellSet:
@@ -349,9 +349,10 @@ def _two_parameter_residual(b: GridSignal2D) -> float:
 def _run_identity_check(cfg: ExperimentConfig, jobs: int):
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
-        e_basic = _basic_identity_residual(_band_limited(GridSignal1D, rng, cfg.N))
-        b = _band_limited(GridSignal2D, rng, cfg.N)
-        f = _band_limited(GridSignal2D, rng, cfg.N)
+        band = _punctured_band(cfg.N)
+        e_basic = _basic_identity_residual(_band_limited(GridSignal1D, rng, cfg.N, band))
+        b = _band_limited(GridSignal2D, rng, cfg.N, band)
+        f = _band_limited(GridSignal2D, rng, cfg.N, band)
         return [
             i,
             e_basic,
@@ -562,12 +563,12 @@ def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
 
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
-        b = _band_limited(GridSignal2D, rng, cfg.N)
+        b = _band_limited(GridSignal2D, rng, cfg.N, _punctured_band(cfg.N))
         # each comparison sets the definition (commutator_apply, through the
         # power iteration) against the quadrant-Hankel blocks
         svd = operator_norm(b).value
         power = power_iteration_norm(b, tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 1]).value
-        h = _band_limited(GridSignal2D, rng, cfg.N, holomorphic=True)
+        h = _band_limited(GridSignal2D, rng, cfg.N, range(cfg.N // 4 + 1))
         hankel = float(np.linalg.svd(dense_hankel_matrix(h), compute_uv=False)[0])
         comm = power_iteration_norm(
             h.conj(), tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 2]
@@ -616,7 +617,9 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
         else:
             (name,) = cfg.metrics
             fh.write(f"# {name}_bin_center count\n")
-            vals = data[name]
+            vals = [v for v in data[name] if math.isfinite(v)]
+            if len(vals) < len(data[name]):
+                fh.write(f"# {len(data[name]) - len(vals)} non-finite values not binned\n")
             if vals:
                 lo, hi = min(vals), max(vals)
                 width = (hi - lo) / _HISTOGRAM_BINS or 1.0

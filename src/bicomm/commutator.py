@@ -109,9 +109,7 @@ def quadrant_hankel(spec: np.ndarray, q: tuple[int, int], L1: int, L2: int) -> n
     return block.reshape(L1 * L2, L1 * L2)
 
 
-def operator_norm(
-    b: GridSignal2D, tol: float = 1e-10, max_iter: int = 10000, seed: int = 0
-) -> NormResult:
+def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormResult:
     """Largest singular value of the commutator with symbol b.
 
     Spectrum entries of b at most _SPECTRUM_FLOOR times the largest are
@@ -121,13 +119,11 @@ def operator_norm(
     L_i = B_i - 1), with iterations 0 and an empty trace.  T is linear in
     b and ||T_b|| <= 4 ||b||_inf <= 4 sum |b_hat| (Young's inequality), so
     the dropped entries move the result by at most 4 sum |b_hat_dropped|.
-    Otherwise it returns power_iteration_norm(b, tol, max_iter, seed); tol,
-    max_iter and seed act only there.
+    Otherwise it returns power_iteration_norm(b, tol, 10000, seed); tol and
+    seed act only there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     N = b.n_points
     spec = b.spectrum()
     mag = np.abs(spec)
@@ -136,7 +132,7 @@ def operator_norm(
     B1 = int(k[keep.any(axis=1)].max(initial=0))
     B2 = int(k[keep.any(axis=0)].max(initial=0))
     if max(B1, B2) > N // 4:
-        return power_iteration_norm(b, tol, max_iter, seed)
+        return power_iteration_norm(b, tol, 10000, seed)
     if min(B1, B2) < 2:
         # every entry of Gamma_q sits at |k_i| >= 2
         return NormResult(0.0, 0, ())

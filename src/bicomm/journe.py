@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -292,6 +291,12 @@ def stratify(Ucol: RectCollection, V: CellSet) -> dict[int, RectCollection]:
     return {int(k): RectCollection(Ucol.n, Ucol.keys[strata == k]) for k in np.unique(strata)}
 
 
+# a row of squares fills 3 cells of every 5 along the first axis: the density
+# 3/5 is above 1/2, so the strong-maximal half-level set spans the whole row
+_ROW_SIDE = 3
+_ROW_PERIOD = 5
+
+
 @dataclass(frozen=True)
 class RowOfSquares:
     """A horizontal row of K congruent squares and its layout parameters."""
@@ -304,25 +309,21 @@ class RowOfSquares:
     period: int
 
 
-def row_layout(K: int, density: float = 0.6) -> tuple[int, int, int]:
+def row_layout(K: int) -> tuple[int, int, int]:
     """(side, period, n) of a row of K squares, without building its grid.
 
-    The squares occupy `side` cells of every `period` cells along the
-    first axis, with side/period matching the requested density (> 1/2,
-    so the strong-maximal half-level set spans the whole row).  The grid
-    resolution n is the smallest fitting K periods: 2^n >= K * period.
+    The squares occupy _ROW_SIDE cells of every _ROW_PERIOD along the
+    first axis.  The grid resolution n is the smallest fitting K periods:
+    2^n >= K * period.
     """
     if K < 2:
         raise ValueError("need at least two squares")
-    frac = Fraction(density).limit_denominator(64)
-    if frac <= Fraction(1, 2) or frac >= 1:
-        raise ValueError(f"infeasible layout: density {density} not in (1/2, 1)")
-    return frac.numerator, frac.denominator, (K * frac.denominator - 1).bit_length()
+    return _ROW_SIDE, _ROW_PERIOD, (K * _ROW_PERIOD - 1).bit_length()
 
 
-def row_of_squares(K: int, density: float = 0.6) -> RowOfSquares:
+def row_of_squares(K: int) -> RowOfSquares:
     """K evenly spaced congruent squares in a horizontal row, laid out by row_layout."""
-    side, period, n = row_layout(K, density)
+    side, period, n = row_layout(K)
     m = 1 << n
     mask = np.zeros((m, m), dtype=bool)
     squares = []

@@ -229,16 +229,37 @@ def test_norm_compare_keeps_a_zero_norm_row(tmp_path):
     cfg = ExperimentConfig(
         "norm-compare", N=128, n=2, family="single-rectangle", instances=3, out=str(tmp_path)
     )
-    _, rows = read_csv(run(cfg)[0])
+    csv_path, json_path = run(cfg)
+    _, rows = read_csv(csv_path)
     assert [float(row["operator_norm"]) == 0.0 for row in rows] == [False, False, True]
     assert rows[2]["bmo_over_norm"] == "inf" and float(rows[2]["norm_over_bmo"]) == 0.0
     assert float(rows[2]["product_bmo_lower"]) > 0.0
+    # the summary is strict JSON: statistics over the finite values, inf counted apart
+    stats = json.loads(open(json_path).read(), parse_constant=pytest.fail)["metrics"]
+    finite = [float(row["bmo_over_norm"]) for row in rows[:2]]
+    assert stats["bmo_over_norm"] == {
+        "min": min(finite),
+        "max": max(finite),
+        "mean": sum(finite) / 2,
+        "nonfinite": 1,
+    }
+    hist = ExperimentConfig(
+        "plot-data", source=csv_path, kind="histogram", metrics=("bmo_over_norm",), out=str(tmp_path)
+    )
+    lines = open(run(hist)[0]).read().splitlines()
+    assert lines[:2] == ["# bmo_over_norm_bin_center count", "# 1 non-finite values not binned"]
+    assert len(lines) == 2 + 20 and sum(int(line.split()[1]) for line in lines[2:]) == 2
     # multiscale-square at n = 0 has no squares: the zero symbol, 0 / 0 both ways
     cfg = ExperimentConfig(
         "norm-compare", N=16, family="multiscale-square", instances=1, out=str(tmp_path)
     )
-    _, rows = read_csv(run(cfg)[0])
+    csv_path, json_path = run(cfg)
+    _, rows = read_csv(csv_path)
     assert rows[0]["norm_over_bmo"] == rows[0]["bmo_over_norm"] == "nan"
+    stats = json.loads(open(json_path).read(), parse_constant=pytest.fail)["metrics"]
+    assert stats["bmo_over_norm"] == {"nonfinite": 1}
+    lines = open(run(dataclasses.replace(hist, source=csv_path))[0]).read().splitlines()
+    assert lines == ["# bmo_over_norm_bin_center count", "# 1 non-finite values not binned"]
 
 
 def test_norm_compare_and_plot_data(tmp_path):

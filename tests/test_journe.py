@@ -642,10 +642,6 @@ def test_row_of_squares_layout():
         assert sq.a2 == 0 and sq.b2 == 3
     with pytest.raises(ValueError):
         row_of_squares(1)
-    with pytest.raises(ValueError):
-        row_of_squares(4, density=0.5)
-    with pytest.raises(ValueError):
-        row_of_squares(4, density=1.0)
 
 
 def test_row_of_squares_separates_nu_from_mu():
