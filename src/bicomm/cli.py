@@ -34,7 +34,7 @@ from .commutator import (
     power_iteration_norm,
 )
 from .grid import CellSet, DyadicInterval, DyadicRectangle, GridSignal1D, GridSignal2D, load_signal
-from .journe import embeddedness, enlargement, journe_sum, row_layout, row_of_squares
+from .journe import embeddedness, enlargement, journe_sum, row_of_squares, row_resolution
 from .transforms import (
     project_admissible_1d,
     project_halfline,
@@ -52,16 +52,6 @@ from .wavelets import (
     wavelet_sample,
 )
 
-_COMMANDS = (
-    "identity-check",
-    "wavelet-audit",
-    "bmo-scan",
-    "norm-compare",
-    "journe-scan",
-    "decomposition",
-    "oracle-audit",
-    "plot-data",
-)
 _FAMILIES = (
     "random-carleson",
     "single-rectangle",
@@ -72,6 +62,24 @@ _FAMILIES = (
 # multiscale-square: the scale-j square's coefficient has modulus _MULTISCALE_DECAY**j
 _MULTISCALE_DECAY = 0.5
 _HISTOGRAM_BINS = 20
+# the enlargement threshold and the Journe exponent of journe-scan and decomposition
+_DELTA = 0.5
+_EPSILON = 0.5
+# rectangular BMO norm of decomposition's background
+_BACKGROUND_BMO = 0.5
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the value test of each field annotation of ExperimentConfig; "T | None" also admits None
+_FIELD_TYPES = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "str": lambda v: isinstance(v, str),
+    "tuple[str, ...]": lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+}
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,8 +91,6 @@ class ExperimentConfig:
     seed: int = 0
     family: str = "random-carleson"
     instances: int = 100
-    delta: float = 0.5
-    epsilon: float = 0.5
     tol: float = 1e-8
     K: int = 4
     file: str | None = None
@@ -94,30 +100,46 @@ class ExperimentConfig:
     out: str = "reports"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if not (value is None and optional == "None" or _FIELD_TYPES[kind](value)):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+        object.__setattr__(self, "metrics", tuple(self.metrics))
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.N < 16 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two, at least 16")
+        log2N = int(math.log2(self.N))
         if self.n is None:
-            object.__setattr__(self, "n", int(math.log2(self.N)) - 4)
-        if self.n < 0 or self.n > int(math.log2(self.N)) - 4:
+            object.__setattr__(self, "n", log2N - 4)
+        if self.n < 0 or self.n > log2N - 4:
             raise ValueError("need 0 <= n <= log2(N) - 4")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not 0.0 < self.delta < 1.0 or not 0.0 < self.epsilon < 1.0:
-            raise ValueError("delta and epsilon must lie in (0,1)")
         if self.instances < 1:
             raise ValueError("instances must be positive")
+        if self.family == "row-of-squares-dual" and self.command in ("bmo-scan", "norm-compare"):
+            # one row of K squares, synthesized on the N grid
+            if row_resolution(self.K) > log2N - 4:
+                raise ValueError(f"a row of K={self.K} squares is too fine for N={self.N}")
+        if self.family == "row-of-squares-dual" and self.command == "journe-scan":
+            # instance i lays out K * 2^i squares on a grid of its own: instance 0
+            # needs K >= 2, and the last must fit (the shift is capped, since
+            # K * 2^log2(N) squares never fit)
+            row_resolution(self.K)
+            if row_resolution(self.K << min(self.instances - 1, log2N)) > log2N:
+                raise ValueError(f"a row of K * 2^(instances - 1) squares is too fine for N={self.N}")
 
     @classmethod
     def from_dict(cls, obj: dict, command: str | None = None) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(obj).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(obj)
-        if "metrics" in data:
-            data["metrics"] = tuple(data["metrics"])
         if command is not None:
             if "command" in data and data["command"] != command:
                 raise ValueError(
@@ -135,8 +157,6 @@ class ExperimentConfig:
         """Hash of every field but out and, for the file family, of the symbol file's bytes."""
         fields = [f.name for f in dataclasses.fields(self) if f.name != "out"]
         payload = {k: getattr(self, k) for k in fields}
-        if payload["metrics"] is not None:
-            payload["metrics"] = list(payload["metrics"])
         if self.family == "file" and self.file is not None:
             with open(self.file, "rb") as fh:
                 payload["file_sha256"] = hashlib.sha256(fh.read()).hexdigest()
@@ -257,11 +277,7 @@ def _carleson_coefficients(rng: np.random.Generator, U: CellSet) -> WaveletCoeff
     K = inside.shape[0]
     mat = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
     mat = np.where(inside, mat, 0.0)
-    energy = float(np.sum(np.abs(mat) ** 2))
-    if energy == 0.0:
-        mat[K - 1, K - 1] = 1.0 if inside[K - 1, K - 1] else 0.0
-        energy = float(np.sum(np.abs(mat) ** 2))
-    mat *= math.sqrt(U.measure() / energy)
+    mat *= math.sqrt(U.measure() / float(np.sum(np.abs(mat) ** 2)))
     return WaveletCoefficients(n, mat)
 
 
@@ -285,8 +301,6 @@ def _family_coefficients(cfg: ExperimentConfig, rng: np.random.Generator) -> Wav
             )
         return WaveletCoefficients.from_dict(n, vals)
     if cfg.family == "row-of-squares-dual":
-        if row_layout(cfg.K)[2] > int(math.log2(cfg.N)) - 4:
-            raise ValueError("row-of-squares layout too fine for this N")
         return _carleson_coefficients(rng, row_of_squares(cfg.K).cells)
     raise ValueError(f"family {cfg.family!r} does not generate coefficients")
 
@@ -474,15 +488,11 @@ def _run_norm_compare(cfg: ExperimentConfig, jobs: int):
 
 def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
     if cfg.family == "row-of-squares-dual":
-        # instance i lays out K * 2^i squares; the last one is the finest
-        if row_layout(cfg.K * 2 ** (cfg.instances - 1))[2] > int(math.log2(cfg.N)):
-            raise ValueError("row-of-squares layout too fine for this N")
-
         def worker(i: int) -> list:
             K = cfg.K * 2**i
             row = row_of_squares(K)
-            V = enlargement(row.cells, cfg.delta)
-            rep = embeddedness(row.middle, V, U=row.cells)
+            V = enlargement(row.cells, _DELTA)
+            rep = embeddedness(row.middle, V, row.cells)
             return [i, K, rep.mu, rep.nu, rep.nu / rep.mu]
 
         cols = ["instance", "K", "mu_middle", "nu_middle", "nu_over_mu"]
@@ -492,7 +502,7 @@ def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
         rng = np.random.default_rng([cfg.seed, i])
         m = 1 << cfg.n
         U = CellSet(cfg.n, rng.random((m, m)) < 0.5)
-        js = journe_sum(U, cfg.delta, cfg.epsilon)
+        js = journe_sum(U, _DELTA, _EPSILON)
         return [i, U.measure(), js.value, js.ratio, max(js.mus, default=0.0), len(js.mus)]
 
     cols = ["instance", "measure", "journe_value", "journe_ratio", "max_mu", "maximal_count"]
@@ -505,8 +515,8 @@ def _run_decomposition(cfg: ExperimentConfig, jobs: int):
     The symbol is built in normal form: a concentrated part on the
     rectangles inside a random U with measure in [1/2, 1], plus a
     background spread over all rectangles with rectangular BMO norm
-    epsilon, rescaled so that the coefficient mass inside U equals the
-    measure of U exactly.  V is the delta-enlargement of U.
+    _BACKGROUND_BMO, rescaled so that the coefficient mass inside U equals
+    the measure of U exactly.  V is the _DELTA-enlargement of U.
     """
 
     def worker(i: int) -> list:
@@ -515,14 +525,14 @@ def _run_decomposition(cfg: ExperimentConfig, jobs: int):
         c_in = _carleson_coefficients(rng, U)
         K = c_in.matrix.shape[0]
         bg = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        bg *= cfg.epsilon / rect_bmo(WaveletCoefficients(cfg.n, bg)).value
+        bg *= _BACKGROUND_BMO / rect_bmo(WaveletCoefficients(cfg.n, bg)).value
         mat = c_in.matrix + bg
         in_u = rectangles_inside(U, cfg.n)
         mass_u = float(np.sum(np.abs(mat) ** 2 * in_u))
         mat = mat * math.sqrt(U.measure() / mass_u)
         c = WaveletCoefficients(cfg.n, mat)
         b = synthesize(c, cfg.N)
-        V = enlargement(U, cfg.delta)
+        V = enlargement(U, _DELTA)
         in_v = rectangles_inside(V, cfg.n) & ~in_u
         in_w = ~(in_u | in_v)
         bU = synthesize(WaveletCoefficients(cfg.n, np.where(in_u, mat, 0.0)), cfg.N)
@@ -642,6 +652,7 @@ _RUNNERS = {
     "decomposition": _run_decomposition,
     "oracle-audit": _run_oracle_audit,
 }
+_COMMANDS = (*_RUNNERS, "plot-data")
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1) -> tuple[str, str | None]:
@@ -670,7 +681,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         paths = run(cfg, jobs=args.jobs)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

@@ -299,22 +299,6 @@ class CellSet:
         if self.n != other.n:
             raise ValueError("resolution mismatch")
 
-    def to_json(self) -> dict:
-        rows = []
-        for row in self.mask:
-            rows.append(np.packbits(row).tobytes().hex())
-        return {"n": self.n, "rows": rows}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CellSet":
-        n = int(obj["n"])
-        m = 1 << n
-        mask = np.zeros((m, m), dtype=bool)
-        for i, hx in enumerate(obj["rows"]):
-            bits = np.unpackbits(np.frombuffer(bytes.fromhex(hx), dtype=np.uint8))
-            mask[i] = bits[:m].astype(bool)
-        return cls(n, mask)
-
 
 def enumerate_dyadic_rectangles(n: int) -> list[DyadicRectangle]:
     """All dyadic rectangles of [0,1)^2 with both scales in [0, n].

@@ -181,25 +181,23 @@ def _dilation_limits(
     return out
 
 
-def embeddedness(R: CellRect, V: CellSet, U: CellSet | None = None) -> EmbeddednessReport:
+def embeddedness(R: CellRect, V: CellSet, U: CellSet) -> EmbeddednessReport:
     """mu and nu of a rectangle: how far it dilates inside the enlargement.
 
     mu is the largest lambda with the centered dilate lambda*R (both axes
     scaled) rasterized inside V.  nu scales the first axis only and asks
     for containment in {M_S 1_U > 1/2}, taken exactly from
-    strong_maximal_half_level; it is NaN when U is not given.  R is a
-    CellRect on V's grid (a dyadic rectangle passes R.to_cellrect(V.n)),
-    and U lives on that grid too.  This is the batched kernel of
-    journe_sum and stratify run on one rectangle.
+    strong_maximal_half_level.  R is a CellRect on V's grid (a dyadic
+    rectangle passes R.to_cellrect(V.n)), and U lives on that grid too.
+    This is the batched kernel of journe_sum and stratify run on one
+    rectangle.
     """
-    if R.n != V.n or (U is not None and U.n != V.n):
+    if R.n != V.n or U.n != V.n:
         raise ValueError("R, V and U must lie on one cell grid")
     spans = np.array([[R.a1, R.b1, R.a2, R.b2]], dtype=np.int64)
     mu = float(_dilation_limits(_integral_image(V.mask), spans)[0])
-    nu = float("nan")
-    if U is not None:
-        level = strong_maximal_half_level(U)
-        nu = float(_dilation_limits(_integral_image(level.mask), spans, first_axis_only=True)[0])
+    level = strong_maximal_half_level(U)
+    nu = float(_dilation_limits(_integral_image(level.mask), spans, first_axis_only=True)[0])
     return EmbeddednessReport(mu, nu)
 
 
@@ -299,36 +297,32 @@ _ROW_PERIOD = 5
 
 @dataclass(frozen=True)
 class RowOfSquares:
-    """A horizontal row of K congruent squares and its layout parameters."""
+    """A horizontal row of K congruent squares: its cells, the squares and the middle one."""
 
     cells: CellSet
     squares: tuple[CellRect, ...]
     middle: CellRect
-    n: int
-    side: int
-    period: int
 
 
-def row_layout(K: int) -> tuple[int, int, int]:
-    """(side, period, n) of a row of K squares, without building its grid.
+def row_resolution(K: int) -> int:
+    """Grid resolution n of a row of K squares, without building its grid.
 
     The squares occupy _ROW_SIDE cells of every _ROW_PERIOD along the
-    first axis.  The grid resolution n is the smallest fitting K periods:
-    2^n >= K * period.
+    first axis, and n is the smallest fitting K periods: 2^n >= K * period.
     """
     if K < 2:
-        raise ValueError("need at least two squares")
-    return _ROW_SIDE, _ROW_PERIOD, (K * _ROW_PERIOD - 1).bit_length()
+        raise ValueError(f"need at least two squares, got K={K}")
+    return (K * _ROW_PERIOD - 1).bit_length()
 
 
 def row_of_squares(K: int) -> RowOfSquares:
-    """K evenly spaced congruent squares in a horizontal row, laid out by row_layout."""
-    side, period, n = row_layout(K)
+    """K evenly spaced congruent squares in a horizontal row on a grid of row_resolution(K)."""
+    n = row_resolution(K)
     m = 1 << n
     mask = np.zeros((m, m), dtype=bool)
     squares = []
     for q in range(K):
-        a = q * period
-        squares.append(CellRect(n, a, a + side, 0, side))
-        mask[a : a + side, 0:side] = True
-    return RowOfSquares(CellSet(n, mask), tuple(squares), squares[K // 2], n, side, period)
+        a = q * _ROW_PERIOD
+        squares.append(CellRect(n, a, a + _ROW_SIDE, 0, _ROW_SIDE))
+        mask[a : a + _ROW_SIDE, 0:_ROW_SIDE] = True
+    return RowOfSquares(CellSet(n, mask), tuple(squares), squares[K // 2])

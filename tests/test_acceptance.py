@@ -217,7 +217,7 @@ def test_criterion_6_thinning_property():
             payload = {
                 "instance": i,
                 "stratum": k,
-                "open_set": U.to_json(),
+                "open_set": {"n": U.n, "cells": np.argwhere(U.mask).tolist()},
                 "subclass": [
                     [R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k]
                     for R in sub

@@ -36,7 +36,6 @@ def test_config_defaults():
     assert cfg.N == 256
     assert cfg.n == 4
     assert cfg.seed == 0
-    assert cfg.delta == 0.5
     cfg = ExperimentConfig("identity-check", N=64)
     assert cfg.n == 2
 
@@ -52,8 +51,6 @@ def test_config_validation():
         ExperimentConfig("identity-check", N=64, n=3)
     with pytest.raises(ValueError):
         ExperimentConfig("identity-check", family="sobolev")
-    with pytest.raises(ValueError):
-        ExperimentConfig("identity-check", delta=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig("identity-check", instances=0)
     with pytest.raises(ValueError):
@@ -92,9 +89,10 @@ def test_config_hash_sensitivity(tmp_path):
     assert len(hashes) == 2
     # restarts and gamma were hashed and validated but read by no command;
     # budget capped a greedy search that always stops well before it;
-    # max_iter, decay, density and bins only ever took their one value
-    for dead in ("restarts", "gamma", "budget", "max_iter", "decay", "density", "bins"):
-        with pytest.raises(ValueError, match=dead):
+    # max_iter, decay, density, bins, delta and epsilon only ever took their one value
+    dead_keys = ("restarts", "gamma", "budget", "max_iter", "decay", "density", "bins")
+    for dead in dead_keys + ("delta", "epsilon"):
+        with pytest.raises(ValueError, match=f"unknown config keys.*{dead}"):
             ExperimentConfig.from_dict({**base, dead: 4})
     # every field but out is hashed: changing any single one changes the hash
     cfg = ExperimentConfig.from_dict(base)
@@ -349,15 +347,16 @@ def test_journe_scan_row_family_rejects_too_fine_layout(tmp_path):
     """Instance i lays out K * 2^i squares; a grid finer than N cells per
     side is rejected before any instance runs."""
     # instance 2 has K = 16 squares of period 5: 80 cells need n = 7 > log2(64)
-    cfg = ExperimentConfig(
-        "journe-scan", N=64, family="row-of-squares-dual", K=4, instances=3, out=str(tmp_path / "r")
-    )
+    fields = dict(N=64, family="row-of-squares-dual", K=4, instances=3, out=str(tmp_path / "r"))
     with pytest.raises(ValueError, match="too fine"):
-        run(cfg)
+        run(ExperimentConfig("journe-scan", **fields))
     assert not (tmp_path / "r").exists()
     # the default 100 instances would reach K = 4 * 2^99
     with pytest.raises(ValueError, match="too fine"):
-        run(dataclasses.replace(cfg, N=1024, instances=100))
+        run(ExperimentConfig("journe-scan", **{**fields, "N": 1024, "instances": 100}))
+    # K = 1 is no row, although instance 1 would be
+    with pytest.raises(ValueError, match="two squares"):
+        ExperimentConfig("journe-scan", **{**fields, "N": 1024, "K": 1})
 
 
 def test_cli_import_loads_no_scipy():
@@ -448,6 +447,56 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["identity-check", "--config", bad]) == 2
     mismatched = write_config(tmp_path, command="bmo-scan")
     assert main(["identity-check", "--config", mismatched]) == 2
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"N": "128"}, "'N'"),
+        ({"N": 128.0}, "'N'"),
+        ({"instances": "3"}, "'instances'"),
+        ({"n": 2.0, "N": 64}, "'n'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"instances": True}, "'instances'"),
+        ({"tol": "1e-8"}, "'tol'"),
+        ({"family": 3}, "'family'"),
+        ({"metrics": "operator_norm"}, "'metrics'"),
+        ({"metrics": ["a", 2]}, "'metrics'"),
+        # a row of K=2 squares needs 2^4 cells per side, which synthesis puts at N >= 256
+        ({"N": 128, "n": 3, "family": "row-of-squares-dual", "K": 2, "instances": 3}, "too fine"),
+        ([1, 2], "JSON object"),
+        ("directory", "config"),
+        ("out under a file", "blocker"),
+    ],
+)
+def test_main_rejects_bad_config_input(tmp_path, capsys, config, named):
+    """Bad config input exits 2 with an error that names what is wrong, not
+    a failing instance, and makes no output directory."""
+    out = tmp_path / "r"
+    if config == "directory":
+        cfg_path = tmp_path / "config"
+        cfg_path.mkdir()
+    else:
+        cfg_path = write_config(tmp_path, N=32, instances=1)
+        if config == "out under a file":
+            (tmp_path / "blocker").write_text("")
+            out = tmp_path / "blocker" / "r"
+        else:
+            Path(cfg_path).write_text(json.dumps(config))
+    assert main(["bmo-scan", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "failed" not in err
+    assert not out.exists()
+
+
+def test_config_hash_is_pinned(tmp_path, monkeypatch):
+    """The hash of two fixed configs: a change that moves every hash shows here."""
+    cfg = ExperimentConfig.from_dict({"command": "norm-compare", "N": 128, "n": 3, "seed": 5})
+    assert cfg.config_hash() == "88370ab76500"
+    monkeypatch.chdir(tmp_path)
+    save_signal("symbol.sig", GridSignal2D(np.arange(32 * 32, dtype=float).reshape(32, 32)))
+    cfg = ExperimentConfig("norm-compare", N=32, family="file", file="symbol.sig", instances=2)
+    assert cfg.config_hash() == "95ab776079cf"
 
 
 def test_main_seed_override(tmp_path):

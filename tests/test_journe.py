@@ -24,6 +24,7 @@ from bicomm.journe import (
     journe_sum,
     maximal_rectangles,
     row_of_squares,
+    row_resolution,
     stratify,
     thin_collection,
 )
@@ -384,14 +385,14 @@ def test_embeddedness_plane_semantics():
     full = CellSet(2, np.ones((4, 4), dtype=bool))
     corner = CellRect(2, 0, 1, 0, 1)
     center = CellRect(2, 2, 3, 2, 3)
-    assert embeddedness(corner, full).mu == 1.0
-    assert embeddedness(center, full).mu == 3.0
+    assert embeddedness(corner, full, full).mu == 1.0
+    assert embeddedness(center, full, full).mu == 3.0
 
 
 def test_embeddedness_exact_triple_dilate():
     V = square_set(3, range(1, 7), range(1, 7))
     R = CellRect(3, 3, 5, 3, 5)
-    assert embeddedness(R, V).mu == 3.0
+    assert embeddedness(R, V, V).mu == 3.0
 
 
 def test_embeddedness_at_least_one_on_maximal_rectangles():
@@ -402,21 +403,20 @@ def test_embeddedness_at_least_one_on_maximal_rectangles():
             continue
         V = enlargement(U, 0.5)
         for R in maximal_rectangles(U):
-            rep = embeddedness(R.to_cellrect(U.n), V, U=U)
+            rep = embeddedness(R.to_cellrect(U.n), V, U)
             assert rep.mu >= 1.0
             assert rep.nu >= 1.0
 
 
 def test_embeddedness_validation():
-    """nu needs U; R, V and U must share V's grid."""
+    """R, V and U must share V's grid."""
     V = CellSet(2, np.ones((4, 4), dtype=bool))
     R = CellRect(2, 0, 2, 0, 2)
-    assert math.isnan(embeddedness(R, V).nu)
-    assert embeddedness(R, V, U=V).nu == 1.0
+    assert embeddedness(R, V, V).nu == 1.0
     with pytest.raises(ValueError):
-        embeddedness(CellRect(3, 0, 2, 0, 2), V)
+        embeddedness(CellRect(3, 0, 2, 0, 2), V, V)
     with pytest.raises(ValueError):
-        embeddedness(R, V, U=CellSet(3, np.ones((8, 8), dtype=bool)))
+        embeddedness(R, V, CellSet(3, np.ones((8, 8), dtype=bool)))
 
 
 def test_journe_sum_single_square():
@@ -631,11 +631,12 @@ def test_double_orthogonality_quadruples():
 
 def test_row_of_squares_layout():
     row = row_of_squares(4)
-    assert row.side == 3 and row.period == 5
-    assert row.n == math.ceil(math.log2(4 * 5))
+    first, second = row.squares[:2]
+    assert first.b1 - first.a1 == 3 and second.a1 - first.a1 == 5  # side 3, period 5
+    assert row.cells.n == row_resolution(4) == math.ceil(math.log2(4 * 5))
     assert len(row.squares) == 4
     assert row.middle == row.squares[2]
-    m = 2**row.n
+    m = 2**row.cells.n
     assert row.cells.measure() == 4 * (3 / m) ** 2
     for q, sq in enumerate(row.squares):
         assert sq.a1 == q * 5 and sq.b1 == q * 5 + 3
