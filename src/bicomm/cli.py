@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.instances < 1:
             raise ValueError("instances must be positive")
+        if self.seed < 0:
+            raise ValueError(f"config field 'seed' must be nonnegative, got {self.seed}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"config field 'tol' must be finite and positive, got {self.tol!r}")
         if self.family == "row-of-squares-dual" and self.command in ("bmo-scan", "norm-compare"):
             # one row of K squares, synthesized on the N grid
             if row_resolution(self.K) > log2N - 4:

@@ -331,11 +331,13 @@ def _covered(g: np.ndarray, one_sided: bool = False) -> np.ndarray:
     return best_end > start
 
 
+@functools.lru_cache(maxsize=None)
 def _fraction_at_most(delta, m: int) -> Fraction:
     """The largest p/q <= delta with 1 <= q <= m, from the exact value of delta.
 
     No average c/l with l <= m lies in (p/q, delta], so the strict
-    thresholds "> delta" and "> p/q" select the same averages.
+    thresholds "> delta" and "> p/q" select the same averages.  Memoised:
+    a call builds m Fractions, and every enlargement makes four.
     """
     d = Fraction(delta)
     return max(Fraction(d.numerator * q // d.denominator, q) for q in range(1, m + 1))

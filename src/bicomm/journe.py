@@ -20,12 +20,14 @@ dilate boundary and is computed exactly over those finitely many
 crossing values, in integer half-cell units: a cell rectangle [a, b) has
 integer center C = a + b and half-width W = b - a, grid line p sits at
 2p, and the crossing of line p is the ratio |2p - C| / W of two small
-integers.  The rasterized dilate only grows with the factor, so the
-supremum is the largest crossing whose dilate stays inside, with no
-sort.  Rasterized spans are floors and ceilings of integer quotients, so
-non-dyadic square sizes (the row of squares has side 3 cells and period
-5) stay exact, and every maximal rectangle of a set is handled in one
-numpy pass over one integral image.
+integers.  The rasterized dilate only grows with the factor, so
+containment is monotone in it: the supremum is the largest crossing
+whose dilate stays inside, and a bisection over each axis's crossings
+finds it in about log2(m) box sums per rectangle.  Rasterized spans are
+floors and ceilings of integer quotients, so non-dyadic square sizes (the
+row of squares has side 3 cells and period 5) stay exact, and every
+maximal rectangle of a set is bisected at once, in numpy, over one
+integral image.
 """
 
 from __future__ import annotations
@@ -134,15 +136,12 @@ def enlargement(U: CellSet, delta: float) -> CellSet:
     return v12 | v21
 
 
-# crossing entries per block of the batched kernel, which bounds its memory
-_CROSSING_BLOCK = 1 << 20
-
-
 def _half_cell_span(center, half, num, den):
     """Cells [lo, hi) met by the dilate by num/den of a span with center C and
-    half-width W in half-cell units: floor and ceil of (C -+ (num/den) W) / 2."""
-    reach = num * half
-    return (center * den - reach) // (2 * den), -((-center * den - reach) // (2 * den))
+    half-width W in half-cell units: floor and ceil of (C -+ (num/den) W) / 2.
+    The span is symmetric about C / 2, so hi = C - lo and one floor division does."""
+    lo = (center * den - num * half) // (2 * den)
+    return lo, center - lo
 
 
 def _dilation_limits(
@@ -150,34 +149,43 @@ def _dilation_limits(
 ) -> np.ndarray:
     """Largest grid-line crossing lambda whose centered dilate stays inside a set.
 
-    ii is the integral image of the set; spans is an (R, 4) integer array of
-    cell rectangles (a1, b1, a2, b2).  In half-cell units the crossing of
-    line p on an axis is lambda = |2p - C| / W (0 at p = C/2), and the
-    dilate rasterizes to the cells [floor((C - lambda W)/2),
-    ceil((C + lambda W)/2)), computed from lambda = num/den as integer
-    quotients.  Both ends move outward as lambda grows, so a dilate inside
-    the set keeps every smaller one inside: the last crossing before the
-    first dilate that leaves the set is the largest crossing whose dilate
-    stays inside.  The result is that crossing as float num/den, 0.0 if
-    none stays inside.  With first_axis_only, crossings come from the
-    first axis alone and the second-axis span stays [a2, b2).
+    ii is the integral image of the set; spans is an (R, 4) int64 array of
+    cell rectangles (a1, b1, a2, b2).  In half-cell units a span [a, b) has
+    center C = a + b and half-width W = b - a, and its crossings on its own axis
+    are lambda = d / W with d = |2p - C| over the grid lines p, so d runs
+    over C mod 2, C mod 2 + 2, ...  There the dilate is exactly the
+    concentric span [(C - d)/2, (C + d)/2), inside the grid while
+    d <= min(C, 2m - C); the other axis rasterizes to
+    _half_cell_span(C', W', d, W).  Every end of both spans moves outward as
+    d grows, so containment is monotone in d: a dilate inside the set keeps
+    every smaller one inside.  Each axis therefore bisects, for all
+    rectangles at once, for the largest d that passes, in about log2(m)
+    box sums.  The result is the larger of the two axes' crossings as the
+    float d / W, 0.0 where none passes.  With first_axis_only, crossings
+    come from the first axis alone and the second-axis span stays [a2, b2).
     """
     m = ii.shape[0] - 1
-    out = np.empty(len(spans))
-    lines = 2 * np.arange(m + 1)
-    axes = (0,) if first_axis_only else (0, 1)
-    step = max(1, _CROSSING_BLOCK // (len(axes) * (m + 1)))
-    for start in range(0, len(spans), step):
-        a1, b1, a2, b2 = (col[:, None] for col in spans[start : start + step].T)
-        center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
-        num = np.concatenate([np.abs(lines - center[ax]) for ax in axes], axis=1)
-        den = np.concatenate([np.broadcast_to(half[ax], (len(a1), m + 1)) for ax in axes], axis=1)
-        r0, r1 = _half_cell_span(center[0], half[0], num, den)
-        c0, c1 = (a2, b2) if first_axis_only else _half_cell_span(center[1], half[1], num, den)
-        inside = (r0 >= 0) & (c0 >= 0) & (r1 <= m) & (c1 <= m)
-        r0, r1, c0, c1 = (np.clip(x, 0, m) for x in (r0, r1, c0, c1))
-        inside &= _box_sum(ii, r0, r1, c0, c1) == (r1 - r0) * (c1 - c0)
-        out[start : start + len(a1)] = np.where(inside, num / den, 0.0).max(axis=1)
+    a1, b1, a2, b2 = spans.T
+    center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
+    out = np.zeros(len(spans))
+    for ax in (0,) if first_axis_only else (0, 1):
+        C, W = center[ax], half[ax]
+        parity = C % 2
+        last = (np.minimum(C, 2 * m - C) - parity) // 2
+        # t = -1 stands for no passing crossing; steps 2^k, ..., 1 reach every t <= last
+        t = np.full(len(spans), -1)
+        for k in reversed(range(int(last.max(initial=0) + 1).bit_length())):
+            cand = t + (1 << k)
+            d = parity + 2 * np.minimum(cand, last)
+            own = (C - d) // 2, (C + d) // 2
+            other = (a2, b2) if first_axis_only else _half_cell_span(center[1 - ax], half[1 - ax], d, W)
+            ok = (cand <= last) & (other[0] >= 0) & (other[1] <= m)
+            other = np.clip(other, 0, m)
+            box = (*own, *other) if ax == 0 else (*other, *own)
+            # the own-axis span has exactly d cells
+            ok &= _box_sum(ii, *box) == d * (other[1] - other[0])
+            t = np.where(ok, cand, t)
+        out = np.maximum(out, np.where(t >= 0, (parity + 2 * t) / W, 0.0))
     return out
 
 

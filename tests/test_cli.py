@@ -467,6 +467,9 @@ def test_main_exit_codes(tmp_path, capsys):
         ([1, 2], "JSON object"),
         ("directory", "config"),
         ("out under a file", "blocker"),
+        ({"seed": -1}, "'seed'"),
+        ({"tol": -1.0}, "'tol'"),
+        ({"tol": float("nan")}, "'tol'"),
     ],
 )
 def test_main_rejects_bad_config_input(tmp_path, capsys, config, named):

@@ -12,12 +12,15 @@ from bicomm.grid import (
     CellRect,
     CellSet,
     DyadicRectangle,
+    _box_sum,
+    _integral_image,
     enumerate_dyadic_rectangles,
     maximal_1d_level,
     strong_maximal_half_level,
 )
 from bicomm.journe import (
     RectCollection,
+    _dilation_limits,
     bad_class,
     embeddedness,
     enlargement,
@@ -338,6 +341,68 @@ def test_embeddedness_matches_fraction_oracle(case):
     rep = embeddedness(R, V, U=U)
     assert rep.mu == oracle_mu(R, V)
     assert rep.nu == oracle_nu(R, oracle_half_level(U))
+
+
+def scan_dilation_limits(ii: np.ndarray, spans: np.ndarray, first_axis_only: bool = False):
+    """Linear-scan reference of the bisecting kernel: every grid line on each axis.
+
+    The crossing of line p is |2p - C| / W in half-cell units, each dilate is
+    rasterized with two floor divisions per axis and tested against the
+    integral image, and the result is the largest crossing that passes.
+    """
+    m = ii.shape[0] - 1
+    lines = 2 * np.arange(m + 1)
+    axes = (0,) if first_axis_only else (0, 1)
+    a1, b1, a2, b2 = (col[:, None] for col in np.asarray(spans, dtype=np.int64).T)
+    center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
+    num = np.concatenate([np.abs(lines - center[ax]) for ax in axes], axis=1)
+    den = np.concatenate([np.broadcast_to(half[ax], (len(a1), m + 1)) for ax in axes], axis=1)
+
+    def span(c, w):
+        return (c * den - num * w) // (2 * den), -((-c * den - num * w) // (2 * den))
+
+    r0, r1 = span(center[0], half[0])
+    c0, c1 = (a2, b2) if first_axis_only else span(center[1], half[1])
+    inside = (r0 >= 0) & (c0 >= 0) & (r1 <= m) & (c1 <= m)
+    r0, r1, c0, c1 = (np.clip(x, 0, m) for x in (r0, r1, c0, c1))
+    inside &= _box_sum(ii, r0, r1, c0, c1) == (r1 - r0) * (c1 - c0)
+    return np.where(inside, num / den, 0.0).max(axis=1, initial=0.0)
+
+
+def _scan_corpus():
+    """(target set, spans) pairs over random sets at n = 1-6 and rows of squares.
+
+    Each open set U gives three targets, its enlargement, U itself and its
+    strong-maximal half level, and two kinds of spans: its maximal
+    rectangles and random cell rectangles, most of them not inside.  Sparse
+    sets matter: the enlargement of a dense set fills almost the whole grid,
+    where a kernel that swaps rows and columns still passes.
+    """
+    rng = np.random.default_rng(1986)
+    densities = (0.1, 0.2, 0.3, 0.5, 0.7)
+    opens = [random_set(n, 100 * n + i, p) for n in range(1, 7) for i, p in enumerate(densities)]
+    opens += [row_of_squares(K).cells for K in (4, 8, 16)]
+    for U in opens:
+        m = 1 << U.n
+        lo = rng.integers(0, m, size=(300, 2))
+        hi = lo + 1 + rng.integers(0, m - lo)
+        drawn = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
+        spans = np.concatenate([maximal_rectangles(U).spans(), drawn])
+        for target in (enlargement(U, 0.5), U, strong_maximal_half_level(U)):
+            yield target, spans
+
+
+def test_dilation_limits_match_linear_scan_bit_for_bit():
+    """The bisection returns the scan's floats, bit for bit, for mu and for nu."""
+    spans_seen = 0
+    for target, spans in _scan_corpus():
+        ii = _integral_image(target.mask)
+        for first_axis_only in (False, True):
+            got = _dilation_limits(ii, spans, first_axis_only)
+            want = scan_dilation_limits(ii, spans, first_axis_only)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            spans_seen += len(spans)
+    assert spans_seen > 50_000
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
