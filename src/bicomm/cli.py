@@ -117,6 +117,11 @@ class ExperimentConfig:
             raise ValueError("need 0 <= n <= log2(N) - 4")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.command == "wavelet-audit" and self.N < 32:
+            # the zero and coarse items draw two scales at least 2 apart
+            raise ValueError(f"wavelet-audit needs N >= 32 (j_max >= 2), got N={self.N}")
+        if self.command == "oracle-audit" and self.N > 32:
+            raise ValueError("oracle-audit needs N <= 32 for the dense Hankel matrix")
         if self.instances < 1:
             raise ValueError("instances must be positive")
         if self.seed < 0:
@@ -175,7 +180,6 @@ def _fmt(value) -> str:
 
 
 def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -> tuple[str, str]:
-    os.makedirs(cfg.out, exist_ok=True)
     chash = cfg.config_hash()
     csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -384,9 +388,6 @@ def _run_identity_check(cfg: ExperimentConfig, jobs: int):
 
 def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
     N = cfg.N
-    if N < 32:
-        # the zero and coarse items draw two scales at least 2 apart
-        raise ValueError(f"wavelet-audit needs N >= 32 (j_max >= 2), got N={N}")
     J = j_max(N)
     rows: list[list] = []
 
@@ -572,9 +573,6 @@ def _run_decomposition(cfg: ExperimentConfig, jobs: int):
 
 
 def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
-    if cfg.N > 32:
-        raise ValueError("oracle-audit needs N <= 32 for the dense Hankel matrix")
-
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
         b = _band_limited(GridSignal2D, rng, cfg.N, _punctured_band(cfg.N))
@@ -663,6 +661,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> tuple[str, str | None]:
     """Execute one command; returns the paths of the written report files."""
     if cfg.command == "plot-data":
         return _run_plot_data(cfg, jobs)
+    # an output directory that cannot be made fails before any instance runs
+    os.makedirs(cfg.out, exist_ok=True)
     columns, rows = _RUNNERS[cfg.command](cfg, jobs)
     return _write_report(cfg, columns, rows)
 

@@ -382,17 +382,37 @@ def strong_maximal_half_level(U: CellSet) -> CellSet:
     :func:`_covered` finds the columns of each row range that such an
     interval covers.  A cell lies in the set iff some row range through its
     row covers its column.  One row start at a time handles every row end
-    at once, O(m^3) in all; every value is an integer, so the strict tie at
-    exactly 1/2 is decided exactly.
+    at once; every value is an integer, so the strict tie at exactly 1/2 is
+    decided exactly.
+
+    The set lives on a crop of the grid.  Let U's occupied rows span
+    [s0, s1], l = s1 - s0 + 1 rows.  A rectangle with 2*count > area that
+    meets the span in o rows has fewer than 2*o rows, so it sticks out of
+    the span by fewer than o <= l rows in all: it lies in rows
+    [max(0, 2*s0 - s1), min(m, 2*s1 + 1 - s0)), and likewise in columns.
+    The level set is empty outside that crop, and inside it equals the
+    level set of U's cells in the crop taken as a window of their own,
+    since rectangles never wrap.  The level set also commutes with
+    transposition, so the row-start loop runs over the crop's shorter side:
+    O(h^2 * w) on an h x w crop with h <= w, and O(m^3) only when U spreads
+    over the whole grid.  An empty U has an empty level set.
     """
     m = 1 << U.n
-    mask = U.mask.astype(np.int64)
     out = np.zeros((m, m), dtype=bool)
-    for r0 in range(m):
-        heights = np.arange(1, m - r0 + 1)[:, None]
+    rows, cols = np.flatnonzero(U.mask.any(axis=1)), np.flatnonzero(U.mask.any(axis=0))
+    if rows.size == 0:
+        return CellSet(U.n, out)
+    crop = tuple(slice(max(0, 2 * s[0] - s[-1]), min(m, 2 * s[-1] + 1 - s[0])) for s in (rows, cols))
+    # level is a view: writing to it fills the crop of out
+    mask, level = U.mask[crop].astype(np.int64), out[crop]
+    if mask.shape[0] > mask.shape[1]:
+        mask, level = mask.T, level.T
+    h = mask.shape[0]
+    for r0 in range(h):
+        heights = np.arange(1, h - r0 + 1)[:, None]
         covered = _covered(2 * np.cumsum(mask[r0:], axis=0) - heights)
         # a row r >= r0 is covered by a range [r0, r1] with r1 >= r
-        out[r0:] |= np.logical_or.accumulate(covered[::-1], axis=0)[::-1]
+        level[r0:] |= np.logical_or.accumulate(covered[::-1], axis=0)[::-1]
     return CellSet(U.n, out)
 
 

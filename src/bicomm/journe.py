@@ -180,7 +180,8 @@ def _dilation_limits(
             own = (C - d) // 2, (C + d) // 2
             other = (a2, b2) if first_axis_only else _half_cell_span(center[1 - ax], half[1 - ax], d, W)
             ok = (cand <= last) & (other[0] >= 0) & (other[1] <= m)
-            other = np.clip(other, 0, m)
+            # only the low end can fall below 0, and only the high end can pass m
+            other = np.maximum(other[0], 0), np.minimum(other[1], m)
             box = (*own, *other) if ax == 0 else (*other, *own)
             # the own-axis span has exactly d cells
             ok &= _box_sum(ii, *box) == d * (other[1] - other[0])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import bicomm
+from bicomm import cli
 from bicomm.bmo import product_bmo_lower
 from bicomm.cli import ExperimentConfig, _family_coefficients, _run_instances, main, run
 from bicomm.grid import GridSignal2D, save_signal
@@ -190,9 +191,8 @@ def test_wavelet_audit_small_grid(tmp_path):
     # the kernel-orthogonality quadruples need scales past this grid
     assert not any(k.startswith("orthoI") for k in items)
     # the zero and coarse items draw two scales at least 2 apart: j_max >= 2
-    small = ExperimentConfig("wavelet-audit", N=16, instances=1, out=str(tmp_path / "16"))
     with pytest.raises(ValueError, match="N >= 32.*N=16"):
-        run(small)
+        run(ExperimentConfig("wavelet-audit", N=16, instances=1, out=str(tmp_path / "16")))
     assert not (tmp_path / "16").exists()
 
 
@@ -472,9 +472,10 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"tol": float("nan")}, "'tol'"),
     ],
 )
-def test_main_rejects_bad_config_input(tmp_path, capsys, config, named):
-    """Bad config input exits 2 with an error that names what is wrong, not
-    a failing instance, and makes no output directory."""
+def test_main_rejects_bad_config_input(tmp_path, capsys, monkeypatch, config, named):
+    """Bad config input exits 2 with an error that names what is wrong,
+    before any instance runs, and makes no output directory."""
+    monkeypatch.setitem(cli._RUNNERS, "bmo-scan", lambda cfg, jobs: pytest.fail("an instance ran"))
     out = tmp_path / "r"
     if config == "directory":
         cfg_path = tmp_path / "config"

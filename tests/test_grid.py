@@ -16,6 +16,7 @@ from bicomm.grid import (
     DyadicRectangle,
     GridSignal1D,
     GridSignal2D,
+    _covered,
     _interval_spans,
     enumerate_dyadic_rectangles,
     index_interval,
@@ -25,6 +26,7 @@ from bicomm.grid import (
     save_signal,
     strong_maximal_half_level,
 )
+from bicomm.journe import row_of_squares
 
 
 def rand_signal_1d(rng, N):
@@ -315,6 +317,99 @@ def test_strong_maximal_dominates_axes():
     assert half.contains(u)
     for axis in (1, 2):
         assert half.contains(maximal_1d_level(u, axis, 0.5))
+
+
+def full_grid_half_level(U: CellSet) -> np.ndarray:
+    """The half-level kernel run over the whole grid, one row start at a
+    time, with no crop and no transpose: the reference of the cropped one."""
+    m = 1 << U.n
+    mask = U.mask.astype(np.int64)
+    out = np.zeros((m, m), dtype=bool)
+    for r0 in range(m):
+        heights = np.arange(1, m - r0 + 1)[:, None]
+        covered = _covered(2 * np.cumsum(mask[r0:], axis=0) - heights)
+        out[r0:] |= np.logical_or.accumulate(covered[::-1], axis=0)[::-1]
+    return out
+
+
+def crop_window(mask: np.ndarray) -> tuple[slice, slice]:
+    """Rows x columns [max(0, 2 s0 - s1), min(m, 2 s1 + 1 - s0)) of the
+    occupied span [s0, s1] on each axis: where the level set can live."""
+    m = mask.shape[0]
+    spans = (np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0)))
+    return tuple(slice(max(0, 2 * s[0] - s[-1]), min(m, 2 * s[-1] + 1 - s[0])) for s in spans)
+
+
+def sparse_crop_corpus():
+    """Sets whose crop is smaller than the grid, at n = 0-7.
+
+    Per grid: the empty set, one cell, a thin bar along each axis, and
+    sparse sets (density 0.02-0.1) inside random sub-boxes at each of the
+    four edges and in the interior; then rows of 4, 8, 16 and 32 squares.
+    """
+    rng = np.random.default_rng(2002)
+    for n in range(8):
+        m = 1 << n
+        yield CellSet(n, np.zeros((m, m), dtype=bool))
+        yield CellSet.from_cells(n, [tuple(rng.integers(0, m, size=2))])
+        for axis in (0, 1):
+            thick, start = rng.integers(1, min(3, m) + 1), rng.integers(0, m)
+            lo = rng.integers(0, m - thick + 1)
+            bar = np.zeros((m, m), dtype=bool)
+            bar[lo : lo + thick, start : rng.integers(start, m) + 1] = True
+            yield CellSet(n, bar if axis == 0 else bar.T)
+        for place in ("top", "bottom", "left", "right", "interior"):
+            for density in (0.02, 0.05, 0.1):
+                h, w = rng.integers(1, max(m // 2, 1) + 1, size=2)
+                r0, c0 = rng.integers(0, m - h + 1), rng.integers(0, m - w + 1)
+                r0 = {"top": 0, "bottom": m - h}.get(place, r0)
+                c0 = {"left": 0, "right": m - w}.get(place, c0)
+                box = np.zeros((m, m), dtype=bool)
+                box[r0 : r0 + h, c0 : c0 + w] = rng.random((h, w)) < density
+                yield CellSet(n, box)
+    for K in (4, 8, 16, 32):
+        yield row_of_squares(K).cells
+
+
+def test_half_level_crop_matches_full_grid_bit_for_bit():
+    """The cropped, transposed kernel against the full-grid loop, on sets
+    whose crop is a real crop; the full-grid level set is empty outside it."""
+    real_crops = 0
+    for U in sparse_crop_corpus():
+        want = full_grid_half_level(U)
+        assert np.array_equal(strong_maximal_half_level(U).mask, want)
+        if U.cell_count:
+            crop = crop_window(U.mask)
+            outside = want.copy()
+            outside[crop] = False
+            assert not outside.any()
+            real_crops += want[crop].size < want.size
+    assert real_crops >= 70
+
+
+@pytest.mark.parametrize("n, w", [(3, 1), (5, 4), (6, 7), (6, 16)])
+def test_half_level_crop_bound_is_attained(n, w):
+    """A 1 x w bar at the centre of the grid reaches the crop exactly: its
+    level set is its own row over columns [c0 - (w-1), c1 + (w-1))."""
+    m = 1 << n
+    r, c0 = m // 2, (m - w) // 2
+    bar = np.zeros((m, m), dtype=bool)
+    bar[r, c0 : c0 + w] = True
+    want = np.zeros((m, m), dtype=bool)
+    want[r, c0 - (w - 1) : c0 + w + (w - 1)] = True
+    for mask, level in ((bar, want), (bar.T, want.T)):
+        got = strong_maximal_half_level(CellSet(n, mask)).mask
+        assert np.array_equal(got, level)
+        assert np.array_equal(got, full_grid_half_level(CellSet(n, mask)))
+
+
+def test_half_level_commutes_with_transpose():
+    rng = np.random.default_rng(11)
+    sets = list(sparse_crop_corpus())
+    sets += [CellSet(n, rng.random((1 << n, 1 << n)) < p) for n in (2, 4, 5) for p in (0.3, 0.6)]
+    for U in sets:
+        transposed = strong_maximal_half_level(CellSet(U.n, U.mask.T)).mask
+        assert np.array_equal(transposed, strong_maximal_half_level(U).mask.T)
 
 
 def test_save_load_roundtrip(tmp_path):
