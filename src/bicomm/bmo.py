@@ -6,8 +6,10 @@ axis.  The product functional's supremum over open sets is approximated
 from below by unions of grid cells: a greedy search over dyadic squares
 seeded at the rectangular witness, run until no square improves the
 ratio, or an exhaustive scan of every cell union when the grid is small
-enough to afford it (resolution n <= 2).  Estimates carry the witness set
-achieving them so certificates can be re-checked after the fact.
+enough to afford it (resolution n <= 2).  Each greedy step scores every
+square at once, in blocks of stacked trial masks.  Estimates carry the
+witness set achieving them so certificates can be re-checked after the
+fact.
 
 Every containment, of an interval in an interval, of a rectangle in a
 cell union or of a cell in a rectangle, is read off the cached cell spans
@@ -21,12 +23,15 @@ unions as n grows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     CellSet,
+    _box_sum,
+    _integral_image,
     _interval_meta,
     _interval_spans,
     _span_box_sums,
@@ -36,6 +41,9 @@ from .grid import (
 from .wavelets import WaveletCoefficients
 
 _EXHAUSTIVE_MAX_SCALE = 2
+# squares a greedy step scores at once: at n = 5 a search with blocks of 64
+# peaks at about 4 MiB of arrays, one with every square at once at about 80 MiB
+_GREEDY_BLOCK = 64
 _CERT_TOL = 1e-12
 
 
@@ -106,40 +114,75 @@ def _square_spans(n: int) -> list[tuple[int, int, int, int]]:
     return list(zip(s0[a1].tolist(), s1[a1].tolist(), s0[a2].tolist(), s1[a2].tolist()))
 
 
+@functools.lru_cache(maxsize=None)
+def _square_cells(n: int) -> tuple[np.ndarray, ...]:
+    """The spans r0, r1, q0, q1 of _square_spans(n) as arrays, and each
+    square's (S, 2^n) row and column indicators; cached and read-only."""
+    r0, r1, q0, q1 = np.array(_square_spans(n)).T
+    cells = np.arange(1 << n)
+    in_rows = (r0[:, None] <= cells) & (cells < r1[:, None])
+    in_cols = (q0[:, None] <= cells) & (cells < q1[:, None])
+    arrays = (r0, r1, q0, q1, in_rows, in_cols)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _best_square(
+    c_abs2: np.ndarray, mask: np.ndarray, cur_e: float
+) -> tuple[np.ndarray, float, int] | None:
+    """The square of best marginal gain (energy added per measure added) over
+    mask, whose energy is cur_e, the first in (j, k1, k2) order on a tie.
+
+    Returns the trial mask | square, its energy and its count of new cells;
+    None when every square lies in mask.  The squares with new cells are
+    scored in blocks of _GREEDY_BLOCK: one stack of trial masks, one stacked
+    integral image and one separable box count give each trial's (K, K)
+    containment table, K = 2^(n+1) - 1.  Each trial's energy is one np.add.reduce (np.sum's
+    reduction) over its own contained coefficients, in their order, so the
+    scores are those of scoring the squares one at a time to the bit.
+    """
+    n = mask.shape[0].bit_length() - 1
+    r0, r1, q0, q1, in_rows, in_cols = _square_cells(n)
+    s0, s1 = _interval_spans(n, n)
+    cell_area = 4.0**-n
+    new_cells = _box_sum(_integral_image(~mask), r0, r1, q0, q1)
+    candidates = np.flatnonzero(new_cells)
+    best_gain, best = -np.inf, None
+    for at in range(0, candidates.size, _GREEDY_BLOCK):
+        block = candidates[at : at + _GREEDY_BLOCK]
+        trials = mask | (in_rows[block, :, None] & in_cols[block, None, :])
+        inside = _spans_inside(trials, s0, s1)
+        energies = np.array([np.add.reduce(c_abs2[table]) for table in inside])
+        gains = (energies - cur_e) / (new_cells[block] * cell_area)
+        # argmax takes the block's first maximum, and a later block must beat it
+        t = int(np.argmax(gains))
+        if gains[t] > best_gain:
+            best_gain = gains[t]
+            best = (trials[t], float(energies[t]), int(new_cells[block[t]]))
+    return best
+
+
 def _greedy_search(c: WaveletCoefficients, seed: BmoEstimate) -> tuple[np.ndarray, float, float]:
     """Grow the rectangular witness seed (rect_bmo(c)) by dyadic squares with
     the best marginal gain.
 
     Returns the final mask, its energy and its measure.  Each step adds the
-    square maximizing the marginal energy-to-measure gain, accepted only
-    while the overall ratio improves.  Every accepted square adds a cell, so
-    the search stops within 4^n steps.
+    square of _best_square, accepted only while the overall ratio improves.
+    Every accepted square adds a cell, so the search stops within 4^n steps.
+    A step scores the S = (4^(n+1) - 1)/3 squares in O(S K^2) integer work
+    and S sums, K = 2^(n+1) - 1, holding at most _GREEDY_BLOCK containment
+    tables at once.
     """
     n = c.max_scale
     c_abs2 = np.abs(c.matrix) ** 2
-    s0, s1 = _interval_spans(n, n)
-    mask = seed.witness.mask.copy()
+    mask = seed.witness.mask
     cell_area = 4.0**-n
-    cur_e = float(np.sum(c_abs2[_spans_inside(mask, s0, s1)]))
+    cur_e = float(np.sum(c_abs2[_spans_inside(mask, *_interval_spans(n, n))]))
     cur_m = float(np.count_nonzero(mask)) * cell_area
-    squares = _square_spans(n)
-    while True:
-        best_gain = -np.inf
-        best = None
-        for r0, r1, q0, q1 in squares:
-            new_cells = int(np.count_nonzero(~mask[r0:r1, q0:q1]))
-            if new_cells == 0:
-                continue
-            trial = mask.copy()
-            trial[r0:r1, q0:q1] = True
-            e = float(np.sum(c_abs2[_spans_inside(trial, s0, s1)]))
-            gain = (e - cur_e) / (new_cells * cell_area)
-            if gain > best_gain:
-                best_gain = gain
-                best = (trial, e, cur_m + new_cells * cell_area)
-        if best is None:
-            break
-        trial, e, m = best
+    while (best := _best_square(c_abs2, mask, cur_e)) is not None:
+        trial, e, new_cells = best
+        m = cur_m + new_cells * cell_area
         if e / m <= cur_e / cur_m:
             break
         mask, cur_e, cur_m = trial, e, m
@@ -174,11 +217,13 @@ def product_bmo_lower(c: WaveletCoefficients, method: str = "auto") -> BmoEstima
     method='exhaustive' scans all cell unions (only at max_scale <= 2),
     'greedy' runs the seeded square-growing search, and 'auto' picks
     exhaustive when affordable.  The greedy result is a lower bound with a
-    witness; its search runs until no square improves the ratio.  Both searches cover rect_bmo's witness but sum its energy in
-    another order, so the result is the larger of the search's value and
-    rect_bmo's: it dominates rect_bmo to the last bit.  Greedy cost grows with
-    4^max_scale per step, so it is intended for the small resolutions the
-    experiments use.
+    witness; its search runs until no square improves the ratio.  Both
+    searches cover rect_bmo's witness but sum its energy in another order,
+    so the result is the larger of the search's value and rect_bmo's: it
+    dominates rect_bmo to the last bit.  A greedy step scores all
+    S = (4^(n+1) - 1)/3 squares, n = max_scale, with O(S 4^n) integer box
+    counts and S sums, in blocks of _GREEDY_BLOCK squares so that memory
+    stays O(_GREEDY_BLOCK 4^n); the search takes at most 4^n steps.
     """
     if method not in ("auto", "greedy", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")

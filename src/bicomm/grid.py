@@ -52,8 +52,10 @@ def _check_power_of_two(n: int) -> None:
         raise ValueError(f"grid size must be a positive power of two, got {n}")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.complex128, copy=True)
+def _freeze(a, copy: bool | None = True) -> np.ndarray:
+    """a as a read-only complex128 array; copy=None freezes a complex128
+    ndarray in place."""
+    a = np.array(a, dtype=np.complex128, copy=copy)
     a.flags.writeable = False
     return a
 
@@ -74,8 +76,20 @@ class _GridSignal:
     ndim: ClassVar[int]  # the number of axes, set by each subclass
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _freeze(np.asarray(self.samples)))
-        shape = self.samples.shape
+        # a caller's array is copied: changing it later cannot reach the signal
+        self._set_samples(_freeze(self.samples))
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray):
+        """A signal on a fresh array that nothing else references, frozen
+        without a copy."""
+        sig = object.__new__(cls)
+        sig._set_samples(_freeze(samples, copy=None))
+        return sig
+
+    def _set_samples(self, samples: np.ndarray) -> None:
+        object.__setattr__(self, "samples", samples)
+        shape = samples.shape
         if len(shape) != self.ndim or len(set(shape)) != 1:
             name = type(self).__name__
             raise ValueError(f"{name} expects a {self.ndim}D sample array with equal axes")
@@ -92,7 +106,7 @@ class _GridSignal:
     @classmethod
     def from_spectrum(cls, fhat: np.ndarray):
         fhat = np.asarray(fhat, dtype=np.complex128)
-        return cls(np.fft.ifftn(fhat * fhat.size))
+        return cls._adopt(np.fft.ifftn(fhat * fhat.size))
 
     def is_admissible(self, tol: float = 1e-12) -> bool:
         """True when the spectrum vanishes on the zero and Nyquist lines of every axis."""
@@ -111,22 +125,22 @@ class _GridSignal:
 
     # pointwise algebra
     def __add__(self, other):
-        return type(self)(self.samples + self._operand(other))
+        return type(self)._adopt(self.samples + self._operand(other))
 
     def __sub__(self, other):
-        return type(self)(self.samples - self._operand(other))
+        return type(self)._adopt(self.samples - self._operand(other))
 
     def __mul__(self, other):
-        return type(self)(self.samples * self._operand(other))
+        return type(self)._adopt(self.samples * self._operand(other))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __neg__(self):
-        return type(self)(-self.samples)
+        return type(self)._adopt(-self.samples)
 
     def conj(self):
-        return type(self)(np.conj(self.samples))
+        return type(self)._adopt(np.conj(self.samples))
 
     def inner(self, other) -> complex:
         """<f,g> = N^{-d} sum f conj(g); equals sum_k fhat conj(ghat)."""
@@ -416,11 +430,12 @@ def strong_maximal_half_level(U: CellSet) -> CellSet:
     return CellSet(U.n, out)
 
 
-def _integral_image(mask: np.ndarray) -> np.ndarray:
-    """Zero-padded 2D prefix sums: ii[r, c] sums the cells above-left of (r, c)."""
-    m = mask.shape[0]
-    ii = np.zeros((m + 1, m + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(mask, axis=0), axis=1, out=ii[1:, 1:])
+def _integral_image(cells: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Zero-padded prefix sums over the last two axes: ii[..., r, c] sums the
+    cells above-left of (r, c).  Leading axes index a stack of grids."""
+    *lead, m1, m2 = cells.shape
+    ii = np.zeros((*lead, m1 + 1, m2 + 1), dtype=dtype)
+    np.cumsum(np.cumsum(cells, axis=-2, dtype=dtype), axis=-1, out=ii[..., 1:, 1:])
     return ii
 
 
@@ -468,14 +483,25 @@ def _interval_spans(max_scale: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return spans
 
 
-def _span_box_sums(cells: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """(K, K) table of the sums of cells over [s0[a1], s1[a1]) x [s0[a2], s1[a2])."""
-    return _box_sum(_integral_image(cells), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
+def _span_box_sums(
+    cells: np.ndarray, s0: np.ndarray, s1: np.ndarray, dtype=np.int64
+) -> np.ndarray:
+    """(..., K, K) table of the sums of cells over [s0[a1], s1[a1]) x [s0[a2], s1[a2]).
+
+    cells may be a stack of grids.  The box sums difference the integral
+    image along one axis and then the other, two gathers of K rows each
+    instead of four of K x K corners.
+    """
+    ii = _integral_image(cells, dtype)
+    rows = ii[..., s1, :] - ii[..., s0, :]
+    return rows[..., s1] - rows[..., s0]
 
 
-def _spans_inside(mask: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """(K, K) table: True where the box [s0[a1], s1[a1]) x [s0[a2], s1[a2]) lies in mask."""
-    return _span_box_sums(mask, s0, s1) == (s1 - s0)[:, None] * (s1 - s0)[None, :]
+def _spans_inside(masks: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """(..., K, K) table: True where the box [s0[a1], s1[a1]) x [s0[a2], s1[a2])
+    lies in the mask; masks may be a stack of grids.  Its int32 counts hold
+    grids up to 2^15 cells a side."""
+    return _span_box_sums(masks, s0, s1, np.int32) == (s1 - s0)[:, None] * (s1 - s0)[None, :]
 
 
 def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:

@@ -61,7 +61,7 @@ def _sign(N: int) -> np.ndarray:
 
 def _multiply(f, m: np.ndarray):
     """The Fourier multiplier m applied to f; m broadcasts against the spectrum."""
-    return type(f)(np.fft.ifftn(np.fft.fftn(f.samples) * m))
+    return type(f)._adopt(np.fft.ifftn(np.fft.fftn(f.samples) * m))
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def synthesize(c: WaveletCoefficients, N: int) -> GridSignal2D:
     """sum_R c_R v_R on the N-point grid."""
     _check_scale(c.max_scale, N)
     W = _wavelet_samples(N, c.max_scale)
-    return GridSignal2D(W.T @ c.matrix @ W)
+    return GridSignal2D._adopt(W.T @ c.matrix @ W)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,31 @@
 """Rectangular and product BMO functionals and their certificates."""
 
 import csv
+import functools
 
 import numpy as np
 import pytest
 
+from bicomm import bmo
 from bicomm.bmo import (
+    _best_square,
+    _greedy_search,
     _square_spans,
     coefficient_energy,
     product_bmo_lower,
     rect_bmo,
     rectangles_inside,
 )
-from bicomm.cli import ExperimentConfig, run
-from bicomm.grid import CellSet, DyadicRectangle, enumerate_dyadic_rectangles, interval_index
+from bicomm.cli import ExperimentConfig, _family_coefficients, run
+from bicomm.grid import (
+    CellSet,
+    DyadicRectangle,
+    _interval_spans,
+    _spans_inside,
+    enumerate_dyadic_rectangles,
+    interval_index,
+)
+from bicomm.journe import row_resolution
 from bicomm.wavelets import WaveletCoefficients
 
 
@@ -99,6 +111,174 @@ def test_square_spans_are_the_dyadic_squares():
         squares = sorted(R for R in rects if R.interval1.j == R.interval2.j)
         want = [R.interval1.cell_span(n) + R.interval2.cell_span(n) for R in squares]
         assert _square_spans(n) == want
+
+
+def scalar_best_square(c_abs2, mask, cur_e):
+    """The square scan of _best_square one square at a time: a fresh trial
+    mask and containment table per square, the first maximum winning."""
+    n = mask.shape[0].bit_length() - 1
+    s0, s1 = _interval_spans(n, n)
+    cell_area = 4.0**-n
+    best_gain = -np.inf
+    best = None
+    for r0, r1, q0, q1 in _square_spans(n):
+        new_cells = int(np.count_nonzero(~mask[r0:r1, q0:q1]))
+        if new_cells == 0:
+            continue
+        trial = mask.copy()
+        trial[r0:r1, q0:q1] = True
+        e = float(np.sum(c_abs2[_spans_inside(trial, s0, s1)]))
+        gain = (e - cur_e) / (new_cells * cell_area)
+        if gain > best_gain:
+            best_gain = gain
+            best = (trial, e, new_cells)
+    return best
+
+
+def scalar_greedy_search(c, seed):
+    """The greedy search with squares scored one at a time (the oracle of
+    the batched _greedy_search)."""
+    n = c.max_scale
+    c_abs2 = np.abs(c.matrix) ** 2
+    s0, s1 = _interval_spans(n, n)
+    mask = seed.witness.mask.copy()
+    cell_area = 4.0**-n
+    cur_e = float(np.sum(c_abs2[_spans_inside(mask, s0, s1)]))
+    cur_m = float(np.count_nonzero(mask)) * cell_area
+    while True:
+        best = scalar_best_square(c_abs2, mask, cur_e)
+        if best is None:
+            break
+        trial, e, new_cells = best
+        m = cur_m + new_cells * cell_area
+        if e / m <= cur_e / cur_m:
+            break
+        mask, cur_e, cur_m = trial, e, m
+    return mask, cur_e, cur_m
+
+
+def family_corpus(family, n, seeds, **fields):
+    cfg = ExperimentConfig("bmo-scan", N=2 ** (n + 4), n=n, family=family, **fields)
+    return [_family_coefficients(cfg, np.random.default_rng(seed)) for seed in seeds]
+
+
+def comb_coefficients(rng, n):
+    """A unit coefficient on row r and teeth below it: on fewer than half the
+    columns, a column interval of 2 or 4 rows about row r.  Each tooth's
+    ratio is below the row's, so rect_bmo's witness is the row, but the
+    tooth adds more energy per new cell than the row holds per cell, so the
+    greedy search grows by several squares (the random families mostly
+    stop at their seed)."""
+    m = 1 << n
+    r = int(rng.integers(0, m))
+    vals = {DyadicRectangle.from_indices(n, r, 0, 0): 1.0}
+    for col in rng.choice(m, max(1, m // 2 - 1), replace=False):
+        t = int(rng.integers(1, min(n, 2) + 1))
+        energy = 2.0**-n * (2**t - 1 + rng.uniform(0.1, 0.9))
+        vals[DyadicRectangle.from_indices(n - t, r >> t, n, int(col))] = float(np.sqrt(energy))
+    return WaveletCoefficients.from_dict(n, vals)
+
+
+def greedy_corpus():
+    """random-carleson at n = 1-5 (criterion 7's 200 seeds at n=3), the other
+    coefficient families, dense random coefficients, combs, and two equal
+    far-apart cells, whose union's ratio equals the seed's (the stop rule's
+    equality)."""
+    rng = np.random.default_rng(39)
+    corpus = [comb_coefficients(rng, n) for n in (1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4)]
+    for n, count in ((1, 20), (2, 20), (4, 8), (5, 2)):
+        corpus += family_corpus("random-carleson", n, [[n, i] for i in range(count)])
+    corpus += family_corpus("random-carleson", 3, [[0, i] for i in range(200)])
+    for K in (2, 4):
+        n = row_resolution(K)
+        corpus += family_corpus("row-of-squares-dual", n, [[K, i] for i in range(3)], K=K)
+    for n in range(1, 5):
+        for family in ("multiscale-square", "single-rectangle"):
+            corpus += family_corpus(family, n, [[n, i] for i in range(4)])
+    corpus += [rand_coeffs(rng, n) for n in (2, 3, 3, 4)]
+    cells = (DyadicRectangle.from_indices(3, 0, 3, 0), DyadicRectangle.from_indices(3, 5, 3, 6))
+    corpus.append(WaveletCoefficients.from_dict(3, dict.fromkeys(cells, 1.0)))
+    return corpus
+
+
+def float_bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@functools.cache
+def scalar_searches():
+    """(coefficients, seed, scalar_greedy_search result) over greedy_corpus()."""
+    searches = []
+    for c in greedy_corpus():
+        seed = rect_bmo(c)
+        searches.append((c, seed, scalar_greedy_search(c, seed)))
+    return searches
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_greedy_matches_scalar_loop_bit_for_bit(monkeypatch, block):
+    """The batched search returns the scalar loop's mask, energy and measure
+    to the bit; a block of 3 splits the squares of each scale across blocks."""
+    monkeypatch.setattr(bmo, "_GREEDY_BLOCK", block)
+    grew = 0
+    for c, seed, (want_mask, want_e, want_m) in scalar_searches():
+        mask, e, m = _greedy_search(c, seed)
+        assert np.array_equal(mask, want_mask)
+        assert float_bits([e, m]) == float_bits([want_e, want_m])
+        grew += not np.array_equal(mask, seed.witness.mask)
+    # the combs grow, so the comparison covers accepted squares
+    assert grew >= 10
+
+
+def tie_instance():
+    """Row 0 of the 8 x 8 grid and unit coefficients on the vertical
+    dominoes under its cells 0, 1, 4 and 5: the squares of scale 2 over
+    columns 0-1 and 4-5 and the four cells under the dominoes each add
+    energy 64 per unit of measure, more than any other square."""
+    n = 3
+    dominoes = [DyadicRectangle.from_indices(2, 0, 3, k) for k in (0, 1, 4, 5)]
+    c = WaveletCoefficients.from_dict(n, dict.fromkeys(dominoes, 1.0))
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[0] = True
+    return c, mask
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 64, 4096])
+def test_tie_goes_to_first_square_in_order(monkeypatch, block):
+    """Six squares tie on gain; the first in (j, k1, k2) order wins, as in
+    the scalar loop, whether the tied squares share a block or not."""
+    monkeypatch.setattr(bmo, "_GREEDY_BLOCK", block)
+    c, mask = tie_instance()
+    c_abs2 = np.abs(c.matrix) ** 2
+    cur_e = coefficient_energy(c, CellSet(3, mask))
+    squares = _square_spans(3)
+    gains = {}
+    for i, (r0, r1, q0, q1) in enumerate(squares):
+        new_cells = int(np.count_nonzero(~mask[r0:r1, q0:q1]))
+        if new_cells:
+            trial = mask.copy()
+            trial[r0:r1, q0:q1] = True
+            gains[i] = (coefficient_energy(c, CellSet(3, trial)) - cur_e) / (new_cells / 64)
+    top = max(gains.values())
+    tied = [i for i, g in gains.items() if g == top]
+    want = [(0, 2, 0, 2), (0, 2, 4, 6), (1, 2, 0, 1), (1, 2, 1, 2), (1, 2, 4, 5), (1, 2, 5, 6)]
+    assert top == 64.0 and [squares[i] for i in tied] == want
+    trial, e, new_cells = _best_square(c_abs2, mask, cur_e)
+    want_trial = mask.copy()
+    want_trial[0:2, 0:2] = True
+    assert np.array_equal(trial, want_trial) and (e, new_cells) == (2.0, 2)
+    assert np.array_equal(scalar_best_square(c_abs2, mask, cur_e)[0], want_trial)
+    # blocks of the squares with new cells: below 4 the first two tied squares
+    # fall in different blocks, and below 64 the cells in a later one
+    order = {i: pos for pos, i in enumerate(gains)}
+    blocks = [order[i] // block for i in tied]
+    assert (blocks[0] != blocks[1]) == (block < 4) and (blocks[0] != blocks[2]) == (block < 64)
+
+
+def test_best_square_none_when_mask_is_full():
+    c = rand_coeffs(np.random.default_rng(40), 2)
+    full = np.ones((4, 4), dtype=bool)
+    assert _best_square(np.abs(c.matrix) ** 2, full, 0.0) is None
 
 
 def brute_product_bmo(c):

@@ -16,8 +16,12 @@ from bicomm.grid import (
     DyadicRectangle,
     GridSignal1D,
     GridSignal2D,
+    _box_sum,
     _covered,
+    _integral_image,
     _interval_spans,
+    _span_box_sums,
+    _spans_inside,
     enumerate_dyadic_rectangles,
     index_interval,
     interval_index,
@@ -77,6 +81,29 @@ def test_signal_algebra_matches_numpy():
     np.testing.assert_array_equal(f.conj().samples, np.conj(f.samples))
     assert abs(f.norm2() - np.sqrt(np.mean(np.abs(f.samples) ** 2))) < 1e-15
     assert type(f + g) is GridSignal1D and type(2.0 * rand_signal_2d(rng, 8)) is GridSignal2D
+
+
+def test_signal_owns_frozen_samples():
+    """A caller's array is copied and every signal's samples are read-only;
+    the fresh arrays of arithmetic and from_spectrum are frozen as they are."""
+    rng = np.random.default_rng(3)
+    for shape, cls in (((16,), GridSignal1D), ((8, 8), GridSignal2D)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = cls(a)
+        want = a.copy()
+        a[...] = 0.0
+        np.testing.assert_array_equal(f.samples, want)
+        signals = [f, f + f, f - 1.0, f * f, 2.0 * f, -f, f.conj(), cls.from_spectrum(f.spectrum())]
+        for g in signals:
+            assert type(g) is cls and g.samples.dtype == np.complex128
+            assert not g.samples.flags.writeable
+            with pytest.raises(ValueError):
+                g.samples[(0,) * len(shape)] = 1.0
+        np.testing.assert_array_equal(f.samples, want)
+        fresh = np.ones(shape, dtype=np.complex128)
+        assert cls._adopt(fresh).samples is fresh and cls(fresh).samples is not fresh
+        with pytest.raises(ValueError):
+            cls._adopt(np.ones((3,) * len(shape), dtype=np.complex128))
 
 
 def test_mixed_grid_arithmetic_rejected():
@@ -166,6 +193,20 @@ def test_cell_span():
     assert list(zip(s0.tolist(), s1.tolist())) == [
         DyadicInterval(j, k).cell_span(4) for j in range(5) for k in range(2**j)
     ]
+
+
+def test_stacked_box_sums_match_corner_sums():
+    """The separable box sums of a stack of grids equal each grid's
+    four-corner sums, and the stacked containment table each grid's own."""
+    rng = np.random.default_rng(12)
+    for max_scale, n in ((0, 0), (2, 1), (3, 3), (4, 2), (5, 5)):
+        s0, s1 = _interval_spans(max_scale, n)
+        cells = rng.integers(0, 5, size=(3, 1 << n, 1 << n))
+        sums, inside = _span_box_sums(cells, s0, s1), _spans_inside(cells > 1, s0, s1)
+        for grid, grid_sums, grid_inside in zip(cells, sums, inside):
+            corners = _box_sum(_integral_image(grid), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
+            assert np.array_equal(grid_sums, corners)
+            assert np.array_equal(grid_inside, _spans_inside(grid > 1, s0, s1))
 
 
 def test_dyadic_rectangle():
