@@ -44,6 +44,10 @@ _EXHAUSTIVE_MAX_SCALE = 2
 # squares a greedy step scores at once: at n = 5 a search with blocks of 64
 # peaks at about 4 MiB of arrays, one with every square at once at about 80 MiB
 _GREEDY_BLOCK = 64
+# cell unions the exhaustive scan tests at once: its (sets, rectangles)
+# containment table goes to float64 for the energy product, 25.7 MB for all
+# 65,535 unions at n = 2 and 1.6 MB for a block of 4096
+_SCAN_BLOCK = 4096
 _CERT_TOL = 1e-12
 
 
@@ -190,7 +194,8 @@ def _greedy_search(c: WaveletCoefficients, seed: BmoEstimate) -> tuple[np.ndarra
 
 
 def _exhaustive_scan(c: WaveletCoefficients) -> BmoEstimate:
-    """Scan every nonempty cell union at resolution n <= 2 (<= 65535 sets)."""
+    """Scan every nonempty cell union at resolution n <= 2 (<= 65535 sets),
+    _SCAN_BLOCK sets at a time."""
     n = c.max_scale
     m = 1 << n
     cells = m * m
@@ -201,8 +206,10 @@ def _exhaustive_scan(c: WaveletCoefficients) -> BmoEstimate:
     energies = (np.abs(c.matrix) ** 2).ravel()
     flat_rmask = rmask.ravel()
     sets = np.arange(1, 2**cells, dtype=np.uint32)
-    contained = (sets[:, None] & flat_rmask[None, :]) == flat_rmask[None, :]
-    e = contained @ energies
+    e = np.empty(sets.size)
+    for at in range(0, sets.size, _SCAN_BLOCK):
+        block = sets[at : at + _SCAN_BLOCK, None]
+        e[at : at + _SCAN_BLOCK] = ((block & flat_rmask) == flat_rmask) @ energies
     meas = np.bitwise_count(sets).astype(np.float64) * 4.0**-n
     ratio = e / meas
     idx = int(np.argmax(ratio))

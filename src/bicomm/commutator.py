@@ -9,9 +9,15 @@ with B_i <= N/4, the modes that reach it directly (|k_i| < B_i) and those
 that reach it around the frequency circle (|k_i| > N/2 - B_i) stay apart,
 so each term is a direct sum of copies of the four little Hankel matrices
 built by `quadrant_hankel`, and the operator norm is exactly
-4 max_q sigma_max(Gamma_q), found by the SVD of four (B1-1)(B2-1)-square
-matrices.  Wider spectra fall back to power iteration on T*T with a seeded
-start vector, which is built on `commutator_apply` alone and so serves as
+4 max_q sigma_max(Gamma_q) over four L-square matrices, L = (B1-1)(B2-1).
+Only one SVD is needed for that maximum: the block with the largest
+cheap lower bound on sigma_max gives s = sigma_max by SVD, and each other
+block Gamma is certified below s by a Cholesky factorization of
+s^2 (1 - delta) I - Gamma^H Gamma (Gamma is complex symmetric, so
+Gamma^H = conj(Gamma)).  A block whose certificate fails, as an exact tie
+does, gets its own SVD, so the value is bit for bit the four-SVD maximum.
+Wider spectra fall back to power iteration on T*T with a seeded start
+vector, which is built on `commutator_apply` alone and so serves as
 the oracle of the block form.  The little Hankel operator with a
 holomorphic symbol, whose dense matrix comes from the same
 `quadrant_hankel`, rounds out the module: every matrix here is built by it.
@@ -19,6 +25,7 @@ holomorphic symbol, whose dense matrix comes from the same
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +40,10 @@ _DENSE_MAX_N = 32
 # them before it reads the band
 _SPECTRUM_FLOOR = 1e-13
 _QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# the Cholesky certificate's margin is delta = _CERT_SLACK (L + 2)^2 eps for
+# L-square blocks, 32 times the worst-case rounding of the Gram product and
+# the factorization relative to s^2 (see operator_norm)
+_CERT_SLACK = 16.0
 
 
 class PowerIterationError(RuntimeError):
@@ -98,15 +109,24 @@ def quadrant_hankel(spec: np.ndarray, q: tuple[int, int], L1: int, L2: int) -> n
     Gamma_q[(k1, k2), (m1, m2)] = spec[q1 (k1 + m1), q2 (k2 + m2)] for
     1 <= k_i, m_i <= L_i, with frequencies taken mod N and rows and columns
     in (k1, k2) row-major order.  spec is in FFT storage order, normalized
-    as GridSignal2D.spectrum.
+    as GridSignal2D.spectrum.  The entries are one gather through the flat
+    index of _hankel_index.
     """
-    N = spec.shape[0]
+    return np.take(spec, _hankel_index(spec.shape[0], q, L1, L2))
+
+
+@functools.lru_cache(maxsize=8)
+def _hankel_index(N: int, q: tuple[int, int], L1: int, L2: int) -> np.ndarray:
+    """Flat index into an N x N spectrum of each entry of Gamma_q; read-only.
+    Cached for the four quadrants of two band shapes: the norm of a corpus
+    of symbols builds the same blocks over and over."""
     a1 = np.arange(1, L1 + 1)
     a2 = np.arange(1, L2 + 1)
     s1 = (q[0] * (a1[:, None] + a1[None, :])) % N
     s2 = (q[1] * (a2[:, None] + a2[None, :])) % N
-    block = spec[s1[:, None, :, None], s2[None, :, None, :]]
-    return block.reshape(L1 * L2, L1 * L2)
+    index = ((s1 * N)[:, None, :, None] + s2[None, :, None, :]).reshape(L1 * L2, L1 * L2)
+    index.flags.writeable = False
+    return index
 
 
 def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormResult:
@@ -120,14 +140,37 @@ def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormRes
     b and ||T_b|| <= 4 ||b||_inf <= 4 sum |b_hat| (Young's inequality), so
     the dropped entries move the result by at most 4 sum |b_hat_dropped|.
     Otherwise it returns power_iteration_norm(b, tol, 10000, seed); tol and
-    seed act only there.
+    seed act only there.  A symbol with a NaN or infinite sample raises
+    ValueError.
+
+    The exact maximum takes one SVD, of the block with the largest
+    _lower_bound, which gives s; each other block Gamma is L-square,
+    L = (B1 - 1)(B2 - 1), and is skipped when A = s^2 (1 - delta) I - H
+    has a Cholesky factor, H = Gamma^H Gamma = conj(Gamma) Gamma.  In exact
+    arithmetic that proves A positive definite, so sigma_max(Gamma)^2 =
+    lambda_max(H) < s^2 (1 - delta).  In floating point, a factorization
+    that completes is exact for A + E with ||E|| <= gamma_(L+1) tr(A)
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5),
+    and the computed H is off by at most gamma_(L+2) tr(H), where
+    gamma_m = m u / (1 - m u) and u = eps/2.  As tr(A) + tr(H) =
+    L s^2 (1 - delta), both stay below (L + 2)^2 u s^2, which complex
+    arithmetic raises by a small constant factor; delta =
+    _CERT_SLACK (L + 2)^2 eps is 32 times that bound, with room for the
+    factor and for the O(L eps) error of the SVD.  So a skipped block's SVD
+    would have returned less than s, and the value is bit for bit the
+    largest of the four SVDs.  A block whose sigma_max ties s to within
+    about delta, such as the conjugate quadrant of a real symbol, fails the
+    test and takes its SVD.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     N = b.n_points
     spec = b.spectrum()
     mag = np.abs(spec)
-    keep = mag > _SPECTRUM_FLOOR * mag.max()
+    peak = mag.max()
+    if not np.isfinite(peak):
+        raise ValueError("symbol is not finite")
+    keep = mag > _SPECTRUM_FLOOR * peak
     k = np.abs(frequencies(N))
     B1 = int(k[keep.any(axis=1)].max(initial=0))
     B2 = int(k[keep.any(axis=0)].max(initial=0))
@@ -137,11 +180,33 @@ def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormRes
         # every entry of Gamma_q sits at |k_i| >= 2
         return NormResult(0.0, 0, ())
     kept = np.where(keep, spec, 0.0)
-    top = max(
-        np.linalg.svd(quadrant_hankel(kept, q, B1 - 1, B2 - 1), compute_uv=False)[0]
-        for q in _QUADRANTS
-    )
-    return NormResult(4.0 * float(top), 0, ())
+    blocks = [quadrant_hankel(kept, q, B1 - 1, B2 - 1) for q in _QUADRANTS]
+    return NormResult(4.0 * _largest_singular_value(blocks), 0, ())
+
+
+def _lower_bound(gamma: np.ndarray) -> float:
+    """||Gamma x|| / ||x|| <= sigma_max(Gamma) for x the conjugate of
+    Gamma's longest row, so at least that row's length; 0 for a zero block."""
+    x = gamma[np.argmax(np.linalg.norm(gamma, axis=1))].conj()
+    length = np.linalg.norm(x)
+    return float(np.linalg.norm(gamma @ x) / length) if length else 0.0
+
+
+def _largest_singular_value(blocks: list[np.ndarray]) -> float:
+    """max sigma_max over complex symmetric L-square blocks: the SVD of the
+    block of largest _lower_bound, which most often holds the maximum, and
+    for each other block the Cholesky certificate of operator_norm or, where
+    it fails, its SVD, the running maximum becoming s."""
+    blocks = sorted(blocks, key=_lower_bound, reverse=True)
+    L = blocks[0].shape[0]
+    delta = _CERT_SLACK * (L + 2) ** 2 * np.finfo(np.float64).eps
+    top = np.linalg.svd(blocks[0], compute_uv=False)[0]
+    for gamma in blocks[1:]:
+        try:
+            np.linalg.cholesky((top * top * (1.0 - delta)) * np.eye(L) - gamma.conj() @ gamma)
+        except np.linalg.LinAlgError:
+            top = max(top, np.linalg.svd(gamma, compute_uv=False)[0])
+    return float(top)
 
 
 def power_iteration_norm(

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,29 @@ def test_exhaustive_scan_matches_bruteforce_n1():
         want = brute_product_bmo(c)
         assert abs(est.value - want) < 1e-10 * max(1.0, want)
         assert est.recheck(c)
+
+
+def test_exhaustive_scan_blocks_match_one_table(monkeypatch):
+    """The scan in blocks of _SCAN_BLOCK unions gives the bits of one table
+    over all 65,535 unions at n = 2, and its peak stays a small fraction of
+    that table's 25.7 MB float64 copy."""
+    rng = np.random.default_rng(39)
+    cases = [rand_coeffs(rng, 2, density) for density in (0.2, 0.5, 0.9, 1.0) for _ in range(3)]
+    cases.append(_family_coefficients(ExperimentConfig("bmo-scan", N=64, n=2), np.random.default_rng([0, 1])))
+    blocked = [bmo._exhaustive_scan(c) for c in cases]
+    with monkeypatch.context() as m:
+        m.setattr(bmo, "_SCAN_BLOCK", 1 << 16)
+        whole = [bmo._exhaustive_scan(c) for c in cases]
+    for a, b in zip(blocked, whole):
+        assert np.float64(a.value).view(np.int64) == np.float64(b.value).view(np.int64)
+        assert np.array_equal(a.witness.mask, b.witness.mask)
+    tracemalloc.start()
+    try:
+        bmo._exhaustive_scan(cases[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_greedy_close_to_exhaustive_n2():

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicomm.commutator import (
+    _QUADRANTS,
+    _SPECTRUM_FLOOR,
     PowerIterationError,
     bracket,
     commutator_apply,
@@ -15,9 +17,9 @@ from bicomm.commutator import (
     power_iteration_norm,
     quadrant_hankel,
 )
-from bicomm.cli import _basic_identity_residual
+from bicomm.cli import ExperimentConfig, _basic_identity_residual, _family_symbol
 from bicomm.grid import GridSignal1D, GridSignal2D
-from bicomm.transforms import project_admissible_2d, project_quadrant
+from bicomm.transforms import frequencies, project_admissible_2d, project_quadrant
 
 
 def rand_signal(rng, N):
@@ -273,6 +275,134 @@ def test_exact_norm_matches_dense_svd(symbol):
     top = dense_top(b)
     assert est.iterations == 0 and est.trace == ()
     assert abs(est.value - top) <= 1e-12 * max(1.0, top)
+
+
+def all_quadrant_norm(b):
+    """operator_norm's exact path by the largest of all four quadrant blocks'
+    SVDs, with no certificate: the oracle of the one-SVD norm."""
+    N = b.n_points
+    spec = b.spectrum()
+    mag = np.abs(spec)
+    keep = mag > _SPECTRUM_FLOOR * mag.max()
+    k = np.abs(frequencies(N))
+    B1 = int(k[keep.any(axis=1)].max(initial=0))
+    B2 = int(k[keep.any(axis=0)].max(initial=0))
+    assert max(B1, B2) <= N // 4
+    if min(B1, B2) < 2:
+        return 0.0
+    kept = np.where(keep, spec, 0.0)
+    top = max(
+        np.linalg.svd(quadrant_hankel(kept, q, B1 - 1, B2 - 1), compute_uv=False)[0]
+        for q in _QUADRANTS
+    )
+    return 4.0 * float(top)
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+def counted_norms(symbols, monkeypatch):
+    """operator_norm's values on symbols, and its np.linalg.svd calls for each."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls[-1] += 1
+        return svd(*args, **kwargs)
+
+    values = []
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", counting_svd)
+        for b in symbols:
+            calls.append(0)
+            values.append(operator_norm(b).value)
+    return values, calls
+
+
+def test_certified_norm_on_criterion_7_corpus(monkeypatch):
+    """Criterion 7's 200 symbols (N=128, n=3, blocks of 81 x 81): the same
+    bits as four SVDs, with fewer than two SVDs per symbol on average."""
+    cfg = ExperimentConfig("norm-compare", N=128, n=3, instances=200)
+    symbols = [_family_symbol(cfg, np.random.default_rng([0, i]))[0] for i in range(200)]
+    values, calls = counted_norms(symbols, monkeypatch)
+    assert_same_bits(values, [all_quadrant_norm(b) for b in symbols])
+    assert np.mean(calls) < 2.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(box_symbols(wide=False))
+def test_certified_norm_matches_all_quadrants(symbol):
+    b, _ = symbol
+    assert_same_bits([operator_norm(b).value], [all_quadrant_norm(b)])
+
+
+def real_symbols(N, seeds):
+    """Real band-limited symbols: each block is the conjugate of the opposite
+    quadrant's, so their singular values tie."""
+    return [GridSignal2D(band_limited(np.random.default_rng(s), N).samples.real + 0j) for s in seeds]
+
+
+def scale_quadrant(b, q, factor):
+    """b with its spectrum on the open quadrant q scaled by factor."""
+    k = frequencies(b.n_points)
+    inside = (q[0] * k[:, None] > 0) & (q[1] * k[None, :] > 0)
+    return GridSignal2D.from_spectrum(np.where(inside, factor * b.spectrum(), b.spectrum()))
+
+
+def test_certified_norm_on_ties_and_one_quadrant(monkeypatch):
+    """Real symbols tie two blocks exactly, and the tie takes the SVD; a
+    spectrum on one quadrant leaves three zero blocks, certified with no SVD."""
+    ties = real_symbols(32, range(70, 76)) + real_symbols(16, range(76, 80))
+    values, calls = counted_norms(ties, monkeypatch)
+    assert_same_bits(values, [all_quadrant_norm(b) for b in ties])
+    assert min(calls) >= 2
+    rng = np.random.default_rng(80)
+    one = [holomorphic_symbol(rng, N) for N in (16, 32, 32, 64)]
+    # conj moves the spectrum to the (-,-) quadrant
+    one += [b.conj() for b in one]
+    values, calls = counted_norms(one, monkeypatch)
+    assert_same_bits(values, [all_quadrant_norm(b) for b in one])
+    assert calls == [1] * len(one)
+
+
+def misordered_near_tie(N, seed, factor):
+    """A full (+,+) spectrum plus one (+,-) entry at (2, -2), factor times the
+    (+,+) block's largest singular value.  The (+,-) block is then a single
+    entry, whose lower bound is exact and beats the (+,+) block's, so it is
+    taken first: at factor = 1 - 1e-13 the maximum sits in the block taken
+    second, by far less than the certificate's margin."""
+    rich = holomorphic_symbol(np.random.default_rng(seed), N)
+    top = all_quadrant_norm(rich) / 4.0
+    return rich + mode(N, 2, -2) * (factor * top)
+
+
+def test_certified_norm_on_near_ties(monkeypatch):
+    """One quadrant's spectrum scaled by 1 +- 1e-13 splits a tie by far less
+    than the certificate's margin, so the block below the maximum takes the
+    SVD; and a near-tie maximum in the block taken second is found."""
+    symbols = []
+    for b in real_symbols(32, range(81, 84)):
+        for q in _QUADRANTS:
+            symbols += [scale_quadrant(b, q, 1.0 + 1e-13), scale_quadrant(b, q, 1.0 - 1e-13)]
+    values, calls = counted_norms(symbols, monkeypatch)
+    assert_same_bits(values, [all_quadrant_norm(b) for b in symbols])
+    assert min(calls) >= 2
+    # a gap of 1e-9 or 1/2 is certified, one of 1e-13 is not
+    for factor, svds in ((1.0 + 1e-13, 2), (1.0 - 1e-13, 2), (1.0 + 1e-9, 1), (0.5, 1)):
+        symbols = [misordered_near_tie(N, 84, factor) for N in (16, 32)]
+        values, calls = counted_norms(symbols, monkeypatch)
+        assert_same_bits(values, [all_quadrant_norm(b) for b in symbols])
+        assert calls == [svds, svds]
+
+
+def test_operator_norm_rejects_a_non_finite_symbol():
+    N = 32
+    for bad in (np.nan, np.inf):
+        samples = np.zeros((N, N), dtype=complex)
+        samples[3, 5] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            operator_norm(GridSignal2D(samples))
 
 
 @st.composite
