@@ -2,14 +2,14 @@
 
 The rectangular functional is an exact supremum over dyadic rectangles,
 computed by accumulating coefficient energy over the dyadic tree in each
-axis.  The product functional's supremum over open sets is approximated
-from below by unions of grid cells: a greedy search over dyadic squares
-seeded at the rectangular witness, run until no square improves the
-ratio, or an exhaustive scan of every cell union when the grid is small
-enough to afford it (resolution n <= 2).  Each greedy step scores every
-square at once, in blocks of stacked trial masks.  Estimates carry the
-witness set achieving them so certificates can be re-checked after the
-fact.
+axis.  The product functional, the supremum over open sets U of E(U)/|U|
+with E(U) the energy of the rectangles inside U, is exact over the unions
+of grid cells: Dinkelbach's ratio iteration (1967) over the minimum cuts
+of a closure graph on the dyadic rectangles (Picard 1976), stopped at the
+first cut that finds no union of a higher ratio.  Its value never falls
+below the rectangular one, to the bit (see product_bmo_lower).  Estimates
+carry the witness set achieving them so certificates can be re-checked
+after the fact.
 
 Every containment, of an interval in an interval, of a rectangle in a
 cell union or of a cell in a rectangle, is read off the cached cell spans
@@ -28,27 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    CellSet,
-    _box_sum,
-    _integral_image,
-    _interval_meta,
-    _interval_spans,
-    _span_box_sums,
-    _spans_inside,
-    rectangles_inside,
-)
+from .grid import CellSet, _interval_meta, _interval_spans, _spans_inside, rectangles_inside
 from .wavelets import WaveletCoefficients
-
-_EXHAUSTIVE_MAX_SCALE = 2
-# squares a greedy step scores at once: at n = 5 a search with blocks of 64
-# peaks at about 4 MiB of arrays, one with every square at once at about 80 MiB
-_GREEDY_BLOCK = 64
-# cell unions the exhaustive scan tests at once: its (sets, rectangles)
-# containment table goes to float64 for the energy product, 25.7 MB for all
-# 65,535 unions at n = 2 and 1.6 MB for a block of 4096
-_SCAN_BLOCK = 4096
-_CERT_TOL = 1e-12
 
 
 def _subtree_energy(c: WaveletCoefficients) -> np.ndarray:
@@ -71,12 +52,10 @@ def coefficient_energy(c: WaveletCoefficients, U: CellSet) -> float:
 
 @dataclass(frozen=True)
 class BmoEstimate:
-    """A lower bound for a BMO-type supremum together with its witness.
+    """A BMO-type supremum together with its witness.
 
-    exact=True means the search space was covered exhaustively (all dyadic
-    rectangles for the rectangular functional, all cell unions for the
-    product functional at tiny resolution), so the value is the supremum
-    over that space rather than a bound.
+    Both functionals are exact suprema over their search spaces (every
+    dyadic rectangle, every cell union), so exact is always True.
     """
 
     value: float
@@ -84,9 +63,19 @@ class BmoEstimate:
     exact: bool
 
     def recheck(self, c: WaveletCoefficients) -> bool:
-        """Certificate: value^2 * |witness| <= energy inside the witness."""
+        """Certificate: value^2 |witness| <= E(witness) (1 + 2 (K^2 + 4) eps).
+
+        E(witness) sums at most K^2 nonnegative terms, K = 2^(max_scale+1) - 1,
+        so any summation order has a relative error of at most
+        gamma_{K^2} <= 1.01 K^2 u, u = eps/2 (Higham, Lemma 3.1).  The value
+        came from another such sum, and its quotient, square root and square
+        and the products here add at most 7 roundings: the slack
+        4 (K^2 + 4) u exceeds 2 gamma_{K^2} + 7 u, at every scale of c.
+        """
+        K = c.matrix.shape[0]
+        slack = 2 * (K * K + 4) * np.finfo(np.float64).eps
         lhs = self.value**2 * self.witness.measure()
-        return lhs <= coefficient_energy(c, self.witness) + _CERT_TOL
+        return lhs <= coefficient_energy(c, self.witness) * (1.0 + slack)
 
 
 def rect_bmo(c: WaveletCoefficients) -> BmoEstimate:
@@ -109,140 +98,154 @@ def rect_bmo(c: WaveletCoefficients) -> BmoEstimate:
     return BmoEstimate(float(np.sqrt(best)), CellSet(J, mask), exact=True)
 
 
-def _square_spans(n: int) -> list[tuple[int, int, int, int]]:
-    """Cell spans of all dyadic squares at scales 0..n, in (j, k1, k2) order:
-    the pairs of equal-scale interval spans."""
-    s0, s1 = _interval_spans(n, n)
-    j, _ = _interval_meta(n)
-    a1, a2 = np.nonzero(j[:, None] == j[None, :])
-    return list(zip(s0[a1].tolist(), s1[a1].tolist(), s0[a2].tolist(), s1[a2].tolist()))
-
-
 @functools.lru_cache(maxsize=None)
-def _square_cells(n: int) -> tuple[np.ndarray, ...]:
-    """The spans r0, r1, q0, q1 of _square_spans(n) as arrays, and each
-    square's (S, 2^n) row and column indicators; cached and read-only."""
-    r0, r1, q0, q1 = np.array(_square_spans(n)).T
-    cells = np.arange(1 << n)
-    in_rows = (r0[:, None] <= cells) & (cells < r1[:, None])
-    in_cols = (q0[:, None] <= cells) & (cells < q1[:, None])
-    arrays = (r0, r1, q0, q1, in_rows, in_cols)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _closure_graph(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[float, ...]]:
+    """The arcs of product_bmo_lower's closure graph at resolution n, cached.
 
-
-def _best_square(
-    c_abs2: np.ndarray, mask: np.ndarray, cur_e: float
-) -> tuple[np.ndarray, float, int] | None:
-    """The square of best marginal gain (energy added per measure added) over
-    mask, whose energy is cur_e, the first in (j, k1, k2) order on a tie.
-
-    Returns the trial mask | square, its energy and its count of new cells;
-    None when every square lies in mask.  The squares with new cells are
-    scored in blocks of _GREEDY_BLOCK: one stack of trial masks, one stacked
-    integral image and one separable box count give each trial's (K, K)
-    containment table, K = 2^(n+1) - 1.  Each trial's energy is one np.add.reduce (np.sum's
-    reduction) over its own contained coefficients, in their order, so the
-    scores are those of scoring the squares one at a time to the bit.
+    Node a1 K + a2 is the rectangle I_{a1} x I_{a2}, K = 2^(n+1) - 1, and
+    the source and the sink follow.  Arc e's reverse is arc e ^ 1.  Arc 2r
+    leaves the source for rectangle r, the split arcs come next, and the
+    arcs from the cells to the sink end the list in row-major cell order.
+    Returns each node's arcs, each arc's head, and capacities that are
+    infinite on the split arcs and 0 elsewhere.
     """
-    n = mask.shape[0].bit_length() - 1
-    r0, r1, q0, q1, in_rows, in_cols = _square_cells(n)
-    s0, s1 = _interval_spans(n, n)
-    cell_area = 4.0**-n
-    new_cells = _box_sum(_integral_image(~mask), r0, r1, q0, q1)
-    candidates = np.flatnonzero(new_cells)
-    best_gain, best = -np.inf, None
-    for at in range(0, candidates.size, _GREEDY_BLOCK):
-        block = candidates[at : at + _GREEDY_BLOCK]
-        trials = mask | (in_rows[block, :, None] & in_cols[block, None, :])
-        inside = _spans_inside(trials, s0, s1)
-        energies = np.array([np.add.reduce(c_abs2[table]) for table in inside])
-        gains = (energies - cur_e) / (new_cells[block] * cell_area)
-        # argmax takes the block's first maximum, and a later block must beat it
-        t = int(np.argmax(gains))
-        if gains[t] > best_gain:
-            best_gain = gains[t]
-            best = (trials[t], float(energies[t]), int(new_cells[block[t]]))
-    return best
+    K = (2 << n) - 1
+    j = _interval_meta(n)[0].tolist()
+    source, sink = K * K, K * K + 1
+    out = [[] for _ in range(K * K + 2)]
+    head = []
 
+    def link(u: int, v: int) -> None:
+        out[u].append(len(head))
+        head.append(v)
+        out[v].append(len(head))
+        head.append(u)
 
-def _greedy_search(c: WaveletCoefficients, seed: BmoEstimate) -> tuple[np.ndarray, float, float]:
-    """Grow the rectangular witness seed (rect_bmo(c)) by dyadic squares with
-    the best marginal gain.
-
-    Returns the final mask, its energy and its measure.  Each step adds the
-    square of _best_square, accepted only while the overall ratio improves.
-    Every accepted square adds a cell, so the search stops within 4^n steps.
-    A step scores the S = (4^(n+1) - 1)/3 squares in O(S K^2) integer work
-    and S sums, K = 2^(n+1) - 1, holding at most _GREEDY_BLOCK containment
-    tables at once.
-    """
-    n = c.max_scale
-    c_abs2 = np.abs(c.matrix) ** 2
-    mask = seed.witness.mask
-    cell_area = 4.0**-n
-    cur_e = float(np.sum(c_abs2[_spans_inside(mask, *_interval_spans(n, n))]))
-    cur_m = float(np.count_nonzero(mask)) * cell_area
-    while (best := _best_square(c_abs2, mask, cur_e)) is not None:
-        trial, e, new_cells = best
-        m = cur_m + new_cells * cell_area
-        if e / m <= cur_e / cur_m:
-            break
-        mask, cur_e, cur_m = trial, e, m
-    return mask, cur_e, cur_m
-
-
-def _exhaustive_scan(c: WaveletCoefficients) -> BmoEstimate:
-    """Scan every nonempty cell union at resolution n <= 2 (<= 65535 sets),
-    _SCAN_BLOCK sets at a time."""
-    n = c.max_scale
+    for r in range(K * K):
+        link(source, r)
+    for a1 in range(K):
+        for a2 in range(K):
+            # the halves of I_a are I_{2a+1} and I_{2a+2}
+            r = a1 * K + a2
+            if j[a1] < n:
+                link(r, r + (a1 + 1) * K)
+                link(r, r + (a1 + 2) * K)
+            elif j[a2] < n:
+                link(r, r + a2 + 1)
+                link(r, r + a2 + 2)
+    splits = len(head) // 2 - K * K
     m = 1 << n
-    cells = m * m
-    # cell (i1, i2) is bit i1*m + i2; the bits of a box are disjoint, so
-    # their sum is the box's cell set
-    cell_bits = (1 << np.arange(cells, dtype=np.int64)).reshape(m, m)
-    rmask = _span_box_sums(cell_bits, *_interval_spans(n, n)).astype(np.uint32)
-    energies = (np.abs(c.matrix) ** 2).ravel()
-    flat_rmask = rmask.ravel()
-    sets = np.arange(1, 2**cells, dtype=np.uint32)
-    e = np.empty(sets.size)
-    for at in range(0, sets.size, _SCAN_BLOCK):
-        block = sets[at : at + _SCAN_BLOCK, None]
-        e[at : at + _SCAN_BLOCK] = ((block & flat_rmask) == flat_rmask) @ energies
-    meas = np.bitwise_count(sets).astype(np.float64) * 4.0**-n
-    ratio = e / meas
-    idx = int(np.argmax(ratio))
-    bits = (sets[idx] >> np.arange(cells, dtype=np.uint32)) & 1
-    witness = CellSet(n, bits.astype(bool).reshape(m, m))
-    return BmoEstimate(float(np.sqrt(ratio[idx])), witness, exact=True)
+    for a1 in range(m - 1, K):
+        for a2 in range(m - 1, K):
+            link(a1 * K + a2, sink)
+    blank = [0.0] * (2 * K * K) + [np.inf, 0.0] * splits + [0.0] * (2 * m * m)
+    return tuple(map(tuple, out)), tuple(head), tuple(blank)
 
 
-def product_bmo_lower(c: WaveletCoefficients, method: str = "auto") -> BmoEstimate:
-    """Certified lower bound for the open-set supremum of the BMO ratio.
+def _max_flow(out, head, cap: list, source: int, sink: int) -> list[int]:
+    """Dinic's blocking-flow maximum flow (1970), augmenting the residual
+    capacities cap in place from whatever feasible flow they hold.
 
-    method='exhaustive' scans all cell unions (only at max_scale <= 2),
-    'greedy' runs the seeded square-growing search, and 'auto' picks
-    exhaustive when affordable.  The greedy result is a lower bound with a
-    witness; its search runs until no square improves the ratio.  Both
-    searches cover rect_bmo's witness but sum its energy in another order,
-    so the result is the larger of the search's value and rect_bmo's: it
-    dominates rect_bmo to the last bit.  A greedy step scores all
-    S = (4^(n+1) - 1)/3 squares, n = max_scale, with O(S 4^n) integer box
-    counts and S sums, in blocks of _GREEDY_BLOCK squares so that memory
-    stays O(_GREEDY_BLOCK 4^n); the search takes at most 4^n steps.
+    Returns the levels of the last breadth-first search, the one that no
+    longer reaches the sink: a node has level >= 0 exactly when the source
+    reaches it in the residual graph, so those nodes are the source side of
+    a minimum cut.  Each augmentation empties its bottleneck arc exactly,
+    x - x == 0 in floating point, so every phase ends.
     """
-    if method not in ("auto", "greedy", "exhaustive"):
-        raise ValueError(f"unknown method {method!r}")
-    exhaustive = method == "exhaustive" or (method == "auto" and c.max_scale <= _EXHAUSTIVE_MAX_SCALE)
-    if exhaustive and c.max_scale > _EXHAUSTIVE_MAX_SCALE:
-        raise ValueError("exhaustive scan needs max_scale <= 2")
+    nodes = len(out)
+    while True:
+        level = [-1] * nodes
+        level[source] = 0
+        queue = [source]
+        for v in queue:
+            lv = level[v] + 1
+            for e in out[v]:
+                w = head[e]
+                if level[w] < 0 and cap[e] > 0:
+                    level[w] = lv
+                    queue.append(w)
+        if level[sink] < 0:
+            return level
+        # depth-first search for augmenting paths along rising levels, with
+        # a current-arc pointer per node and dead ends dropped from the level graph
+        current = [0] * nodes
+        path = []
+        v = source
+        while True:
+            if v == sink:
+                f = min([cap[e] for e in path])
+                for e in path:
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                path.clear()
+                v = source
+                continue
+            arcs = out[v]
+            i = current[v]
+            lv = level[v] + 1
+            while i < len(arcs) and not (cap[e := arcs[i]] > 0 and level[head[e]] == lv):
+                i += 1
+            current[v] = i
+            if i < len(arcs):
+                path.append(e)
+                v = head[e]
+            elif path:
+                level[v] = -1
+                v = head[path.pop() ^ 1]
+                current[v] += 1
+            else:
+                break
+
+
+def product_bmo_lower(c: WaveletCoefficients) -> BmoEstimate:
+    """The supremum over cell unions U of sqrt(E(U) / |U|), n = max_scale: a
+    lower bound for the supremum over all open sets.
+
+    For a fixed lambda the U that maximizes E(U) - lambda |U| is a
+    maximum-weight closure (Picard 1976), the cells on the source side of
+    a minimum cut of _closure_graph(n).  There the source links to each
+    rectangle R with capacity |c_R|^2, R to its two halves with infinite
+    capacity, split along axis 1 while j1 < n and along axis 2 after, and
+    each cell to the sink with capacity lambda 4^-n.  A finite cut keeps
+    every cell under a rectangle it keeps, so it costs
+    E(all) - E(U) + lambda |U|.  Dinkelbach's iteration (1967) starts from
+    rect_bmo's witness with lambda its ratio.  A cut whose cells have a
+    ratio above lambda becomes the witness and sets lambda; the first cut
+    that does not improve the ratio ends the iteration.  Sink capacities
+    only grow, so each cut augments the flow of the one before.
+
+    Each ratio is its witness's energy, one np.add.reduce over the
+    contained coefficients, so the value comes from the witness and not
+    from the flow.  That sum covers rect_bmo's rectangle in another order
+    than rect_bmo's, so the result is the larger of the two values: it
+    dominates rect_bmo to the bit.
+    """
+    n = c.max_scale
+    K, m, area = (2 << n) - 1, 1 << n, 4.0**-n
+    out, head, blank = _closure_graph(n)
+    s0, s1 = _interval_spans(n, n)
+    c_abs2 = np.abs(c.matrix) ** 2
+
+    def energy(mask: np.ndarray) -> tuple[float, float]:
+        return float(np.add.reduce(c_abs2[_spans_inside(mask, s0, s1)])), np.count_nonzero(mask) * area
+
     rect = rect_bmo(c)
-    if exhaustive:
-        est = _exhaustive_scan(c)
-    else:
-        mask, e, m = _greedy_search(c, rect)
-        est = BmoEstimate(float(np.sqrt(e / m)), CellSet(c.max_scale, mask), exact=False)
-    if est.value >= rect.value:
-        return est
-    return BmoEstimate(rect.value, rect.witness, est.exact)
+    mask = rect.witness.mask
+    e, size = energy(mask)
+    cap = list(blank)
+    cap[: 2 * K * K : 2] = c_abs2.ravel().tolist()
+    to_sink = slice(len(cap) - 2 * m * m, None, 2)
+    lam = 0.0
+    while True:
+        cap[to_sink] = [r + (e / size - lam) * area for r in cap[to_sink]]
+        lam = e / size
+        level = _max_flow(out, head, cap, K * K, K * K + 1)
+        cut = np.array(level[: K * K]).reshape(K, K)[m - 1 :, m - 1 :] >= 0
+        cut_e, cut_size = energy(cut)
+        if not cut_size or cut_e / cut_size <= lam:
+            break
+        mask, e, size = cut, cut_e, cut_size
+    value = float(np.sqrt(e / size))
+    if value >= rect.value:
+        return BmoEstimate(value, CellSet(n, mask), exact=True)
+    return rect

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bmo_oracle import exhaustive_product_bmo
 
 from bicomm.bmo import product_bmo_lower
 from bicomm.cli import ExperimentConfig, run
@@ -259,23 +260,22 @@ def test_criterion_7_two_sided_direction():
     scatter_path, _ = run(scatter)
 
     rng = np.random.default_rng(107)
-    worst_cal = 1.0
+    worst_diff = 0.0
     for _ in range(20):
         mat = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
         c = WaveletCoefficients(2, mat)
-        greedy = product_bmo_lower(c, method="greedy").value
-        exact = product_bmo_lower(c, method="exhaustive").value
-        worst_cal = min(worst_cal, greedy / exact)
+        exact = exhaustive_product_bmo(c).value
+        worst_diff = max(worst_diff, abs(product_bmo_lower(c).value - exact) / exact)
 
-    ok = len(rows) == 200 and bounded and worst_cal >= 0.75
+    ok = len(rows) == 200 and bounded and worst_diff <= 1e-12
     report(
         7,
         ok,
         f"200-symbol corpus at N=128: norm/lower-bound in [{min(up):.3f}, {max(up):.3f}] "
         f"(median {med_up:.3f}), inverse max {max(down):.3f} (median {med_down:.3f}), "
         f"both within 10x median; scatter at {Path(scatter_path).relative_to(REPORTS)} "
-        f"in reports/; greedy/exhaustive "
-        f"calibration worst {worst_cal:.3f} (>=0.75)",
+        f"in reports/; min cut against the exhaustive scan at n=2: "
+        f"worst relative difference {worst_diff:.1e} (<=1e-12)",
     )
 
 

@@ -1,31 +1,15 @@
 """Rectangular and product BMO functionals and their certificates."""
 
 import csv
-import functools
-import tracemalloc
+import dataclasses
+import math
 
 import numpy as np
-import pytest
+from bmo_oracle import exhaustive_product_bmo
 
-from bicomm import bmo
-from bicomm.bmo import (
-    _best_square,
-    _greedy_search,
-    _square_spans,
-    coefficient_energy,
-    product_bmo_lower,
-    rect_bmo,
-    rectangles_inside,
-)
+from bicomm.bmo import coefficient_energy, product_bmo_lower, rect_bmo, rectangles_inside
 from bicomm.cli import ExperimentConfig, _family_coefficients, run
-from bicomm.grid import (
-    CellSet,
-    DyadicRectangle,
-    _interval_spans,
-    _spans_inside,
-    enumerate_dyadic_rectangles,
-    interval_index,
-)
+from bicomm.grid import CellSet, DyadicRectangle, enumerate_dyadic_rectangles, interval_index
 from bicomm.journe import row_resolution
 from bicomm.wavelets import WaveletCoefficients
 
@@ -106,58 +90,6 @@ def test_rect_bmo_tie_order():
         assert np.array_equal(est.witness.mask, want)
 
 
-def test_square_spans_are_the_dyadic_squares():
-    for n in range(4):
-        rects = enumerate_dyadic_rectangles(n)
-        squares = sorted(R for R in rects if R.interval1.j == R.interval2.j)
-        want = [R.interval1.cell_span(n) + R.interval2.cell_span(n) for R in squares]
-        assert _square_spans(n) == want
-
-
-def scalar_best_square(c_abs2, mask, cur_e):
-    """The square scan of _best_square one square at a time: a fresh trial
-    mask and containment table per square, the first maximum winning."""
-    n = mask.shape[0].bit_length() - 1
-    s0, s1 = _interval_spans(n, n)
-    cell_area = 4.0**-n
-    best_gain = -np.inf
-    best = None
-    for r0, r1, q0, q1 in _square_spans(n):
-        new_cells = int(np.count_nonzero(~mask[r0:r1, q0:q1]))
-        if new_cells == 0:
-            continue
-        trial = mask.copy()
-        trial[r0:r1, q0:q1] = True
-        e = float(np.sum(c_abs2[_spans_inside(trial, s0, s1)]))
-        gain = (e - cur_e) / (new_cells * cell_area)
-        if gain > best_gain:
-            best_gain = gain
-            best = (trial, e, new_cells)
-    return best
-
-
-def scalar_greedy_search(c, seed):
-    """The greedy search with squares scored one at a time (the oracle of
-    the batched _greedy_search)."""
-    n = c.max_scale
-    c_abs2 = np.abs(c.matrix) ** 2
-    s0, s1 = _interval_spans(n, n)
-    mask = seed.witness.mask.copy()
-    cell_area = 4.0**-n
-    cur_e = float(np.sum(c_abs2[_spans_inside(mask, s0, s1)]))
-    cur_m = float(np.count_nonzero(mask)) * cell_area
-    while True:
-        best = scalar_best_square(c_abs2, mask, cur_e)
-        if best is None:
-            break
-        trial, e, new_cells = best
-        m = cur_m + new_cells * cell_area
-        if e / m <= cur_e / cur_m:
-            break
-        mask, cur_e, cur_m = trial, e, m
-    return mask, cur_e, cur_m
-
-
 def family_corpus(family, n, seeds, **fields):
     cfg = ExperimentConfig("bmo-scan", N=2 ** (n + 4), n=n, family=family, **fields)
     return [_family_coefficients(cfg, np.random.default_rng(seed)) for seed in seeds]
@@ -168,8 +100,8 @@ def comb_coefficients(rng, n):
     columns, a column interval of 2 or 4 rows about row r.  Each tooth's
     ratio is below the row's, so rect_bmo's witness is the row, but the
     tooth adds more energy per new cell than the row holds per cell, so the
-    greedy search grows by several squares (the random families mostly
-    stop at their seed)."""
+    best union is the row with teeth (the random families mostly keep
+    rect_bmo's witness)."""
     m = 1 << n
     r = int(rng.integers(0, m))
     vals = {DyadicRectangle.from_indices(n, r, 0, 0): 1.0}
@@ -180,11 +112,10 @@ def comb_coefficients(rng, n):
     return WaveletCoefficients.from_dict(n, vals)
 
 
-def greedy_corpus():
+def product_corpus():
     """random-carleson at n = 1-5 (criterion 7's 200 seeds at n=3), the other
     coefficient families, dense random coefficients, combs, and two equal
-    far-apart cells, whose union's ratio equals the seed's (the stop rule's
-    equality)."""
+    far-apart cells, whose union's ratio equals each cell's."""
     rng = np.random.default_rng(39)
     corpus = [comb_coefficients(rng, n) for n in (1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4)]
     for n, count in ((1, 20), (2, 20), (4, 8), (5, 2)):
@@ -202,91 +133,10 @@ def greedy_corpus():
     return corpus
 
 
-def float_bits(values):
-    return np.array(values, dtype=np.float64).view(np.int64).tolist()
-
-
-@functools.cache
-def scalar_searches():
-    """(coefficients, seed, scalar_greedy_search result) over greedy_corpus()."""
-    searches = []
-    for c in greedy_corpus():
-        seed = rect_bmo(c)
-        searches.append((c, seed, scalar_greedy_search(c, seed)))
-    return searches
-
-
-@pytest.mark.parametrize("block", [3, 64])
-def test_greedy_matches_scalar_loop_bit_for_bit(monkeypatch, block):
-    """The batched search returns the scalar loop's mask, energy and measure
-    to the bit; a block of 3 splits the squares of each scale across blocks."""
-    monkeypatch.setattr(bmo, "_GREEDY_BLOCK", block)
-    grew = 0
-    for c, seed, (want_mask, want_e, want_m) in scalar_searches():
-        mask, e, m = _greedy_search(c, seed)
-        assert np.array_equal(mask, want_mask)
-        assert float_bits([e, m]) == float_bits([want_e, want_m])
-        grew += not np.array_equal(mask, seed.witness.mask)
-    # the combs grow, so the comparison covers accepted squares
-    assert grew >= 10
-
-
-def tie_instance():
-    """Row 0 of the 8 x 8 grid and unit coefficients on the vertical
-    dominoes under its cells 0, 1, 4 and 5: the squares of scale 2 over
-    columns 0-1 and 4-5 and the four cells under the dominoes each add
-    energy 64 per unit of measure, more than any other square."""
-    n = 3
-    dominoes = [DyadicRectangle.from_indices(2, 0, 3, k) for k in (0, 1, 4, 5)]
-    c = WaveletCoefficients.from_dict(n, dict.fromkeys(dominoes, 1.0))
-    mask = np.zeros((8, 8), dtype=bool)
-    mask[0] = True
-    return c, mask
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 4, 64, 4096])
-def test_tie_goes_to_first_square_in_order(monkeypatch, block):
-    """Six squares tie on gain; the first in (j, k1, k2) order wins, as in
-    the scalar loop, whether the tied squares share a block or not."""
-    monkeypatch.setattr(bmo, "_GREEDY_BLOCK", block)
-    c, mask = tie_instance()
-    c_abs2 = np.abs(c.matrix) ** 2
-    cur_e = coefficient_energy(c, CellSet(3, mask))
-    squares = _square_spans(3)
-    gains = {}
-    for i, (r0, r1, q0, q1) in enumerate(squares):
-        new_cells = int(np.count_nonzero(~mask[r0:r1, q0:q1]))
-        if new_cells:
-            trial = mask.copy()
-            trial[r0:r1, q0:q1] = True
-            gains[i] = (coefficient_energy(c, CellSet(3, trial)) - cur_e) / (new_cells / 64)
-    top = max(gains.values())
-    tied = [i for i, g in gains.items() if g == top]
-    want = [(0, 2, 0, 2), (0, 2, 4, 6), (1, 2, 0, 1), (1, 2, 1, 2), (1, 2, 4, 5), (1, 2, 5, 6)]
-    assert top == 64.0 and [squares[i] for i in tied] == want
-    trial, e, new_cells = _best_square(c_abs2, mask, cur_e)
-    want_trial = mask.copy()
-    want_trial[0:2, 0:2] = True
-    assert np.array_equal(trial, want_trial) and (e, new_cells) == (2.0, 2)
-    assert np.array_equal(scalar_best_square(c_abs2, mask, cur_e)[0], want_trial)
-    # blocks of the squares with new cells: below 4 the first two tied squares
-    # fall in different blocks, and below 64 the cells in a later one
-    order = {i: pos for pos, i in enumerate(gains)}
-    blocks = [order[i] // block for i in tied]
-    assert (blocks[0] != blocks[1]) == (block < 4) and (blocks[0] != blocks[2]) == (block < 64)
-
-
-def test_best_square_none_when_mask_is_full():
-    c = rand_coeffs(np.random.default_rng(40), 2)
-    full = np.ones((4, 4), dtype=bool)
-    assert _best_square(np.abs(c.matrix) ** 2, full, 0.0) is None
-
-
 def brute_product_bmo(c):
     """Max of sqrt(energy/measure) over every union of cells at n<=2."""
     n = c.max_scale
     m = 2**n
-    inside_mass = np.zeros((m, m))
     best = 0.0
     cells = [(i, j) for i in range(m) for j in range(m)]
     for bits in range(1, 2 ** (m * m)):
@@ -301,68 +151,110 @@ def brute_product_bmo(c):
 
 
 def test_exhaustive_scan_matches_bruteforce_n1():
+    """The exhaustive oracle and the min cut both equal the cell-by-cell
+    brute force at n = 1, and both witnesses hold their values."""
     rng = np.random.default_rng(34)
     for _ in range(8):
         c = rand_coeffs(rng, 1, density=0.8)
-        est = product_bmo_lower(c, method="exhaustive")
-        assert est.exact
         want = brute_product_bmo(c)
-        assert abs(est.value - want) < 1e-10 * max(1.0, want)
-        assert est.recheck(c)
+        for est in (exhaustive_product_bmo(c), product_bmo_lower(c)):
+            assert est.exact
+            assert abs(est.value - want) < 1e-10 * max(1.0, want)
+            assert est.recheck(c)
 
 
-def test_exhaustive_scan_blocks_match_one_table(monkeypatch):
-    """The scan in blocks of _SCAN_BLOCK unions gives the bits of one table
-    over all 65,535 unions at n = 2, and its peak stays a small fraction of
-    that table's 25.7 MB float64 copy."""
-    rng = np.random.default_rng(39)
-    cases = [rand_coeffs(rng, 2, density) for density in (0.2, 0.5, 0.9, 1.0) for _ in range(3)]
-    cases.append(_family_coefficients(ExperimentConfig("bmo-scan", N=64, n=2), np.random.default_rng([0, 1])))
-    blocked = [bmo._exhaustive_scan(c) for c in cases]
-    with monkeypatch.context() as m:
-        m.setattr(bmo, "_SCAN_BLOCK", 1 << 16)
-        whole = [bmo._exhaustive_scan(c) for c in cases]
-    for a, b in zip(blocked, whole):
-        assert np.float64(a.value).view(np.int64) == np.float64(b.value).view(np.int64)
-        assert np.array_equal(a.witness.mask, b.witness.mask)
-    tracemalloc.start()
-    try:
-        bmo._exhaustive_scan(cases[-1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
-
-
-def test_greedy_close_to_exhaustive_n2():
+def test_min_cut_matches_exhaustive_scan():
+    """The min cut equals the exhaustive scan of every cell union to 1e-12
+    relative on 40 random coefficient sets of four densities at n = 1 and 2
+    and on bmo-scan's first 10 random-carleson instances at n = 2; its
+    witness holds the value."""
     rng = np.random.default_rng(35)
-    worst = 1.0
-    for _ in range(15):
-        c = rand_coeffs(rng, 2)
-        greedy = product_bmo_lower(c, method="greedy").value
-        exact = product_bmo_lower(c, method="exhaustive").value
-        assert greedy <= exact + 1e-9
-        worst = min(worst, greedy / exact)
-    assert worst >= 0.75
+    cases = [rand_coeffs(rng, 1 + i % 2, (0.2, 0.5, 0.9, 1.0)[i % 4]) for i in range(40)]
+    cases += family_corpus("random-carleson", 2, [[0, i] for i in range(10)])
+    for c in cases:
+        est, want = product_bmo_lower(c), exhaustive_product_bmo(c)
+        assert abs(est.value - want.value) <= 1e-12 * want.value
+        assert est.recheck(c) and want.recheck(c)
+        witness_value = math.sqrt(coefficient_energy(c, est.witness) / est.witness.measure())
+        assert abs(witness_value - est.value) <= 1e-12 * est.value
+
+
+def test_no_cell_union_beats_the_min_cut():
+    """Past n = 2, where no scan is affordable: no union that adds or drops
+    one cell of the witness, and no random union, has a ratio above the
+    min cut's value, on combs and random-carleson at n = 3 and 4."""
+    rng = np.random.default_rng(42)
+    cases = [comb_coefficients(rng, n) for n in (3, 3, 4, 4)]
+    cases += family_corpus("random-carleson", 3, [[3, i] for i in range(6)])
+    cases += family_corpus("random-carleson", 4, [[4, i] for i in range(3)])
+    for c in cases:
+        est = product_bmo_lower(c)
+        n, W = c.max_scale, est.witness.mask
+        masks = [rng.random(W.shape) < density for density in (0.1, 0.3, 0.6, 0.9) for _ in range(10)]
+        for i1, i2 in np.ndindex(W.shape):
+            flipped = W.copy()
+            flipped[i1, i2] = not flipped[i1, i2]
+            masks.append(flipped)
+        for mask in masks:
+            if mask.any():
+                U = CellSet(n, mask)
+                assert coefficient_energy(c, U) / U.measure() <= est.value**2 * (1 + 1e-12)
+
+
+def test_staircase_closed_forms():
+    """c_R = |R|^(1/2) on [0, 2^-j1) x [0, 2^-j2), j1 + j2 = n.  With
+    1 <= j1 <= n - 1, rect_bmo is 1 and the product value is
+    sqrt(2(n-1)/n), reached on the union of the rectangles; with
+    0 <= j1 <= n it is sqrt(2(n+1)/(n+2)).  A search that grew rect_bmo's
+    witness by dyadic squares read 1.000 at n = 3 and 4 and 1.095 at n = 5."""
+    for n in range(3, 7):
+        for lo, want in ((1, math.sqrt(2 * (n - 1) / n)), (0, math.sqrt(2 * (n + 1) / (n + 2)))):
+            stairs = [DyadicRectangle.from_indices(j1, 0, n - j1, 0) for j1 in range(lo, n - lo + 1)]
+            c = WaveletCoefficients.from_dict(n, {R: math.sqrt(R.area) for R in stairs})
+            est = product_bmo_lower(c)
+            assert abs(est.value - want) <= 1e-15 * want
+            assert abs(rect_bmo(c).value - 1.0) <= 1e-15
+            assert est.recheck(c)
+            union = np.zeros((1 << n, 1 << n), dtype=bool)
+            for R in stairs:
+                union[: 1 << (n - R.interval1.j), : 1 << (n - R.interval2.j)] = True
+            assert np.array_equal(est.witness.mask, union)
+
+
+def test_recheck_is_relative_to_the_energy():
+    """Over 50 random n=3 coefficient sets per scale from 1e-8 to 1e5, every
+    rect_bmo and product_bmo_lower estimate passes recheck, and its value
+    times 1 + 1e-9 or 1.5 fails.  An absolute slack of 1e-12 failed correct
+    estimates at the scales 1e3 and 1e5 and passed a value inflated by half
+    at 1e-8."""
+    rng = np.random.default_rng(43)
+    for scale in (1e-8, 1e-4, 1.0, 1e3, 1e5):
+        for _ in range(50):
+            c = WaveletCoefficients(3, scale * rand_coeffs(rng, 3).matrix)
+            for est in (rect_bmo(c), product_bmo_lower(c)):
+                assert est.recheck(c)
+                for factor in (1 + 1e-9, 1.5):
+                    assert not dataclasses.replace(est, value=est.value * factor).recheck(c)
 
 
 def test_product_dominates_rect(tmp_path):
-    """Bit for bit.  Seeds 39 and 58 of bmo-scan at n=2 read 1 ulp below
-    rect_bmo when a search returned the witness energy summed its own way."""
+    """Bit for bit, over the corpus, on random coefficients and on bmo-scan's
+    rows.  Seeds 39 and 58 of bmo-scan at n=2 read 1 ulp below rect_bmo when
+    a search returned the witness energy summed its own way."""
+    for c in product_corpus():
+        est = product_bmo_lower(c)
+        assert est.value >= rect_bmo(c).value
+        assert est.recheck(c)
     rng = np.random.default_rng(36)
     for i in range(20):
         c = rand_coeffs(rng, 2 + i % 2)
-        rect = rect_bmo(c).value
-        for method in ("greedy", "auto"):
-            assert product_bmo_lower(c, method=method).value >= rect
+        assert product_bmo_lower(c).value >= rect_bmo(c).value
     for seed in (39, 58):
         cfg = ExperimentConfig("bmo-scan", N=64, n=2, seed=seed, instances=1, out=str(tmp_path))
         csv_path, _ = run(cfg)
         with open(csv_path, encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)
-        rect = float(row["rect_value"])
-        assert float(row["greedy_value"]) >= rect
-        assert float(row["product_value"]) >= rect
+        assert float(row["product_value"]) >= float(row["rect_value"])
 
 
 def test_far_apart_equal_rectangles():
@@ -372,7 +264,7 @@ def test_far_apart_equal_rectangles():
     b = DyadicRectangle.from_indices(2, 3, 2, 3)
     c = WaveletCoefficients.from_dict(n, {a: 1.0, b: 1.0})
     single = rect_bmo(c).value
-    est = product_bmo_lower(c, method="exhaustive")
+    est = product_bmo_lower(c)
     assert est.value >= single - 1e-12
     union = CellSet.from_cells(n, [(0, 0), (3, 3)])
     ratio_union = np.sqrt(coefficient_energy(c, union) / union.measure())
@@ -389,15 +281,13 @@ def test_homogeneity():
 
 
 def test_monotone_in_coefficients_exhaustive():
+    """Pointwise larger magnitudes cannot shrink the exact maximum: each
+    coefficient grows by a factor in [1, 2)."""
     rng = np.random.default_rng(38)
-    c = rand_coeffs(rng, 2)
-    bigger = WaveletCoefficients(2, c.matrix * 1.0 + np.eye(7) * 0.5)
-    v1 = product_bmo_lower(c, method="exhaustive").value
-    v2 = product_bmo_lower(bigger, method="exhaustive").value
-    # pointwise larger magnitudes cannot shrink the exhaustive maximum
-    mags_grew = np.all(np.abs(bigger.matrix) >= np.abs(c.matrix) - 1e-15)
-    if mags_grew:
-        assert v2 >= v1 - 1e-12
+    for n in (1, 2, 2, 3, 3, 4):
+        c = rand_coeffs(rng, n)
+        bigger = WaveletCoefficients(n, c.matrix * (1.0 + rng.random(c.matrix.shape)))
+        assert product_bmo_lower(bigger).value >= product_bmo_lower(c).value - 1e-12
 
 
 def test_dilation_invariance():
@@ -406,14 +296,6 @@ def test_dilation_invariance():
     c1 = WaveletCoefficients.from_dict(1, {a: 1.0})
     fine = DyadicRectangle.from_indices(1, 0, 1, 0)
     c2 = WaveletCoefficients.from_dict(2, {fine: 0.5})
-    v1 = product_bmo_lower(c1, method="exhaustive").value
-    v2 = product_bmo_lower(c2, method="exhaustive").value
+    v1 = product_bmo_lower(c1).value
+    v2 = product_bmo_lower(c2).value
     assert abs(v2 - v1) < 1e-14
-
-
-def test_method_validation():
-    c = WaveletCoefficients(3, np.zeros((15, 15)))
-    with pytest.raises(ValueError):
-        product_bmo_lower(c, method="annealing")
-    with pytest.raises(ValueError):
-        product_bmo_lower(c, method="exhaustive")  # max_scale 3 too large

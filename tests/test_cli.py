@@ -15,7 +15,7 @@ import pytest
 
 import bicomm
 from bicomm import cli
-from bicomm.bmo import product_bmo_lower
+from bicomm.bmo import product_bmo_lower, rect_bmo
 from bicomm.cli import ExperimentConfig, _family_coefficients, _run_instances, main, run
 from bicomm.grid import GridSignal2D, save_signal
 
@@ -199,24 +199,23 @@ def test_wavelet_audit_small_grid(tmp_path):
 def test_bmo_scan_exact_at_small_scale(tmp_path):
     cfg = ExperimentConfig("bmo-scan", N=64, instances=6, out=str(tmp_path / "r"))
     csv_path, _ = run(cfg)
-    _, rows = read_csv(csv_path)
+    fields, rows = read_csv(csv_path)
+    assert fields[:4] == ["instance", "rect_value", "product_value", "product_exact"]
     for row in rows:
         assert row["product_exact"] == "1"
-        assert float(row["greedy_over_product"]) <= 1.0 + 1e-9
-        assert float(row["product_value"]) >= float(row["rect_value"]) - 1e-9
+        assert float(row["product_value"]) >= float(row["rect_value"])
 
 
 def test_bmo_scan_columns_are_the_two_searches(tmp_path):
-    """greedy_value is product_bmo_lower(c, 'greedy') and product_value is
-    product_bmo_lower(c), bit for bit.  At n = 3 'auto' is the greedy search,
-    which runs once; at n = 2 it is the exhaustive scan, and the greedy value
-    of instance 5 differs from it in the last bit."""
+    """rect_value is rect_bmo(c), the scan of every dyadic rectangle, and
+    product_value is product_bmo_lower(c), the min cut over every cell
+    union, bit for bit, at n = 2 and 3."""
     for n, N in ((2, 64), (3, 128)):
         cfg = ExperimentConfig("bmo-scan", N=N, n=n, instances=6, out=str(tmp_path / str(n)))
         _, rows = read_csv(run(cfg)[0])
         for i, row in enumerate(rows):
             c = _family_coefficients(cfg, np.random.default_rng([cfg.seed, i]))
-            assert float(row["greedy_value"]) == product_bmo_lower(c, method="greedy").value
+            assert float(row["rect_value"]) == rect_bmo(c).value
             assert float(row["product_value"]) == product_bmo_lower(c).value
 
 
