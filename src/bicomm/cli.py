@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -179,14 +180,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_in_place(path: str, text: str) -> None:
+    """Write text to path over any earlier file there, then cut the file to it.
+
+    The file is opened without O_TRUNC, so an earlier report's blocks are
+    overwritten rather than freed and allocated afresh: on a filesystem that
+    discards freed blocks or forces writeback of a truncated file on close,
+    truncating to zero costs more than the write. A run killed between the
+    write and the truncate can leave the tail of a longer earlier report.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -> tuple[str, str]:
     chash = cfg.config_hash()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns + ["config_hash", "version"])
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row] + [chash, __version__])
     csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns + ["config_hash", "version"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row] + [chash, __version__])
+    _write_in_place(csv_path, buf.getvalue())
     stats = {}
     for idx, name in enumerate(columns):
         if name == "instance":
@@ -206,9 +223,8 @@ def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -
         "metrics": stats,
     }
     json_path = os.path.join(cfg.out, f"{cfg.command}_summary.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    _write_in_place(json_path, text + "\n")
     return csv_path, json_path
 
 
@@ -612,30 +628,29 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
         for row in reader:
             for name in cfg.metrics:
                 data[name].append(float(row[name]))
+    if cfg.kind == "scatter":
+        x, y = cfg.metrics
+        lines = [f"# {x} {y}"]
+        lines += [f"{_fmt(a)} {_fmt(bval)}" for a, bval in zip(data[x], data[y])]
+    else:
+        (name,) = cfg.metrics
+        lines = [f"# {name}_bin_center count"]
+        vals = [v for v in data[name] if math.isfinite(v)]
+        if len(vals) < len(data[name]):
+            lines.append(f"# {len(data[name]) - len(vals)} non-finite values not binned")
+        if vals:
+            lo, hi = min(vals), max(vals)
+            width = (hi - lo) / _HISTOGRAM_BINS or 1.0
+            counts = [0] * _HISTOGRAM_BINS
+            for v in vals:
+                idx = min(int((v - lo) / width), _HISTOGRAM_BINS - 1)
+                counts[idx] += 1
+            for idx, count in enumerate(counts):
+                center = lo + (idx + 0.5) * width
+                lines.append(f"{_fmt(center)} {count}")
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "plot_data.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        if cfg.kind == "scatter":
-            x, y = cfg.metrics
-            fh.write(f"# {x} {y}\n")
-            for a, bval in zip(data[x], data[y]):
-                fh.write(f"{_fmt(a)} {_fmt(bval)}\n")
-        else:
-            (name,) = cfg.metrics
-            fh.write(f"# {name}_bin_center count\n")
-            vals = [v for v in data[name] if math.isfinite(v)]
-            if len(vals) < len(data[name]):
-                fh.write(f"# {len(data[name]) - len(vals)} non-finite values not binned\n")
-            if vals:
-                lo, hi = min(vals), max(vals)
-                width = (hi - lo) / _HISTOGRAM_BINS or 1.0
-                counts = [0] * _HISTOGRAM_BINS
-                for v in vals:
-                    idx = min(int((v - lo) / width), _HISTOGRAM_BINS - 1)
-                    counts[idx] += 1
-                for idx, count in enumerate(counts):
-                    center = lo + (idx + 0.5) * width
-                    fh.write(f"{_fmt(center)} {count}\n")
+    _write_in_place(path, "".join(line + "\n" for line in lines))
     return path, None
 
 

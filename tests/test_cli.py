@@ -309,6 +309,41 @@ def test_norm_compare_and_plot_data(tmp_path):
         run(ExperimentConfig("plot-data", kind="scatter", metrics=("a", "b"), out=str(out)))
 
 
+def test_reports_rewritten_in_place_match_a_fresh_directory(tmp_path):
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    names = ("norm-compare.csv", "norm-compare_summary.json")
+    run(ExperimentConfig("norm-compare", N=32, instances=4, out=str(shared)))
+    # the summaries of 4 and of 1 instance differ in length by a digit or
+    # so either way; padding makes each earlier report the longer one
+    for name in names:
+        with open(shared / name, "ab") as fh:
+            fh.write(b"x" * 64)
+    for out in (shared, fresh):
+        run(ExperimentConfig("norm-compare", N=32, instances=1, out=str(out)))
+    for name in names:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+    src = tmp_path / "source.csv"
+    src.write_text(
+        "instance,x,y,config_hash,version\n"
+        + "".join(f"{i},{i / 7!r},{i * i / 3!r},h,v\n" for i in range(60))
+    )
+    plot = ExperimentConfig("plot-data", source=str(src), kind="scatter", metrics=("x", "y"))
+    run(dataclasses.replace(plot, out=str(shared)))
+    longer = (shared / "plot_data.txt").stat().st_size
+    for out in (shared, fresh):
+        run(dataclasses.replace(plot, kind="histogram", metrics=("x",), out=str(out)))
+    assert (shared / "plot_data.txt").stat().st_size < longer
+    assert (shared / "plot_data.txt").read_bytes() == (fresh / "plot_data.txt").read_bytes()
+
+    # a new report file gets the permissions a plain open(path, "w") gives it
+    with open(tmp_path / "plain", "w"):
+        pass
+    mode = (tmp_path / "plain").stat().st_mode
+    for name in (*names, "plot_data.txt"):
+        assert (fresh / name).stat().st_mode == mode
+
+
 def test_plot_data_empty_source(tmp_path):
     src = tmp_path / "empty.csv"
     src.write_text("instance,value,config_hash,version\n")
