@@ -22,11 +22,14 @@ integer center C = a + b and half-width W = b - a, grid line p sits at
 2p, and the crossing of line p is the ratio |2p - C| / W of two small
 integers.  The rasterized dilate only grows with the factor, so
 containment is monotone in it: the supremum is the largest crossing
-whose dilate stays inside, and a bisection over each axis's crossings
-finds it in about log2(m) box sums per rectangle.  Rasterized spans are
-floors and ceilings of integer quotients, so non-dyadic square sizes (the
-row of squares has side 3 cells and period 5) stay exact, and every
-maximal rectangle of a set is bisected at once, in numpy, over one
+whose dilate stays inside.  The largest crossing whose dilate stays in
+the grid, the grid reach, has a closed form, so each axis first tests
+the dilate at its reach with one box sum per rectangle; only where that
+dilate meets a hole of the set does a bisection over the crossings below
+the reach take about log2(m) more.  Rasterized spans are floors and
+ceilings of integer quotients, so non-dyadic square sizes (the row of
+squares has side 3 cells and period 5) stay exact, and every maximal
+rectangle of a set is probed and bisected at once, in numpy, over one
 integral image.
 """
 
@@ -68,9 +71,14 @@ class RectCollection:
         j, k = keys[:, 0::2], keys[:, 1::2]
         if np.any((j < 0) | (j > self.n) | (k >> j != 0)):
             raise ValueError(f"rectangle key out of range at resolution {self.n}")
-        keys = keys[np.lexsort(keys.T[::-1])]
-        if np.any(np.all(keys[1:] == keys[:-1], axis=1)):
+        # heap index order is (j, k) order, so one packed code h1 * H + h2
+        # sorts the keys and equal codes are equal keys
+        h = interval_index(j, k)
+        code = h[:, 0] * ((2 << self.n) - 1) + h[:, 1]
+        order = np.argsort(code, kind="stable")
+        if np.any(np.diff(code[order]) == 0):
             raise ValueError("duplicate rectangles in collection")
+        keys = keys[order]
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
 
@@ -156,13 +164,20 @@ def _dilation_limits(
     over C mod 2, C mod 2 + 2, ...  There the dilate is exactly the
     concentric span [(C - d)/2, (C + d)/2), inside the grid while
     d <= min(C, 2m - C); the other axis rasterizes to
-    _half_cell_span(C', W', d, W).  Every end of both spans moves outward as
+    _half_cell_span(C', W', d, W), whose low end floor((C'W - dW') / 2W) is
+    >= 0 iff d W' <= C' W, and whose high end C' minus it is <= m iff
+    d W' <= (2m - C') W.  The grid reach, the largest d = C (mod 2) with
+    d <= min(C, 2m - C) and d W' <= W min(C', 2m - C'), is therefore
+    closed-form; it is at least W, since min(C, 2m - C) >= W and
+    min(C', 2m - C') >= W'.  Every end of both spans moves outward as
     d grows, so containment is monotone in d: a dilate inside the set keeps
-    every smaller one inside.  Each axis therefore bisects, for all
-    rectangles at once, for the largest d that passes, in about log2(m)
-    box sums.  The result is the larger of the two axes' crossings as the
-    float d / W, 0.0 where none passes.  With first_axis_only, crossings
-    come from the first axis alone and the second-axis span stays [a2, b2).
+    every smaller one inside.  Each axis therefore tests the dilate at its
+    reach once for every rectangle, and bisects, for the rectangles whose
+    dilate there meets a hole, for the largest d below the reach that
+    passes, in about log2(m) box sums, all inside the grid.  The result is
+    the larger of the two axes' crossings as the float d / W, 0.0 where none
+    passes.  With first_axis_only, crossings come from the first axis alone,
+    the second-axis span stays [a2, b2), and the reach is min(C, 2m - C).
     """
     m = ii.shape[0] - 1
     a1, b1, a2, b2 = spans.T
@@ -171,21 +186,32 @@ def _dilation_limits(
     for ax in (0,) if first_axis_only else (0, 1):
         C, W = center[ax], half[ax]
         parity = C % 2
-        last = (np.minimum(C, 2 * m - C) - parity) // 2
-        # t = -1 stands for no passing crossing; steps 2^k, ..., 1 reach every t <= last
-        t = np.full(len(spans), -1)
-        for k in reversed(range(int(last.max(initial=0) + 1).bit_length())):
-            cand = t + (1 << k)
-            d = parity + 2 * np.minimum(cand, last)
-            own = (C - d) // 2, (C + d) // 2
-            other = (a2, b2) if first_axis_only else _half_cell_span(center[1 - ax], half[1 - ax], d, W)
-            ok = (cand <= last) & (other[0] >= 0) & (other[1] <= m)
-            # only the low end can fall below 0, and only the high end can pass m
-            other = np.maximum(other[0], 0), np.minimum(other[1], m)
+        reach = np.minimum(C, 2 * m - C)
+        if not first_axis_only:
+            Co, Wo = center[1 - ax], half[1 - ax]
+            reach = np.minimum(reach, W * np.minimum(Co, 2 * m - Co) // Wo)
+
+        def inside(at, d):
+            """Whether the in-grid dilate at crossing d of the rectangles at lies in the set."""
+            own = (C[at] - d) // 2, (C[at] + d) // 2
+            other = (a2[at], b2[at]) if first_axis_only else _half_cell_span(Co[at], Wo[at], d, W[at])
             box = (*own, *other) if ax == 0 else (*other, *own)
             # the own-axis span has exactly d cells
-            ok &= _box_sum(ii, *box) == d * (other[1] - other[0])
-            t = np.where(ok, cand, t)
+            return _box_sum(ii, *box) == d * (other[1] - other[0])
+
+        # crossings run d = parity + 2t; reach >= W >= parity, so last >= 0
+        last = (reach - parity) // 2
+        t = np.where(inside(slice(None), parity + 2 * last), last, -1)
+        # bisect below the reach where the probe failed; t = -1 stands for no
+        # passing crossing, and steps 2^k, ..., 1 reach every t <= top
+        miss = np.flatnonzero((t < 0) & (last > 0))
+        top = last[miss] - 1
+        tm = np.full(len(miss), -1)
+        for k in reversed(range(int(top.max(initial=-1) + 1).bit_length())):
+            cand = tm + (1 << k)
+            ok = (cand <= top) & inside(miss, parity[miss] + 2 * np.minimum(cand, top))
+            tm = np.where(ok, cand, tm)
+        t[miss] = tm
         out = np.maximum(out, np.where(t >= 0, (parity + 2 * t) / W, 0.0))
     return out
 

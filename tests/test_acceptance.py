@@ -300,7 +300,7 @@ def test_criterion_8_determinism(tmp_path):
         b = dataclasses.replace(cfg, out=str(tmp_path / f"{idx}b"))
         pa, _ = run(a, jobs=1)
         pb, _ = run(b, jobs=3)
-        same = open(pa, "rb").read() == open(pb, "rb").read()
+        same = Path(pa).read_bytes() == Path(pb).read_bytes()
         checked.append(same)
         if cfg.command == "norm-compare":
             for out, src in (("pa2", pa), ("pb2", pb)):
@@ -313,8 +313,8 @@ def test_criterion_8_determinism(tmp_path):
                 )
                 run(plot)
             same_plot = (
-                open(tmp_path / "pa2" / "plot_data.txt", "rb").read()
-                == open(tmp_path / "pb2" / "plot_data.txt", "rb").read()
+                (tmp_path / "pa2" / "plot_data.txt").read_bytes()
+                == (tmp_path / "pb2" / "plot_data.txt").read_bytes()
             )
             checked.append(same_plot)
     report(

@@ -163,7 +163,7 @@ def test_identity_check_report(tmp_path):
         assert float(row["two_parameter_residual"]) < 1e-9
         assert row["config_hash"] == cfg.config_hash()
         assert row["version"] == bicomm.__version__
-    summary = json.loads(open(json_path).read())
+    summary = json.loads(Path(json_path).read_text())
     assert summary["command"] == "identity-check"
     assert summary["config_hash"] == cfg.config_hash()
     stats = summary["metrics"]["e_basic_residual"]
@@ -175,7 +175,7 @@ def test_rerun_byte_identical(tmp_path):
     cfg2 = ExperimentConfig("norm-compare", N=32, instances=4, out=str(tmp_path / "b"))
     p1, _ = run(cfg1, jobs=1)
     p2, _ = run(cfg2, jobs=3)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_wavelet_audit_small_grid(tmp_path):
@@ -232,7 +232,7 @@ def test_norm_compare_keeps_a_zero_norm_row(tmp_path):
     assert rows[2]["bmo_over_norm"] == "inf" and float(rows[2]["norm_over_bmo"]) == 0.0
     assert float(rows[2]["product_bmo_lower"]) > 0.0
     # the summary is strict JSON: statistics over the finite values, inf counted apart
-    stats = json.loads(open(json_path).read(), parse_constant=pytest.fail)["metrics"]
+    stats = json.loads(Path(json_path).read_text(), parse_constant=pytest.fail)["metrics"]
     finite = [float(row["bmo_over_norm"]) for row in rows[:2]]
     assert stats["bmo_over_norm"] == {
         "min": min(finite),
@@ -243,7 +243,7 @@ def test_norm_compare_keeps_a_zero_norm_row(tmp_path):
     hist = ExperimentConfig(
         "plot-data", source=csv_path, kind="histogram", metrics=("bmo_over_norm",), out=str(tmp_path)
     )
-    lines = open(run(hist)[0]).read().splitlines()
+    lines = Path(run(hist)[0]).read_text().splitlines()
     assert lines[:2] == ["# bmo_over_norm_bin_center count", "# 1 non-finite values not binned"]
     assert len(lines) == 2 + 20 and sum(int(line.split()[1]) for line in lines[2:]) == 2
     # multiscale-square at n = 0 has no squares: the zero symbol, 0 / 0 both ways
@@ -253,9 +253,9 @@ def test_norm_compare_keeps_a_zero_norm_row(tmp_path):
     csv_path, json_path = run(cfg)
     _, rows = read_csv(csv_path)
     assert rows[0]["norm_over_bmo"] == rows[0]["bmo_over_norm"] == "nan"
-    stats = json.loads(open(json_path).read(), parse_constant=pytest.fail)["metrics"]
+    stats = json.loads(Path(json_path).read_text(), parse_constant=pytest.fail)["metrics"]
     assert stats["bmo_over_norm"] == {"nonfinite": 1}
-    lines = open(run(dataclasses.replace(hist, source=csv_path))[0]).read().splitlines()
+    lines = Path(run(dataclasses.replace(hist, source=csv_path))[0]).read_text().splitlines()
     assert lines == ["# bmo_over_norm_bin_center count", "# 1 non-finite values not binned"]
 
 
@@ -277,7 +277,7 @@ def test_norm_compare_and_plot_data(tmp_path):
         out=str(out),
     )
     path, _ = run(scatter)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "# operator_norm product_bmo_lower"
     assert len(lines) == 1 + len(rows)
 
@@ -285,7 +285,7 @@ def test_norm_compare_and_plot_data(tmp_path):
         "plot-data", source=csv_path, kind="histogram", metrics=("rect_bmo",), out=str(out)
     )
     path, _ = run(hist)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 1 + 20
     counts = [int(line.split()[1]) for line in lines[1:]]
     assert sum(counts) == len(rows)
@@ -296,7 +296,7 @@ def test_norm_compare_and_plot_data(tmp_path):
     with pytest.raises(ValueError, match="no_such"):
         run(bad)
     # a bad arity is rejected before the previous plot is overwritten
-    before = open(path).read()
+    before = Path(path).read_text()
     for kind, metrics in (("scatter", ("rect_bmo",)), ("histogram", ("rect_bmo", "operator_norm"))):
         with pytest.raises(ValueError, match="exactly"):
             run(
@@ -304,7 +304,7 @@ def test_norm_compare_and_plot_data(tmp_path):
                     "plot-data", source=csv_path, kind=kind, metrics=metrics, out=str(out)
                 )
             )
-        assert open(path).read() == before
+        assert Path(path).read_text() == before
     with pytest.raises(ValueError):
         run(ExperimentConfig("plot-data", kind="scatter", metrics=("a", "b"), out=str(out)))
 
@@ -351,7 +351,7 @@ def test_plot_data_empty_source(tmp_path):
         "plot-data", source=str(src), kind="histogram", metrics=("value",), out=str(tmp_path)
     )
     path, _ = run(cfg)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines == ["# value_bin_center count"]
 
 

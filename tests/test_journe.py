@@ -1,5 +1,6 @@
 """Rectangle combinatorics: maximal rectangles, embeddedness, thinning."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -392,10 +393,46 @@ def _scan_corpus():
             yield target, spans
 
 
+def _reach_corpus():
+    """(target set, spans) pairs that pin the grid reach, at n = 1-7.
+
+    On the all-ones grid the reach alone decides every rectangle.  One hole,
+    at a random cell or at the center, fails the probe at the reach for the
+    rectangles whose dilate meets it, and those bisect below it.  Spans are
+    random, flush with each grid edge in turn, and thin on one axis and wide
+    on the other, where the other axis's reach binds.  The last pair has no
+    spans at all.
+    """
+    rng = np.random.default_rng(2001)
+    for n in range(1, 8):
+        m = 1 << n
+        lo = rng.integers(0, m, size=(100, 2))
+        hi = lo + 1 + rng.integers(0, m - lo)
+        drawn = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]], axis=1)
+        flush = np.tile(drawn, (4, 1))
+        for i, edge in enumerate((0, m, 0, m)):
+            flush[100 * i : 100 * (i + 1), i] = edge
+        w = np.minimum(rng.integers(1, 4, size=100), m)
+        a = rng.integers(0, m - w + 1)
+        wide_lo, wide_hi = rng.integers(0, m // 4 + 1, size=100), m - rng.integers(0, m // 4 + 1, size=100)
+        thin = np.concatenate([
+            np.stack([a, a + w, wide_lo, wide_hi], axis=1),
+            np.stack([wide_lo, wide_hi, a, a + w], axis=1),
+        ])
+        spans = np.concatenate([drawn, flush, thin])
+        full = np.ones((m, m), dtype=bool)
+        yield CellSet(n, full), spans
+        for cell in (tuple(rng.integers(0, m, size=2)), (m // 2, m // 2)):
+            holed = full.copy()
+            holed[cell] = False
+            yield CellSet(n, holed), spans
+    yield CellSet(3, np.ones((8, 8), dtype=bool)), np.zeros((0, 4), dtype=np.int64)
+
+
 def test_dilation_limits_match_linear_scan_bit_for_bit():
-    """The bisection returns the scan's floats, bit for bit, for mu and for nu."""
+    """The reach probe and bisection return the scan's floats, bit for bit, for mu and nu."""
     spans_seen = 0
-    for target, spans in _scan_corpus():
+    for target, spans in itertools.chain(_scan_corpus(), _reach_corpus()):
         ii = _integral_image(target.mask)
         for first_axis_only in (False, True):
             got = _dilation_limits(ii, spans, first_axis_only)
@@ -645,6 +682,12 @@ def test_rect_collection_keys():
     assert len(collection(n, ())) == 0 and collection(n, ()).spans().shape == (0, 4)
     with pytest.raises(ValueError, match="duplicate"):
         collection(n, [rects[0], rects[1], rects[0]])
+    maximal = maximal_rectangles(random_set(6, 3, 0.5))
+    shuffled = maximal.keys[np.random.default_rng(5).permutation(len(maximal))]
+    assert np.array_equal(RectCollection(6, shuffled).keys, shuffled[np.lexsort(shuffled.T[::-1])])
+    assert RectCollection(6, shuffled) == maximal and len(maximal) > 1000
+    with pytest.raises(ValueError, match="duplicate"):
+        RectCollection(6, np.concatenate([shuffled, shuffled[-1:]]))
     for key in ((4, 0, 0, 0), (1, 2, 0, 0), (0, 0, -1, 0), (2, -1, 0, 0)):
         with pytest.raises(ValueError, match="out of range"):
             RectCollection(n, [key])
