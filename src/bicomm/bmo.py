@@ -16,9 +16,13 @@ cell union or of a cell in a rectangle, is read off the cached cell spans
 of the dyadic intervals (grid._interval_spans), with box sums over one
 integral image where cells are counted.
 
-Open sets are always unions of cells of the 2^n x 2^n partition; an
-arbitrary open set's coefficient sum is approached from within by such
-unions as n grows.
+Open sets are searched as unions of cells of the 2^n x 2^n partition,
+n = max_scale, and that search is the supremum over every open set: each
+coefficient sits on a rectangle with both scales <= n, so an open set W
+holds exactly the rectangles of the cell union U of the rectangles inside
+W, with E(U) = E(W) and |U| <= |W|.  Only a symbol with scales above n,
+such as the `file` family's, whose analysis drops them, is left with a
+lower bound for its own product BMO.
 """
 
 from __future__ import annotations
@@ -198,8 +202,12 @@ def _max_flow(out, head, cap: list, source: int, sink: int) -> list[int]:
 
 
 def product_bmo_lower(c: WaveletCoefficients) -> BmoEstimate:
-    """The supremum over cell unions U of sqrt(E(U) / |U|), n = max_scale: a
-    lower bound for the supremum over all open sets.
+    """The supremum over cell unions U of sqrt(E(U) / |U|), n = max_scale,
+    which is the supremum over all open sets: every coefficient has both
+    scales <= n, so each open set's ratio is at most that of the cell union
+    of its rectangles (see the module docstring).  Only where analyze
+    truncated a symbol's finer scales, as for the `file` family, is the
+    value a lower bound for that symbol's product BMO.
 
     For a fixed lambda the U that maximizes E(U) - lambda |U| is a
     maximum-weight closure (Picard 1976), the cells on the source side of

@@ -357,6 +357,39 @@ def _fraction_at_most(delta, m: int) -> Fraction:
     return max(Fraction(d.numerator * q // d.denominator, q) for q in range(1, m + 1))
 
 
+def _occupied_window(mask: np.ndarray, thresholds) -> tuple[slice, slice] | None:
+    """The window of a 2D mask outside which no interval averaging above a threshold reaches.
+
+    thresholds holds one nonnegative Fraction p/q per axis.  Along an axis
+    the mask's cells occupy the indices [s0, s1], a span of l = s1 - s0 + 1.
+    An interval that meets the span in o <= l indices holds at most o
+    cells, so if it averages more than p/q > 0 it is shorter than o q/p,
+    and fewer than o (q - p)/p <= l (q - p)/p of its indices lie outside
+    the span: it stays in [s0 - e, s1 + e] with e = ceil(l (q - p)/p) - 1,
+    at least 0.  So a level set {average > p/q} of the mask is empty
+    outside the window, and inside it equals the level set of the window
+    taken as a grid of its own, since intervals never wrap.  p/q = 1/2
+    gives e = l - 1; p/q >= 1 gives the span itself; p = 0 gives the whole
+    axis.  An empty mask has no window: None.
+    """
+    window = []
+    for ax, t in enumerate(thresholds):
+        occupied = np.logical_or.reduce(mask, axis=1 - ax)
+        size, s0 = len(occupied), int(occupied.argmax())
+        if not occupied[s0]:
+            return None
+        s1 = size - 1 - int(occupied[::-1].argmax())
+        p, q = t.numerator, t.denominator
+        e = size if p == 0 else max(0, -(-(s1 - s0 + 1) * (q - p) // p) - 1)
+        window.append(slice(max(0, s0 - e), min(size, s1 + 1 + e)))
+    return tuple(window)
+
+
+# across the lines of maximal_1d_level intervals have one cell, and the
+# threshold 1 keeps just the occupied lines
+_ONE, _HALF = Fraction(1), Fraction(1, 2)
+
+
 def maximal_1d_level(U: CellSet, axis: int, delta, one_sided: bool = False) -> CellSet:
     """The level set {M 1_U > delta} of the uncentered 1D maximal function along one axis.
 
@@ -376,13 +409,34 @@ def maximal_1d_level(U: CellSet, axis: int, delta, one_sided: bool = False) -> C
     q*1_U - p, which :func:`_covered` decides in O(m) per line; every
     integer stays below m^2 in size.  So an average of exactly 1/3 lies
     above the double nearest 1/3, which rounds down, and not above
-    Fraction(1, 3).
+    Fraction(1, 3).  delta must be nonnegative: below 0 every cell of every
+    line would count, with or without U.
+
+    The kernel runs on :func:`_occupied_window` of U's lines.  Across lines
+    it keeps the first occupied line to the last: a line without U has
+    only weights -p, none covered for p >= 0.  Along them it keeps U's
+    occupied span of l cells widened by e = ceil(l (q - p)/p) - 1 cells on
+    each side (clipped to the grid, and the whole line when p = 0), since
+    an interval averaging more than p/q reaches fewer than l (q - p)/p
+    cells past the span.  So a set on a few lines costs O(lines x window),
+    and a set spread over the grid the full O(m^2) with no crop or copy.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    t = _fraction_at_most(delta, 1 << U.n)
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    m = 1 << U.n
+    t = _fraction_at_most(delta, m)
     lines = U.mask.T if axis == 1 else U.mask
-    covered = _covered(t.denominator * lines.astype(np.int64) - t.numerator, one_sided)
+    window = _occupied_window(lines, (_ONE, t))
+    if window is None:
+        covered = np.zeros((m, m), dtype=bool)
+    else:
+        covered = _covered(t.denominator * lines[window].astype(np.int64) - t.numerator, one_sided)
+        if covered.shape != lines.shape:
+            out = np.zeros((m, m), dtype=bool)
+            out[window] = covered
+            covered = out
     return CellSet(U.n, covered.T if axis == 1 else covered)
 
 
@@ -399,24 +453,24 @@ def strong_maximal_half_level(U: CellSet) -> CellSet:
     at once; every value is an integer, so the strict tie at exactly 1/2 is
     decided exactly.
 
-    The set lives on a crop of the grid.  Let U's occupied rows span
-    [s0, s1], l = s1 - s0 + 1 rows.  A rectangle with 2*count > area that
-    meets the span in o rows has fewer than 2*o rows, so it sticks out of
-    the span by fewer than o <= l rows in all: it lies in rows
-    [max(0, 2*s0 - s1), min(m, 2*s1 + 1 - s0)), and likewise in columns.
-    The level set is empty outside that crop, and inside it equals the
-    level set of U's cells in the crop taken as a window of their own,
-    since rectangles never wrap.  The level set also commutes with
-    transposition, so the row-start loop runs over the crop's shorter side:
-    O(h^2 * w) on an h x w crop with h <= w, and O(m^3) only when U spreads
-    over the whole grid.  An empty U has an empty level set.
+    The set lives on :func:`_occupied_window` of U at 1/2 on both axes.
+    The rows of a rectangle averaging more than 1/2 hold shares of U that
+    are at most 1, nonzero only on U's occupied rows [s0, s1], and average
+    more than 1/2.  The window's argument holds for such shares as it does
+    for counts, so the rectangle sticks out of the span by at most
+    l - 1 = s1 - s0 rows on each side, and likewise in columns.  The level
+    set is empty outside that crop, and inside it equals the level set of
+    U's cells in the crop taken as a window of their own, since rectangles
+    never wrap.  The level set also commutes with transposition, so the
+    row-start loop runs over the crop's shorter side: O(h^2 * w) on an
+    h x w crop with h <= w, and O(m^3) only when U spreads over the whole
+    grid.  An empty U has an empty level set.
     """
     m = 1 << U.n
     out = np.zeros((m, m), dtype=bool)
-    rows, cols = np.flatnonzero(U.mask.any(axis=1)), np.flatnonzero(U.mask.any(axis=0))
-    if rows.size == 0:
+    crop = _occupied_window(U.mask, (_HALF, _HALF))
+    if crop is None:
         return CellSet(U.n, out)
-    crop = tuple(slice(max(0, 2 * s[0] - s[-1]), min(m, 2 * s[-1] + 1 - s[0])) for s in (rows, cols))
     # level is a view: writing to it fills the crop of out
     mask, level = U.mask[crop].astype(np.int64), out[crop]
     if mask.shape[0] > mask.shape[1]:

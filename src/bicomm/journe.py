@@ -135,11 +135,16 @@ def enlargement(U: CellSet, delta: float) -> CellSet:
 
     V12 = {M1 1_{{M2 1_U > delta}} > delta} and symmetrically; thresholds
     are strict and decided exactly, on the exact value of delta, by
-    :func:`maximal_1d_level` in O(m^2) per level set.
+    :func:`maximal_1d_level`, in O(m^2) per level set at most and on the
+    window that its input occupies: U's occupied lines, with its span along
+    them widened by about l (1 - delta)/delta cells for a span of l.  When
+    V12 covers the grid, V = V12 and the two level sets of V21 are skipped.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
     v12 = maximal_1d_level(maximal_1d_level(U, 2, delta), 1, delta)
+    if v12.mask.all():
+        return v12
     v21 = maximal_1d_level(maximal_1d_level(U, 1, delta), 2, delta)
     return v12 | v21
 

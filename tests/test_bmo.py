@@ -9,7 +9,13 @@ from bmo_oracle import exhaustive_product_bmo
 
 from bicomm.bmo import coefficient_energy, product_bmo_lower, rect_bmo, rectangles_inside
 from bicomm.cli import ExperimentConfig, _family_coefficients, run
-from bicomm.grid import CellSet, DyadicRectangle, enumerate_dyadic_rectangles, interval_index
+from bicomm.grid import (
+    CellSet,
+    DyadicRectangle,
+    _interval_spans,
+    enumerate_dyadic_rectangles,
+    interval_index,
+)
 from bicomm.journe import row_resolution
 from bicomm.wavelets import WaveletCoefficients
 
@@ -199,6 +205,43 @@ def test_no_cell_union_beats_the_min_cut():
             if mask.any():
                 U = CellSet(n, mask)
                 assert coefficient_energy(c, U) / U.measure() <= est.value**2 * (1 + 1e-12)
+
+
+def test_no_finer_open_set_beats_the_min_cut():
+    """The min cut's value is the supremum over every open set, not only
+    over the unions of cells of the 2^n grid.  Each coefficient sits on a
+    rectangle with both scales <= n, so an open set W holds exactly the
+    rectangles of U = union{R : R inside W}, a cell union with |U| <= |W|.
+    So no union of cells at resolution n + 1 or n + 2 beats it: random sets
+    of four densities, and the refined witness with one fine cell flipped
+    or one rectangle of the coefficients added, on random coefficients of
+    four densities and on combs at n = 1-3.  The refined witness itself
+    keeps the value."""
+    rng = np.random.default_rng(212)
+    cases = [rand_coeffs(rng, n, density) for n in (1, 2, 3) for density in (0.1, 0.3, 0.6, 1.0)]
+    cases += [comb_coefficients(rng, n) for n in (2, 3)]
+    for c in cases:
+        est = product_bmo_lower(c)
+        n, best = c.max_scale, est.value**2
+        for extra in (1, 2):
+            k = 1 << extra
+            W = np.kron(est.witness.mask, np.ones((k, k), dtype=bool))
+            refined = CellSet(n + extra, W)
+            assert abs(coefficient_energy(c, refined) / refined.measure() - best) <= 1e-12 * best
+            masks = [rng.random(W.shape) < p for p in (0.2, 0.5, 0.8, 0.95) for _ in range(10)]
+            for i in rng.integers(0, W.shape[0], size=(20, 2)):
+                flipped = W.copy()
+                flipped[tuple(i)] ^= True
+                masks.append(flipped)
+            s0, s1 = _interval_spans(n, n + extra)
+            for a1, a2 in zip(*np.nonzero(c.matrix)):
+                grown = W.copy()
+                grown[s0[a1] : s1[a1], s0[a2] : s1[a2]] = True
+                masks.append(grown)
+            for mask in masks:
+                if mask.any():
+                    U = CellSet(n + extra, mask)
+                    assert coefficient_energy(c, U) / U.measure() <= best * (1 + 1e-12)
 
 
 def test_staircase_closed_forms():

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,10 @@ from bicomm.grid import (
     GridSignal2D,
     _box_sum,
     _covered,
+    _fraction_at_most,
     _integral_image,
     _interval_spans,
+    _occupied_window,
     _span_box_sums,
     _spans_inside,
     enumerate_dyadic_rectangles,
@@ -313,6 +316,28 @@ def test_one_sided_weak_bound_exact():
     assert maximal_1d_level(single, 1, d, one_sided=True).cell_count == 3
 
 
+@pytest.mark.parametrize(
+    "n, l, delta",
+    [(3, 1, 1 / 4), (5, 3, Fraction(1, 3)), (6, 4, 0.3), (6, 7, 1 / 2), (7, 5, 0.2), (7, 10, 0.99)],
+)
+def test_level_window_bound_is_attained(n, l, delta):
+    """A bar of l cells at the centre of a line reaches the window exactly:
+    with p/q = _fraction_at_most(delta, m) (17/57 for 0.3 at m = 64, 98/99
+    for 0.99 at m = 128), its level set along the line is the bar widened
+    by e = ceil(l (q - p)/p) - 1 cells on each side."""
+    m = 1 << n
+    t = _fraction_at_most(delta, m)
+    e = max(0, math.ceil(l * (1 - t) / t) - 1)
+    r, c0 = m // 2, (m - l) // 2
+    assert 0 <= c0 - e and c0 + l + e <= m
+    bar = np.zeros((m, m), dtype=bool)
+    bar[r, c0 : c0 + l] = True
+    want = np.zeros((m, m), dtype=bool)
+    want[r, c0 - e : c0 + l + e] = True
+    for axis, mask, level in ((2, bar, want), (1, bar.T, want.T)):
+        assert np.array_equal(maximal_1d_level(CellSet(n, mask), axis, delta).mask, level)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(1, 6),
@@ -414,13 +439,15 @@ def sparse_crop_corpus():
 
 def test_half_level_crop_matches_full_grid_bit_for_bit():
     """The cropped, transposed kernel against the full-grid loop, on sets
-    whose crop is a real crop; the full-grid level set is empty outside it."""
+    whose crop is a real crop; the full-grid level set is empty outside it,
+    and the shared window at 1/2 on both axes is that crop."""
     real_crops = 0
     for U in sparse_crop_corpus():
         want = full_grid_half_level(U)
         assert np.array_equal(strong_maximal_half_level(U).mask, want)
         if U.cell_count:
             crop = crop_window(U.mask)
+            assert _occupied_window(U.mask, (Fraction(1, 2),) * 2) == crop
             outside = want.copy()
             outside[crop] = False
             assert not outside.any()

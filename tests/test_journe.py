@@ -14,7 +14,9 @@ from bicomm.grid import (
     CellSet,
     DyadicRectangle,
     _box_sum,
+    _fraction_at_most,
     _integral_image,
+    _occupied_window,
     enumerate_dyadic_rectangles,
     maximal_1d_level,
     strong_maximal_half_level,
@@ -106,8 +108,9 @@ def test_maximal_rectangles_antichain_and_cover():
                 assert any(M.contains(R) for M in rects)
 
 
-def brute_level(mask, axis, delta):
-    """Cells of some interval of consecutive cells averaging more than delta.
+def brute_level(mask, axis, delta, one_sided=False):
+    """Cells of some interval of consecutive cells averaging more than delta,
+    or with one_sided=True the cells that start such an interval.
 
     Enumerates every interval of every line; an integer count over l cells
     exceeds delta * l exactly when it exceeds floor(delta * l), taken on
@@ -118,10 +121,11 @@ def brute_level(mask, axis, delta):
     m = lines.shape[1]
     P = np.zeros((m, m + 1), dtype=np.int64)
     P[:, 1:] = np.cumsum(lines, axis=1)
+    floors = [math.floor(d * length) for length in range(m + 1)]
     out = np.zeros((m, m), dtype=bool)
     for a in range(m):
         for b in range(a + 1, m + 1):
-            out[P[:, b] - P[:, a] > math.floor(d * (b - a)), a:b] = True
+            out[P[:, b] - P[:, a] > floors[b - a], a if one_sided else slice(a, b)] = True
     return out.T if axis == 1 else out
 
 
@@ -162,6 +166,100 @@ def test_level_kernel_matches_oracle_at_half(n, seed, density):
     for axis in (1, 2):
         assert np.array_equal(maximal_1d_level(U, axis, 0.5).mask, brute_level(U.mask, axis, 0.5))
     assert np.array_equal(enlargement(U, 0.5).mask, brute_enlargement(U, 0.5))
+
+
+def window_corpus():
+    """Sets whose occupied window is smaller than the grid, at n = 1-5: a
+    single cell, sparse sets (density 0.02-0.1) on the whole grid, and
+    sparse boxes flush with each edge and inside; then the rows of 8 and
+    16 squares, at n = 6 and 7."""
+    rng = np.random.default_rng(2105)
+    for n in range(1, 6):
+        m = 1 << n
+        yield CellSet.from_cells(n, [tuple(rng.integers(0, m, size=2))])
+        for density in (0.02, 0.05, 0.1):
+            yield random_set(n, int(rng.integers(2**32)), density)
+        for place in ("top", "bottom", "left", "right", "interior"):
+            h, w = rng.integers(1, max(m // 2, 1) + 1, size=2)
+            r0, c0 = rng.integers(0, m - h + 1), rng.integers(0, m - w + 1)
+            r0 = {"top": 0, "bottom": m - h}.get(place, r0)
+            c0 = {"left": 0, "right": m - w}.get(place, c0)
+            box = np.zeros((m, m), dtype=bool)
+            box[r0 : r0 + h, c0 : c0 + w] = rng.random((h, w)) < rng.choice([0.02, 0.05, 0.1])
+            box[r0 + rng.integers(h), c0 + rng.integers(w)] = True
+            yield CellSet(n, box)
+    yield row_of_squares(8).cells
+    yield row_of_squares(16).cells
+
+
+# 1e-9 has p = 0 on every grid here, so no crop along the lines; 0.99 reads
+# as (m - 1)/m up to m = 64 and as 98/99 at m = 128, whose windows are the
+# occupied span alone; float 1/3 lies below Fraction(1, 3)
+WINDOW_DELTAS = (1e-9, 1 / 4, 1 / 3, Fraction(1, 3), 1 / 2, 3 / 4, 0.99)
+
+
+def test_level_sets_on_occupied_windows():
+    """Both sided forms of the level sets against the interval enumeration
+    on sets whose window crops the grid, and the enlargement at 1e-9, 1/2
+    and 0.99.  The oracle's cost grows as m^2 per level set, 60 ms at
+    n = 7, so every WINDOW_DELTAS value runs up to n = 4, those three
+    values at n = 5, and the rows of squares take the two-sided form at
+    those three and the enlargement at 1/2."""
+    crops = 0
+    for U in window_corpus():
+        m = 1 << U.n
+        for delta in WINDOW_DELTAS if U.n <= 4 else (1e-9, 1 / 2, 0.99):
+            for axis in (1, 2):
+                for one_sided in (False, True) if U.n <= 5 else (False,):
+                    got = maximal_1d_level(U, axis, delta, one_sided).mask
+                    assert np.array_equal(got, brute_level(U.mask, axis, delta, one_sided))
+                    lines = U.mask.T if axis == 1 else U.mask
+                    window = _occupied_window(lines, (Fraction(1), _fraction_at_most(delta, m)))
+                    crops += lines[window].size < lines.size
+            if delta in ((1e-9, 1 / 2, 0.99) if U.n <= 5 else (1 / 2,)):
+                assert np.array_equal(enlargement(U, delta).mask, brute_enlargement(U, delta))
+    assert crops >= 300
+
+
+def test_enlargement_stops_once_v12_covers_the_grid(monkeypatch):
+    """The level sets of V21 run only where V12 leaves a cell out, and the
+    union equals the oracle's either way."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return maximal_1d_level(*args, **kwargs)
+
+    monkeypatch.setattr("bicomm.journe.maximal_1d_level", counted)
+    full = partial = 0
+    for n, seed, density, delta in itertools.product(
+        range(1, 5), range(2), (0.1, 0.3, 0.5, 0.7), (1 / 4, 1 / 2, 3 / 4)
+    ):
+        U = random_set(n, seed, density)
+        for cells in (U, CellSet(n, U.mask.T)):
+            calls.clear()
+            v12 = brute_level(brute_level(cells.mask, 2, delta), 1, delta)
+            v21 = brute_level(brute_level(cells.mask, 1, delta), 2, delta)
+            assert np.array_equal(enlargement(cells, delta).mask, v12 | v21)
+            assert len(calls) == (2 if v12.all() else 4)
+            full += v12.all()
+            partial += not v12.all()
+    assert full >= 60 and partial >= 60
+
+
+def test_level_threshold_domain():
+    """delta = 0 keeps every occupied line whole, as 1e-9 does; delta < 0
+    would cover empty lines and is rejected; delta >= 1 covers nothing."""
+    U = random_set(4, 9, 0.1)
+    for axis, occupied in ((1, U.mask.any(axis=0)[None, :]), (2, U.mask.any(axis=1)[:, None])):
+        want = np.broadcast_to(occupied, U.mask.shape)
+        for delta in (0, 0.0, Fraction(0), 1e-9):
+            assert np.array_equal(maximal_1d_level(U, axis, delta).mask, want)
+        for delta in (1, 1.5):
+            assert not maximal_1d_level(U, axis, delta).mask.any()
+        for delta in (-1e-9, -0.5, Fraction(-1, 3)):
+            with pytest.raises(ValueError):
+                maximal_1d_level(U, axis, delta)
 
 
 def best_average(mask, cell, axis):
