@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -195,7 +196,42 @@ def _write_in_place(path: str, text: str) -> None:
         fh.truncate()
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """The bytes of json.dumps(value, indent=2, sort_keys=True, allow_nan=False).
+
+    json.dumps runs its pure-Python encoder whenever it indents.  This covers
+    the dict/str/int/float values of a report summary: keys and strings go
+    through json's own ASCII escaper and numbers through repr, as there; a
+    non-finite float raises ValueError, as allow_nan=False does, and any
+    other type, bool included, raises TypeError.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())
+        ]
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float value is not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"object of type {type(value).__name__} is not in the report summary schema")
+
+
 def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -> tuple[str, str]:
+    """Write `<command>.csv` and `<command>_summary.json` into cfg.out.
+
+    The summary holds the command, config hash, version and, per numeric
+    column, min/max/mean over its finite values and a count of the rest.
+    Its bytes are those of json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) plus a newline, written by _json_text.
+    """
     chash = cfg.config_hash()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -223,8 +259,7 @@ def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -
         "metrics": stats,
     }
     json_path = os.path.join(cfg.out, f"{cfg.command}_summary.json")
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    _write_in_place(json_path, text + "\n")
+    _write_in_place(json_path, _json_text(summary) + "\n")
     return csv_path, json_path
 
 

@@ -24,13 +24,13 @@ integers.  The rasterized dilate only grows with the factor, so
 containment is monotone in it: the supremum is the largest crossing
 whose dilate stays inside.  The largest crossing whose dilate stays in
 the grid, the grid reach, has a closed form, so each axis first tests
-the dilate at its reach with one box sum per rectangle; only where that
-dilate meets a hole of the set does a bisection over the crossings below
-the reach take about log2(m) more.  Rasterized spans are floors and
-ceilings of integer quotients, so non-dyadic square sizes (the row of
-squares has side 3 cells and period 5) stay exact, and every maximal
-rectangle of a set is probed and bisected at once, in numpy, over one
-integral image.
+the dilate at its reach with one box sum per rectangle, or with none when
+the set fills the grid; only where that dilate meets a hole of the set
+does a bisection over the crossings below the reach take about log2(m)
+more.  Rasterized spans are floors and ceilings of integer quotients, so
+non-dyadic square sizes (the row of squares has side 3 cells and period
+5) stay exact, and every maximal rectangle of a set is probed and
+bisected at once, in numpy, over one integral image.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ class RectCollection:
 
     keys is a read-only (R, 4) int64 array of rows (j1, k1, j2, k2),
     sorted in that order, which is the dataclass order of DyadicRectangle.
+    Keys that arrive strictly increasing, as maximal_rectangles makes them,
+    are copied as they are, without the sort; the copy keeps the collection
+    apart from its caller's array either way.
     """
 
     n: int
@@ -75,10 +78,13 @@ class RectCollection:
         # sorts the keys and equal codes are equal keys
         h = interval_index(j, k)
         code = h[:, 0] * ((2 << self.n) - 1) + h[:, 1]
-        order = np.argsort(code, kind="stable")
-        if np.any(np.diff(code[order]) == 0):
-            raise ValueError("duplicate rectangles in collection")
-        keys = keys[order]
+        if np.all(np.diff(code) > 0):
+            keys = keys.copy()
+        else:
+            order = np.argsort(code, kind="stable")
+            if np.any(np.diff(code[order]) == 0):
+                raise ValueError("duplicate rectangles in collection")
+            keys = keys[order]
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
 
@@ -183,8 +189,12 @@ def _dilation_limits(
     the larger of the two axes' crossings as the float d / W, 0.0 where none
     passes.  With first_axis_only, crossings come from the first axis alone,
     the second-axis span stays [a2, b2), and the reach is min(C, 2m - C).
+    When the set fills the grid, which the integral image's last entry shows
+    in one read, every in-grid dilate lies inside it, and each axis takes its
+    reach with no probe and no bisection.
     """
     m = ii.shape[0] - 1
+    full = ii[-1, -1] == m * m
     a1, b1, a2, b2 = spans.T
     center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
     out = np.zeros(len(spans))
@@ -206,6 +216,9 @@ def _dilation_limits(
 
         # crossings run d = parity + 2t; reach >= W >= parity, so last >= 0
         last = (reach - parity) // 2
+        if full:
+            out = np.maximum(out, (parity + 2 * last) / W)
+            continue
         t = np.where(inside(slice(None), parity + 2 * last), last, -1)
         # bisect below the reach where the probe failed; t = -1 stands for no
         # passing crossing, and steps 2^k, ..., 1 reach every t <= top
@@ -256,20 +269,25 @@ def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
 
     Every maximal rectangle sits inside U, and U sits inside its
     enlargement, so each mu is at least 1 and each term is at most |R|.
+    mu = d / W takes few distinct values (about 32 over the ~1278 maximal
+    rectangles of an n = 6 set), so each is raised once by Python's power,
+    the libm pow that a per-term loop calls; numpy's power can take a
+    vectorized path that rounds apart from it.  The terms are summed left to
+    right by np.add.accumulate, which keeps the bits of the sequential
+    Python sum; sum() compensates and np.sum sums pairwise, so neither does.
     """
     if not 0.0 < delta < 1.0 or not 0.0 < epsilon < 1.0:
         raise ValueError("delta and epsilon must lie in (0,1)")
     V = enlargement(U, delta)
     rects = maximal_rectangles(U)
-    mus = _dilation_limits(_integral_image(V.mask), rects.spans()).tolist()
-    areas = (2.0 ** -(rects.keys[:, 0] + rects.keys[:, 2])).tolist()
-    total = 0.0
-    # a sequential sum of Python floats, so that the value keeps its last bit
-    for mu, area in zip(mus, areas):
-        total += mu**-epsilon * area
+    mus = _dilation_limits(_integral_image(V.mask), rects.spans())
+    distinct, at = np.unique(mus, return_inverse=True)
+    powers = np.array([mu**-epsilon for mu in distinct.tolist()])
+    terms = powers[at] * 2.0 ** -(rects.keys[:, 0] + rects.keys[:, 2])
+    total = float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
     meas = U.measure()
     ratio = total / meas if meas > 0.0 else 0.0
-    return JourneSum(total, ratio, rects, tuple(mus))
+    return JourneSum(total, ratio, rects, tuple(mus.tolist()))
 
 
 def bad_class(S: RectCollection, axis: int, gamma: float) -> RectCollection:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -168,6 +169,58 @@ def test_identity_check_report(tmp_path):
     assert summary["config_hash"] == cfg.config_hash()
     stats = summary["metrics"]["e_basic_residual"]
     assert stats["min"] <= stats["mean"] <= stats["max"]
+
+
+def test_summary_text_matches_json_dumps():
+    """The summary formatter gives json.dumps's indented, sorted, strict bytes."""
+    tiny = 5e-324
+    corpus = [
+        {},
+        {"command": "journe-scan", "config_hash": "0123456789ab", "version": "0.1.0", "metrics": {}},
+        {"metrics": {"bmo_over_norm": {"nonfinite": 1}, "x": {"nonfinite": 0}, "e": {}}},
+        {
+            "metrics": {
+                "signs": {"min": -0.0, "max": 0.0, "mean": -0.0},
+                "subnormal": {"min": tiny, "max": 2.2250738585072009e-308, "mean": -tiny},
+                "huge": {"min": -1e300, "max": 1e300, "mean": 1e-300, "nonfinite": 2**70},
+                "round": {"min": 0.1, "max": 1 / 3, "mean": 1e16, "nonfinite": 0},
+            }
+        },
+        {
+            "k\u00e9y \"q\" \\ /\t\n\u2028 \U0001f600": {"\u00fc": "v\u00e1lue \"q\" \x00", "z": 3},
+            "a": -7,
+        },
+        {"b": {"c": {"d": {}}, "a": {"e": 1.5}}, "a": ""},
+    ]
+    for obj in corpus:
+        want = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert cli._json_text(obj) + "\n" == want
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            cli._json_text({"metrics": {"x": {"min": bad}}})
+    for bad in (None, True, [1.0], (1,), np.float32(1.0), np.int64(1)):
+        with pytest.raises(TypeError):
+            cli._json_text({"metrics": {"x": {"min": bad}}})
+
+
+def test_every_summary_round_trips_through_json(tmp_path):
+    """Each command's real summary is strict JSON in json.dumps's exact layout."""
+    configs = [
+        ExperimentConfig("identity-check", N=32, instances=2),
+        ExperimentConfig("wavelet-audit", N=32, instances=1),
+        ExperimentConfig("bmo-scan", N=32, instances=2),
+        ExperimentConfig("norm-compare", N=64, n=2, family="single-rectangle", instances=3),
+        ExperimentConfig("journe-scan", N=64, instances=2),
+        ExperimentConfig("journe-scan", N=64, family="row-of-squares-dual", K=4, instances=2),
+        ExperimentConfig("decomposition", N=32, n=1, instances=2),
+        ExperimentConfig("oracle-audit", N=16, instances=1),
+    ]
+    for idx, cfg in enumerate(configs):
+        _, json_path = run(dataclasses.replace(cfg, out=str(tmp_path / str(idx))))
+        text = Path(json_path).read_text(encoding="ascii")
+        summary = json.loads(text, parse_constant=pytest.fail)
+        assert summary["command"] == cfg.command and summary["metrics"]
+        assert text == json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def test_rerun_byte_identical(tmp_path):

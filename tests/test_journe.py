@@ -566,18 +566,66 @@ def test_half_level_decides_ties_exactly():
     assert np.array_equal(got, oracle_half_level(TIE_SET))
 
 
-@pytest.mark.parametrize("n, seed", [(4, 0), (5, 1), (5, 2)])
-def test_journe_sum_keeps_sequential_bits(n, seed):
-    U = random_set(n, seed, 0.5)
+SUM_CASES = [
+    (4, 0, 0.5, 0.5, True),
+    (5, 1, 0.5, 0.5, True),
+    (5, 2, 0.5, 0.5, True),
+    (6, 3, 0.5, 0.5, True),
+    (6, 4, 0.5, 0.3, True),
+    (6, 5, 0.5, 0.7, True),
+    (5, 6, 0.15, 0.5, False),
+    (6, 6, 0.2, 0.3, False),
+    (3, 0, 0.0, 0.5, False),
+]
+
+
+@pytest.mark.parametrize(
+    "n, seed, density, epsilon, full", SUM_CASES, ids=[f"{case[0]}-{case[1]}" for case in SUM_CASES]
+)
+def test_journe_sum_keeps_sequential_bits(n, seed, density, epsilon, full):
+    """Value, ratio and mus are those of a left-to-right loop of Python powers.
+
+    At density 1/2 the enlargement fills the grid and every mu is a grid
+    reach; at 0.15 and 0.2 it does not; the empty set sums to 0.0.  The mu
+    reference is the Fraction oracle up to n = 5 and the linear scan, which
+    matches it bit for bit, at n = 6.
+    """
+    U = random_set(n, seed, density)
     V = enlargement(U, 0.5)
-    js = journe_sum(U, 0.5, 0.5)
-    total = 0.0
+    assert V.mask.all() == full
+    js = journe_sum(U, 0.5, epsilon)
     assert js.rectangles == maximal_rectangles(U)
-    for R, got in zip(js.rectangles, js.mus, strict=True):
-        mu = oracle_mu(R, V)
+    if n < 6:
+        want = [oracle_mu(R, V) for R in js.rectangles]
+    else:
+        want = scan_dilation_limits(_integral_image(V.mask), js.rectangles.spans()).tolist()
+    total = 0.0
+    for R, got, mu in zip(js.rectangles, js.mus, want, strict=True):
         assert got == mu
-        total += mu**-0.5 * R.area
-    assert js.value == total
+        total += mu**-epsilon * R.area
+    assert js.value.hex() == total.hex()
+    meas = U.measure()
+    assert js.ratio == (total / meas if meas > 0.0 else 0.0)
+
+
+def test_journe_sum_of_boxes_keeps_sequential_bits():
+    """Boxes with even corners at n = 3: few, large rectangles, whose powers show.
+
+    On random sets a last-bit change in the power of a rare mu is lost in
+    the total, but a box has only a handful of maximal rectangles.  numpy's
+    vectorized power rounds 2.0**-0.3, the term of a mu = 2 rectangle such
+    as the box [2, 4) x [2, 4), apart from Python's on some machines, and
+    that moves the sum.
+    """
+    for a, b, c, d in itertools.product(range(0, 9, 2), repeat=4):
+        if a < b and c < d:
+            U = square_set(3, range(a, b), range(c, d))
+            for epsilon in (0.3, 0.5, 0.7):
+                js = journe_sum(U, 0.5, epsilon)
+                total = 0.0
+                for R, mu in zip(js.rectangles, js.mus, strict=True):
+                    total += mu**-epsilon * R.area
+                assert js.value.hex() == total.hex()
 
 
 def test_embeddedness_plane_semantics():
@@ -789,6 +837,16 @@ def test_rect_collection_keys():
     for key in ((4, 0, 0, 0), (1, 2, 0, 0), (0, 0, -1, 0), (2, -1, 0, 0)):
         with pytest.raises(ValueError, match="out of range"):
             RectCollection(n, [key])
+    # sorted keys skip the sort but are still copied: the caller's array stays
+    # writable and its later changes do not reach the collection
+    keys = maximal.keys.copy()
+    sorted_col = RectCollection(6, keys)
+    assert np.array_equal(sorted_col.keys, maximal.keys) and not sorted_col.keys.flags.writeable
+    assert keys.flags.writeable and not np.shares_memory(sorted_col.keys, keys)
+    keys[:] = keys[::-1]
+    assert sorted_col == maximal and RectCollection(6, keys) == maximal
+    with pytest.raises(ValueError, match="duplicate"):
+        RectCollection(6, np.concatenate([maximal.keys[:3], maximal.keys[2:]]))
 
 
 def test_stratify():
