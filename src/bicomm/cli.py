@@ -175,12 +175,6 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_in_place(path: str, text: str) -> None:
     """Write text to path over any earlier file there, then cut the file to it.
 
@@ -237,7 +231,7 @@ def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns + ["config_hash", "version"])
     for row in rows:
-        writer.writerow([_fmt(v) for v in row] + [chash, __version__])
+        writer.writerow(row + [chash, __version__])
     csv_path = os.path.join(cfg.out, f"{cfg.command}.csv")
     _write_in_place(csv_path, buf.getvalue())
     stats = {}
@@ -666,7 +660,7 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
     if cfg.kind == "scatter":
         x, y = cfg.metrics
         lines = [f"# {x} {y}"]
-        lines += [f"{_fmt(a)} {_fmt(bval)}" for a, bval in zip(data[x], data[y])]
+        lines += [f"{a} {bval}" for a, bval in zip(data[x], data[y])]
     else:
         (name,) = cfg.metrics
         lines = [f"# {name}_bin_center count"]
@@ -682,7 +676,7 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
                 counts[idx] += 1
             for idx, count in enumerate(counts):
                 center = lo + (idx + 0.5) * width
-                lines.append(f"{_fmt(center)} {count}")
+                lines.append(f"{center} {count}")
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "plot_data.txt")
     _write_in_place(path, "".join(line + "\n" for line in lines))

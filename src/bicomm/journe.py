@@ -9,9 +9,9 @@ weighted rectangle sum they control, bad classes, arithmetic-progression
 thinning, scale strata, and the row-of-squares example separating nu
 from mu.
 
-A collection of dyadic rectangles is one sorted integer array of keys
-(j1, k1, j2, k2); rectangle objects are built only when a caller
-iterates over it.
+A collection of dyadic rectangles is one strictly increasing integer
+array of keys (j1, k1, j2, k2); rectangle objects are built only when a
+caller iterates over it.
 
 Dilations never wrap: the grid is treated as a window on the plane, and
 any part of a dilate falling outside [0,1)^2 fails containment.  The
@@ -59,32 +59,29 @@ from .grid import (
 class RectCollection:
     """A duplicate-free collection of dyadic rectangles at resolution n.
 
-    keys is a read-only (R, 4) int64 array of rows (j1, k1, j2, k2),
-    sorted in that order, which is the dataclass order of DyadicRectangle.
-    Keys that arrive strictly increasing, as maximal_rectangles makes them,
-    are copied as they are, without the sort; the copy keeps the collection
-    apart from its caller's array either way.
+    keys is a read-only (R, 4) int64 array of rows (j1, k1, j2, k2) that
+    must arrive strictly increasing in that order, which is the dataclass
+    order of DyadicRectangle; unsorted or repeated keys raise ValueError.
+    maximal_rectangles makes them so, and bad_class, thin_collection and
+    stratify keep ordered subsets.  The keys are copied, which keeps the
+    collection apart from its caller's array.
     """
 
     n: int
     keys: np.ndarray
 
     def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, 4)
+        # a copy: the collection stays apart from its caller's array
+        keys = np.array(self.keys, dtype=np.int64).reshape(-1, 4)
         j, k = keys[:, 0::2], keys[:, 1::2]
         if np.any((j < 0) | (j > self.n) | (k >> j != 0)):
             raise ValueError(f"rectangle key out of range at resolution {self.n}")
         # heap index order is (j, k) order, so one packed code h1 * H + h2
-        # sorts the keys and equal codes are equal keys
+        # orders the keys and equal codes are equal keys
         h = interval_index(j, k)
         code = h[:, 0] * ((2 << self.n) - 1) + h[:, 1]
-        if np.all(np.diff(code) > 0):
-            keys = keys.copy()
-        else:
-            order = np.argsort(code, kind="stable")
-            if np.any(np.diff(code[order]) == 0):
-                raise ValueError("duplicate rectangles in collection")
-            keys = keys[order]
+        if np.any(np.diff(code) <= 0):
+            raise ValueError("rectangle keys must be strictly increasing")
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
 
@@ -164,11 +161,11 @@ def _half_cell_span(center, half, num, den):
 
 
 def _dilation_limits(
-    ii: np.ndarray, spans: np.ndarray, first_axis_only: bool = False
+    mask: np.ndarray, spans: np.ndarray, first_axis_only: bool = False
 ) -> np.ndarray:
     """Largest grid-line crossing lambda whose centered dilate stays inside a set.
 
-    ii is the integral image of the set; spans is an (R, 4) int64 array of
+    mask is the set's boolean (m, m) mask; spans is an (R, 4) int64 array of
     cell rectangles (a1, b1, a2, b2).  In half-cell units a span [a, b) has
     center C = a + b and half-width W = b - a, and its crossings on its own axis
     are lambda = d / W with d = |2p - C| over the grid lines p, so d runs
@@ -185,16 +182,18 @@ def _dilation_limits(
     every smaller one inside.  Each axis therefore tests the dilate at its
     reach once for every rectangle, and bisects, for the rectangles whose
     dilate there meets a hole, for the largest d below the reach that
-    passes, in about log2(m) box sums, all inside the grid.  The result is
-    the larger of the two axes' crossings as the float d / W, 0.0 where none
-    passes.  With first_axis_only, crossings come from the first axis alone,
-    the second-axis span stays [a2, b2), and the reach is min(C, 2m - C).
-    When the set fills the grid, which the integral image's last entry shows
-    in one read, every in-grid dilate lies inside it, and each axis takes its
-    reach with no probe and no bisection.
+    passes, in about log2(m) box sums over the set's integral image, all
+    inside the grid.  The result is the larger of the two axes' crossings
+    as the float d / W, 0.0 where none passes.  With first_axis_only,
+    crossings come from the first axis alone, the second-axis span stays
+    [a2, b2), and the reach is min(C, 2m - C).
+    When the set fills the grid, every in-grid dilate lies inside it, and
+    each axis takes its reach with no probe, no bisection and no integral
+    image.
     """
-    m = ii.shape[0] - 1
-    full = ii[-1, -1] == m * m
+    m = mask.shape[0]
+    # a set that fills the grid needs no integral image
+    ii = None if mask.all() else _integral_image(mask)
     a1, b1, a2, b2 = spans.T
     center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
     out = np.zeros(len(spans))
@@ -216,7 +215,7 @@ def _dilation_limits(
 
         # crossings run d = parity + 2t; reach >= W >= parity, so last >= 0
         last = (reach - parity) // 2
-        if full:
+        if ii is None:
             out = np.maximum(out, (parity + 2 * last) / W)
             continue
         t = np.where(inside(slice(None), parity + 2 * last), last, -1)
@@ -248,9 +247,8 @@ def embeddedness(R: CellRect, V: CellSet, U: CellSet) -> EmbeddednessReport:
     if R.n != V.n or U.n != V.n:
         raise ValueError("R, V and U must lie on one cell grid")
     spans = np.array([[R.a1, R.b1, R.a2, R.b2]], dtype=np.int64)
-    mu = float(_dilation_limits(_integral_image(V.mask), spans)[0])
-    level = strong_maximal_half_level(U)
-    nu = float(_dilation_limits(_integral_image(level.mask), spans, first_axis_only=True)[0])
+    mu = float(_dilation_limits(V.mask, spans)[0])
+    nu = float(_dilation_limits(strong_maximal_half_level(U).mask, spans, first_axis_only=True)[0])
     return EmbeddednessReport(mu, nu)
 
 
@@ -280,7 +278,7 @@ def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
         raise ValueError("delta and epsilon must lie in (0,1)")
     V = enlargement(U, delta)
     rects = maximal_rectangles(U)
-    mus = _dilation_limits(_integral_image(V.mask), rects.spans())
+    mus = _dilation_limits(V.mask, rects.spans())
     distinct, at = np.unique(mus, return_inverse=True)
     powers = np.array([mu**-epsilon for mu in distinct.tolist()])
     terms = powers[at] * 2.0 ** -(rects.keys[:, 0] + rects.keys[:, 2])
@@ -341,9 +339,15 @@ def thin_collection(S: RectCollection, mu: float, gamma: float) -> list[RectColl
 
 
 def stratify(Ucol: RectCollection, V: CellSet) -> dict[int, RectCollection]:
-    """Group rectangles by dyadic strata of mu: k=0 for mu <= 1, else 2^{k-1} < mu <= 2^k."""
-    mus = _dilation_limits(_integral_image(V.mask), Ucol.spans()).tolist()
-    strata = np.array([0 if mu <= 1.0 else math.ceil(math.log2(mu)) for mu in mus], dtype=np.int64)
+    """Group rectangles by dyadic strata of mu: k=0 for mu <= 1, else 2^{k-1} < mu <= 2^k.
+
+    frexp writes mu = f 2^e with 1/2 <= f < 1, so 2^{e-1} <= mu < 2^e, and
+    k = e unless mu = 2^{e-1} exactly (f = 1/2), where k = e - 1: exact,
+    with no rounded logarithm.
+    """
+    mus = _dilation_limits(V.mask, Ucol.spans())
+    f, e = np.frexp(mus)
+    strata = np.where(mus <= 1.0, 0, e - (f == 0.5))
     return {int(k): RectCollection(Ucol.n, Ucol.keys[strata == k]) for k in np.unique(strata)}
 
 

@@ -523,6 +523,18 @@ def test_file_family_roundtrip(tmp_path):
         run(ExperimentConfig("norm-compare", N=N, family="file", instances=1, out=str(tmp_path)))
 
 
+def test_main_rejects_bad_signal_header(tmp_path, capsys):
+    """A file-family symbol whose header is not an object with dims, a list
+    of one or two positive ints, exits 2 with an error line, not a traceback."""
+    cfg_path = write_config(tmp_path, N=16, family="file", file=str(tmp_path / "symbol.sig"), instances=1)
+    for header in ({"dimz": [16, 16]}, {"dims": 16}, {"dims": ["a", "b"]}, {"dims": [16.0, 16.0]}, [16, 16]):
+        with open(tmp_path / "symbol.sig", "wb") as fh:
+            fh.write((json.dumps(header) + "\n").encode("utf-8") + bytes(16 * 16 * 16))
+        assert main(["norm-compare", "--config", cfg_path, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive ints" in err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write_config(tmp_path, N=32, instances=2)
     assert main(["identity-check", "--config", good, "--out", str(tmp_path / "r")]) == 0

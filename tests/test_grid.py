@@ -198,18 +198,21 @@ def test_cell_span():
     ]
 
 
-def test_stacked_box_sums_match_corner_sums():
-    """The separable box sums of a stack of grids equal each grid's
-    four-corner sums, and the stacked containment table each grid's own."""
+def test_span_box_sums_match_corner_sums():
+    """The separable box sums of a grid equal its four-corner sums and its
+    direct slice sums, and the containment table marks the boxes whose
+    cells all lie in the mask."""
     rng = np.random.default_rng(12)
     for max_scale, n in ((0, 0), (2, 1), (3, 3), (4, 2), (5, 5)):
         s0, s1 = _interval_spans(max_scale, n)
-        cells = rng.integers(0, 5, size=(3, 1 << n, 1 << n))
-        sums, inside = _span_box_sums(cells, s0, s1), _spans_inside(cells > 1, s0, s1)
-        for grid, grid_sums, grid_inside in zip(cells, sums, inside):
+        for _ in range(3):
+            grid = rng.integers(0, 5, size=(1 << n, 1 << n))
+            sums, inside = _span_box_sums(grid, s0, s1), _spans_inside(grid > 1, s0, s1)
             corners = _box_sum(_integral_image(grid), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
-            assert np.array_equal(grid_sums, corners)
-            assert np.array_equal(grid_inside, _spans_inside(grid > 1, s0, s1))
+            assert np.array_equal(sums, corners)
+            for a1, a2 in rng.integers(0, len(s0), size=(20, 2)):
+                box = grid[s0[a1] : s1[a1], s0[a2] : s1[a2]]
+                assert sums[a1, a2] == box.sum() and inside[a1, a2] == bool((box > 1).all())
 
 
 def test_dyadic_rectangle():
@@ -445,7 +448,9 @@ def test_half_level_crop_matches_full_grid_bit_for_bit():
     for U in sparse_crop_corpus():
         want = full_grid_half_level(U)
         assert np.array_equal(strong_maximal_half_level(U).mask, want)
-        if U.cell_count:
+        if not U.cell_count:
+            assert _occupied_window(U.mask, (Fraction(1, 2),) * 2) == (slice(0, 0),) * 2
+        else:
             crop = crop_window(U.mask)
             assert _occupied_window(U.mask, (Fraction(1, 2),) * 2) == crop
             outside = want.copy()
@@ -496,13 +501,34 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(G.samples, F.samples)
 
 
+# headers that are not an object whose dims is a list of one or two positive ints
+BAD_SIGNAL_HEADERS = (
+    {"dimz": [16]},
+    {"dims": 16},
+    {"dims": ["a", "b"]},
+    {"dims": [16.0, 16.0]},
+    [16, 16],
+    {"dims": [True]},
+    {"dims": [4, 0]},
+    {"dims": [-4, -4]},
+    {"dims": []},
+    {"dims": [2, 2, 4]},
+    {},
+    None,
+)
+
+
+def write_signal_file(path, header, values):
+    """A signal file: the JSON header line, then values as little-endian float64."""
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+        fh.write(np.asarray(values, dtype="<f8").tobytes())
+    return path
+
+
 def test_load_signal_rejects_bad_payloads(tmp_path):
     def write(name, dims, values):
-        path = tmp_path / name
-        with open(path, "wb") as fh:
-            fh.write((json.dumps({"dims": dims}) + "\n").encode("utf-8"))
-            fh.write(np.asarray(values, dtype="<f8").tobytes())
-        return path
+        return write_signal_file(tmp_path / name, {"dims": dims}, values)
 
     pairs = np.zeros(2 * 16)
     assert load_signal(write("ok.bin", [4, 4], pairs)).n_points == 4
@@ -514,6 +540,9 @@ def test_load_signal_rejects_bad_payloads(tmp_path):
         vals[5] = bad
         with pytest.raises(ValueError, match="non-finite"):
             load_signal(write("nan.bin", [16], vals))
+    for header in BAD_SIGNAL_HEADERS:
+        with pytest.raises(ValueError, match="positive ints"):
+            load_signal(write_signal_file(tmp_path / "header.bin", header, pairs))
 
 
 @pytest.mark.parametrize("module", ["bicomm.grid", "bicomm.transforms", "bicomm.wavelets"])

@@ -38,8 +38,9 @@ from bicomm.wavelets import product_wavelet
 
 
 def collection(n, rects):
-    """The RectCollection of an iterable of DyadicRectangle objects."""
-    keys = [(R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k) for R in rects]
+    """The RectCollection of an iterable of distinct DyadicRectangle objects,
+    in their dataclass order, which is the key order."""
+    keys = [(R.interval1.j, R.interval1.k, R.interval2.j, R.interval2.k) for R in sorted(rects)]
     return RectCollection(n, keys)
 
 
@@ -169,10 +170,12 @@ def test_level_kernel_matches_oracle_at_half(n, seed, density):
 
 
 def window_corpus():
-    """Sets whose occupied window is smaller than the grid, at n = 1-5: a
-    single cell, sparse sets (density 0.02-0.1) on the whole grid, and
-    sparse boxes flush with each edge and inside; then the rows of 8 and
-    16 squares, at n = 6 and 7."""
+    """Sets whose occupied window is smaller than the grid: the empty set at
+    n = 0-6; at n = 1-5 a single cell, sparse sets (density 0.02-0.1) on
+    the whole grid, and sparse boxes flush with each edge and inside; then
+    the rows of 8 and 16 squares, at n = 6 and 7."""
+    for n in range(7):
+        yield CellSet(n, np.zeros((1 << n, 1 << n), dtype=bool))
     rng = np.random.default_rng(2105)
     for n in range(1, 6):
         m = 1 << n
@@ -204,13 +207,22 @@ def test_level_sets_on_occupied_windows():
     and 0.99.  The oracle's cost grows as m^2 per level set, 60 ms at
     n = 7, so every WINDOW_DELTAS value runs up to n = 4, those three
     values at n = 5, and the rows of squares take the two-sided form at
-    those three and the enlargement at 1/2."""
+    those three and the enlargement at 1/2.  The empty set has the empty
+    window and empty level sets at every n, both sided forms, every
+    WINDOW_DELTAS value and delta = 0."""
     crops = 0
     for U in window_corpus():
         m = 1 << U.n
-        for delta in WINDOW_DELTAS if U.n <= 4 else (1e-9, 1 / 2, 0.99):
+        empty = not U.cell_count
+        if empty:
+            assert _occupied_window(U.mask, (Fraction(1), Fraction(1, 2))) == (slice(0, 0),) * 2
+            assert not strong_maximal_half_level(U).mask.any()
+            deltas = WINDOW_DELTAS + (0,)
+        else:
+            deltas = WINDOW_DELTAS if U.n <= 4 else (1e-9, 1 / 2, 0.99)
+        for delta in deltas:
             for axis in (1, 2):
-                for one_sided in (False, True) if U.n <= 5 else (False,):
+                for one_sided in (False, True) if U.n <= 5 or empty else (False,):
                     got = maximal_1d_level(U, axis, delta, one_sided).mask
                     assert np.array_equal(got, brute_level(U.mask, axis, delta, one_sided))
                     lines = U.mask.T if axis == 1 else U.mask
@@ -533,7 +545,7 @@ def test_dilation_limits_match_linear_scan_bit_for_bit():
     for target, spans in itertools.chain(_scan_corpus(), _reach_corpus()):
         ii = _integral_image(target.mask)
         for first_axis_only in (False, True):
-            got = _dilation_limits(ii, spans, first_axis_only)
+            got = _dilation_limits(target.mask, spans, first_axis_only)
             want = scan_dilation_limits(ii, spans, first_axis_only)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             spans_seen += len(spans)
@@ -813,43 +825,68 @@ def test_thin_collection_congruent_single_class():
 
 
 def test_rect_collection_keys():
-    """Integer keys, sorted in rectangle order; objects only on iteration."""
+    """Integer keys, strictly increasing in rectangle order and copied;
+    objects only on iteration."""
     n = 3
     rects = [R for R in enumerate_dyadic_rectangles(n) if (R.interval1.k + R.interval2.j) % 3 == 0]
     col = collection(n, reversed(rects))
     assert col.rectangles == tuple(sorted(rects)) and list(col) == sorted(rects)
     assert col.keys.dtype == np.int64 and not col.keys.flags.writeable
-    assert col == RectCollection(n, col.keys[::-1]) and col != RectCollection(n + 1, col.keys)
+    assert col == RectCollection(n, col.keys) and col != RectCollection(n + 1, col.keys)
     assert col.spans().tolist() == [
         [*R.interval1.cell_span(n), *R.interval2.cell_span(n)] for R in sorted(rects)
     ]
     outside = DyadicRectangle.from_indices(1, 1, 0, 0)
     assert rects[0] in col.rectangles and outside not in col.rectangles
     assert len(collection(n, ())) == 0 and collection(n, ()).spans().shape == (0, 4)
-    with pytest.raises(ValueError, match="duplicate"):
-        collection(n, [rects[0], rects[1], rects[0]])
+    # shuffled, reversed, swapped and repeated keys all raise
     maximal = maximal_rectangles(random_set(6, 3, 0.5))
-    shuffled = maximal.keys[np.random.default_rng(5).permutation(len(maximal))]
-    assert np.array_equal(RectCollection(6, shuffled).keys, shuffled[np.lexsort(shuffled.T[::-1])])
-    assert RectCollection(6, shuffled) == maximal and len(maximal) > 1000
-    with pytest.raises(ValueError, match="duplicate"):
-        RectCollection(6, np.concatenate([shuffled, shuffled[-1:]]))
+    assert len(maximal) > 1000
+    keys = maximal.keys
+    swapped = keys.copy()
+    swapped[[500, 501]] = swapped[[501, 500]]
+    for bad in (
+        keys[np.random.default_rng(5).permutation(len(keys))],
+        keys[::-1],
+        swapped,
+        np.concatenate([keys, keys[-1:]]),
+        np.concatenate([keys[:3], keys[2:]]),
+        keys[[0, 0]],
+        [tuple(keys[1]), tuple(keys[0])],
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RectCollection(6, bad)
     for key in ((4, 0, 0, 0), (1, 2, 0, 0), (0, 0, -1, 0), (2, -1, 0, 0)):
         with pytest.raises(ValueError, match="out of range"):
             RectCollection(n, [key])
-    # sorted keys skip the sort but are still copied: the caller's array stays
-    # writable and its later changes do not reach the collection
+    # the keys are copied: the caller's array stays writable and its later
+    # changes do not reach the collection
     keys = maximal.keys.copy()
-    sorted_col = RectCollection(6, keys)
-    assert np.array_equal(sorted_col.keys, maximal.keys) and not sorted_col.keys.flags.writeable
-    assert keys.flags.writeable and not np.shares_memory(sorted_col.keys, keys)
+    copied = RectCollection(6, keys)
+    assert np.array_equal(copied.keys, maximal.keys) and not copied.keys.flags.writeable
+    assert keys.flags.writeable and not np.shares_memory(copied.keys, keys)
     keys[:] = keys[::-1]
-    assert sorted_col == maximal and RectCollection(6, keys) == maximal
-    with pytest.raises(ValueError, match="duplicate"):
-        RectCollection(6, np.concatenate([maximal.keys[:3], maximal.keys[2:]]))
+    assert copied == maximal
+    assert not np.shares_memory(RectCollection(6, maximal.keys).keys, maximal.keys)
+
+
+def old_strata(mus) -> list[int]:
+    """The per-rectangle comprehension that stratify's frexp strata replaced."""
+    return [0 if mu <= 1.0 else math.ceil(math.log2(mu)) for mu in mus]
 
 
 def test_stratify():
+    """The frexp strata equal the old log2 comprehension.
+
+    The corpus is the maximal rectangles of random sets in their
+    enlargements, where some mu are exact powers of two above 1, every
+    dyadic rectangle in the full grid, and every one in two filled boxes.
+    On the full grid every dyadic rectangle's mu is an odd integer (its
+    grid reach over its half-width), so mu = 2 and mu = 4 come from the
+    boxes: [2, 4)^2 at n = 3 dilates by exactly 2 inside [1, 5)^2, and
+    [6, 8)^2 at n = 4 by exactly 4 inside [3, 11)^2.  Those are the top
+    ends of strata 1 and 2, which a bare frexp exponent would move up one.
+    """
     full = CellSet(2, np.ones((4, 4), dtype=bool))
     center = DyadicRectangle.from_indices(2, 2, 2, 2)
     corner = DyadicRectangle.from_indices(2, 0, 2, 0)
@@ -861,6 +898,32 @@ def test_stratify():
     assert strata[2].rectangles == (center,)
     assert corner in strata[0].rectangles and center not in strata[0].rectangles
     assert sum(len(s) for s in strata.values()) == len(col)
+
+    cases = []
+    for n, seed, density in itertools.product(range(2, 7), range(4), (0.05, 0.1, 0.2, 0.5)):
+        U = random_set(n, 1000 * n + seed, density)
+        cases.append((maximal_rectangles(U), enlargement(U, 0.5)))
+    for n in range(1, 6):
+        full = CellSet(n, np.ones((1 << n, 1 << n), dtype=bool))
+        cases.append((collection(n, enumerate_dyadic_rectangles(n)), full))
+    for n, lo, hi, key, mu, k in ((3, 1, 5, (2, 1, 2, 1), 2.0, 1), (4, 3, 11, (3, 3, 3, 3), 4.0, 2)):
+        box = np.zeros((1 << n, 1 << n), dtype=bool)
+        box[lo:hi, lo:hi] = True
+        V, R = CellSet(n, box), DyadicRectangle.from_indices(*key)
+        col = collection(n, enumerate_dyadic_rectangles(n))
+        assert embeddedness(R.to_cellrect(n), V, V).mu == mu
+        assert R in stratify(col, V)[k].rectangles
+        cases.append((col, V))
+    powers = seen = 0
+    for col, V in cases:
+        mus = _dilation_limits(V.mask, col.spans())
+        strata = stratify(col, V)
+        assert all(len(sub) for sub in strata.values())
+        got = {tuple(key): k for k, sub in strata.items() for key in sub.keys.tolist()}
+        assert [got[tuple(key)] for key in col.keys.tolist()] == old_strata(mus.tolist())
+        powers += int(np.count_nonzero((mus > 1) & (np.frexp(mus)[0] == 0.5)))
+        seen += len(col)
+    assert powers >= 200 and seen > 15_000
 
 
 def test_double_orthogonality_quadruples():
