@@ -501,48 +501,41 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(G.samples, F.samples)
 
 
-# headers that are not an object whose dims is a list of one or two positive ints
-BAD_SIGNAL_HEADERS = (
-    {"dimz": [16]},
-    {"dims": 16},
-    {"dims": ["a", "b"]},
-    {"dims": [16.0, 16.0]},
-    [16, 16],
-    {"dims": [True]},
-    {"dims": [4, 0]},
-    {"dims": [-4, -4]},
-    {"dims": []},
-    {"dims": [2, 2, 4]},
-    {},
-    None,
-)
-
-
-def write_signal_file(path, header, values):
-    """A signal file: the JSON header line, then values as little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        fh.write(np.asarray(values, dtype="<f8").tobytes())
-    return path
-
-
 def test_load_signal_rejects_bad_payloads(tmp_path):
-    def write(name, dims, values):
-        return write_signal_file(tmp_path / name, {"dims": dims}, values)
+    def write(name, header, values):
+        path = tmp_path / name
+        with open(path, "wb") as fh:
+            fh.write((json.dumps(header) + "\n").encode("utf-8"))
+            fh.write(np.asarray(values, dtype="<f8").tobytes())
+        return path
 
     pairs = np.zeros(2 * 16)
-    assert load_signal(write("ok.bin", [4, 4], pairs)).n_points == 4
+    assert load_signal(write("ok.bin", {"dims": [4, 4]}, pairs)).n_points == 4
     for dims in ([8], [4, 2], [2, 2]):  # 16 samples where dims need 8 or 4
         with pytest.raises(ValueError, match="samples"):
-            load_signal(write("size.bin", dims, pairs))
+            load_signal(write("size.bin", {"dims": dims}, pairs))
     for bad in (np.nan, np.inf):
         vals = pairs.copy()
         vals[5] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            load_signal(write("nan.bin", [16], vals))
-    for header in BAD_SIGNAL_HEADERS:
+            load_signal(write("nan.bin", {"dims": [16]}, vals))
+    # headers that are not an object whose dims is a list of one or two positive ints
+    for header in (
+        {"dimz": [16]},
+        {"dims": 16},
+        {"dims": ["a", "b"]},
+        {"dims": [16.0, 16.0]},
+        [16, 16],
+        {"dims": [True]},
+        {"dims": [4, 0]},
+        {"dims": [-4, -4]},
+        {"dims": []},
+        {"dims": [2, 2, 4]},
+        {},
+        None,
+    ):
         with pytest.raises(ValueError, match="positive ints"):
-            load_signal(write_signal_file(tmp_path / "header.bin", header, pairs))
+            load_signal(write("header.bin", header, pairs))
 
 
 @pytest.mark.parametrize("module", ["bicomm.grid", "bicomm.transforms", "bicomm.wavelets"])
