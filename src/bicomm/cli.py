@@ -654,8 +654,10 @@ def _run_plot_data(cfg: ExperimentConfig, jobs: int) -> tuple[str, None]:
             if name not in fields:
                 raise ValueError(f"unknown metric {name!r}; report has {fields}")
         data = {name: [] for name in cfg.metrics}
-        for row in reader:
+        for i, row in enumerate(reader, 1):
             for name in cfg.metrics:
+                if row[name] is None:
+                    raise ValueError(f"row {i} of {cfg.source} has no {name!r} cell")
                 data[name].append(float(row[name]))
     if cfg.kind == "scatter":
         x, y = cfg.metrics

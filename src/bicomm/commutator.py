@@ -11,7 +11,8 @@ so each term is a direct sum of copies of the four little Hankel matrices
 built by `quadrant_hankel`, and the operator norm is exactly
 4 max_q sigma_max(Gamma_q) over four L-square matrices, L = (B1-1)(B2-1).
 Only one SVD is needed for that maximum: the block with the largest
-cheap lower bound on sigma_max gives s = sigma_max by SVD, and each other
+lower bound on sigma_max, from two power steps on Gamma^H Gamma, most
+often holds it and gives s = sigma_max by SVD, and each other
 block Gamma is certified below s by a Cholesky factorization of
 s^2 (1 - delta) I - Gamma^H Gamma (Gamma is complex symmetric, so
 Gamma^H = conj(Gamma)).  A block whose certificate fails, as an exact tie
@@ -108,16 +109,17 @@ def quadrant_hankel(spec: np.ndarray, q: tuple[int, int], L1: int, L2: int) -> n
 
     Gamma_q[(k1, k2), (m1, m2)] = spec[q1 (k1 + m1), q2 (k2 + m2)] for
     1 <= k_i, m_i <= L_i, with frequencies taken mod N and rows and columns
-    in (k1, k2) row-major order.  spec is in FFT storage order, normalized
-    as GridSignal2D.spectrum.  The entries are one gather through the flat
-    index of _hankel_index.
+    in (k1, k2) row-major order.  spec is N-square, in FFT storage order
+    and normalized as GridSignal2D.spectrum; it need not be a whole grid's
+    spectrum, only hold every frequency Gamma_q reads (see _band_blocks).
+    The entries are one gather through the flat index of _hankel_index.
     """
-    return np.take(spec, _hankel_index(spec.shape[0], q, L1, L2))
+    return spec.ravel()[_hankel_index(spec.shape[0], q, L1, L2)]
 
 
 @functools.lru_cache(maxsize=8)
 def _hankel_index(N: int, q: tuple[int, int], L1: int, L2: int) -> np.ndarray:
-    """Flat index into an N x N spectrum of each entry of Gamma_q; read-only.
+    """Flat index into an N-square spectrum of each entry of Gamma_q; read-only.
     Cached for the four quadrants of two band shapes: the norm of a corpus
     of symbols builds the same blocks over and over."""
     a1 = np.arange(1, L1 + 1)
@@ -161,9 +163,31 @@ def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormRes
     largest of the four SVDs.  A block whose sigma_max ties s to within
     about delta, such as the conjugate quadrant of a real symbol, fails the
     test and takes its SVD.
+
+    The exact path allocates one N x N array, the spectrum, and frees it
+    before the blocks reach LAPACK (see _band_blocks); the blocks are
+    dropped one by one as _largest_singular_value is done with them.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    blocks = _band_blocks(b)
+    if blocks is None:
+        return power_iteration_norm(b, tol, 10000, seed)
+    return NormResult(4.0 * _largest_singular_value(blocks) if blocks else 0.0, 0, ())
+
+
+def _band_blocks(b: GridSignal2D) -> list[np.ndarray] | None:
+    """The four quadrant Hankel blocks of operator_norm's exact path, in
+    _QUADRANTS order; None when B1 or B2 exceeds N/4, and no blocks when
+    B1 or B2 is below 2, where every Gamma_q is empty and the norm is 0.
+    A symbol with a NaN or infinite sample raises ValueError.
+
+    The spectrum is the one N x N complex array.  Its magnitudes die once
+    the kept mask is read off them, the floor zeroes the dropped entries
+    in place, and the blocks are gathered from a window of the spectrum
+    at most (N - 3)-square, so the spectrum is freed before the gathers
+    and every N x N array before any LAPACK call.
+    """
     N = b.n_points
     spec = b.spectrum()
     mag = np.abs(spec)
@@ -171,39 +195,64 @@ def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormRes
     if not np.isfinite(peak):
         raise ValueError("symbol is not finite")
     keep = mag > _SPECTRUM_FLOOR * peak
+    del mag
     k = np.abs(frequencies(N))
     B1 = int(k[keep.any(axis=1)].max(initial=0))
     B2 = int(k[keep.any(axis=0)].max(initial=0))
     if max(B1, B2) > N // 4:
-        return power_iteration_norm(b, tol, 10000, seed)
+        return None
     if min(B1, B2) < 2:
         # every entry of Gamma_q sits at |k_i| >= 2
-        return NormResult(0.0, 0, ())
-    kept = np.where(keep, spec, 0.0)
-    blocks = [quadrant_hankel(kept, q, B1 - 1, B2 - 1) for q in _QUADRANTS]
-    return NormResult(4.0 * _largest_singular_value(blocks), 0, ())
+        return []
+    np.logical_not(keep, out=keep)
+    spec[keep] = 0
+    # Gamma_q reads only |k_i| <= 2 B - 2, B = max(B1, B2): those rows and
+    # columns, in FFT order with modulus 4 B - 3, hold every entry it reads
+    B = max(B1, B2)
+    near = np.r_[: 2 * B - 1, N - 2 * B + 2 : N]
+    window = spec[np.ix_(near, near)]
+    del spec, keep
+    return [quadrant_hankel(window, q, B1 - 1, B2 - 1) for q in _QUADRANTS]
 
 
 def _lower_bound(gamma: np.ndarray) -> float:
-    """||Gamma x|| / ||x|| <= sigma_max(Gamma) for x the conjugate of
-    Gamma's longest row, so at least that row's length; 0 for a zero block."""
-    x = gamma[np.argmax(np.linalg.norm(gamma, axis=1))].conj()
-    length = np.linalg.norm(x)
-    return float(np.linalg.norm(gamma @ x) / length) if length else 0.0
+    """||Gamma x|| / ||x|| <= sigma_max(Gamma) for x = (Gamma^H Gamma)^2 x0,
+    two power steps from x0, the conjugate of Gamma's longest row; 0 for a
+    zero block.  At x0 the quotient is at least that row's length r, and no
+    power step lowers it.  Gamma is complex symmetric, so Gamma^H y =
+    conj(Gamma conj(y)).  x0 has unit length and each step divides by
+    r^2 <= sigma_max^2 <= L r^2, so x stays between 1 and L^2 in length."""
+    parts = gamma.view(np.float64)
+    row_r2 = np.einsum("ij,ij->i", parts, parts)
+    i = np.argmax(row_r2)
+    r2 = row_r2[i]
+    if not r2:
+        return 0.0
+    x = gamma[i].conj() / np.sqrt(r2)
+    for _ in range(2):
+        x = (gamma @ (gamma @ x).conj()).conj() / r2
+    return float(np.linalg.norm(gamma @ x) / np.linalg.norm(x))
 
 
 def _largest_singular_value(blocks: list[np.ndarray]) -> float:
     """max sigma_max over complex symmetric L-square blocks: the SVD of the
     block of largest _lower_bound, which most often holds the maximum, and
     for each other block the Cholesky certificate of operator_norm or, where
-    it fails, its SVD, the running maximum becoming s."""
-    blocks = sorted(blocks, key=_lower_bound, reverse=True)
+    it fails, its SVD, the running maximum becoming s.  Consumes the list,
+    dropping each block once it is done with.  The certificate's matrix is
+    built in place on the Gram product: negated, then s^2 (1 - delta) added
+    to its diagonal."""
+    blocks.sort(key=_lower_bound)
     L = blocks[0].shape[0]
     delta = _CERT_SLACK * (L + 2) ** 2 * np.finfo(np.float64).eps
-    top = np.linalg.svd(blocks[0], compute_uv=False)[0]
-    for gamma in blocks[1:]:
+    top = np.linalg.svd(blocks.pop(), compute_uv=False)[0]
+    while blocks:
+        gamma = blocks.pop()
+        a = gamma.conj() @ gamma
+        np.negative(a, out=a)
+        a.flat[:: L + 1] += top * top * (1.0 - delta)
         try:
-            np.linalg.cholesky((top * top * (1.0 - delta)) * np.eye(L) - gamma.conj() @ gamma)
+            np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             top = max(top, np.linalg.svd(gamma, compute_uv=False)[0])
     return float(top)

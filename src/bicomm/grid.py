@@ -100,8 +100,15 @@ class _GridSignal:
         return self.samples.shape[0]
 
     def spectrum(self) -> np.ndarray:
-        """Fourier coefficients normalized so that f = sum fhat_k e^{2 pi i k.x}."""
-        return np.fft.fftn(self.samples) / self.samples.size
+        """Fourier coefficients normalized so that f = sum fhat_k e^{2 pi i k.x}.
+
+        One fresh array: the transform writes into it, each axis after the
+        first in place, and scales by 1/N per axis.  N is a power of two,
+        so that scaling is exact and the bits are those of
+        fftn(samples) / N^ndim, unless an intermediate is subnormal, where
+        the two orders of rounding may differ."""
+        shape = self.samples.shape
+        return np.fft.fftn(self.samples, norm="forward", out=np.empty(shape, np.complex128))
 
     @classmethod
     def from_spectrum(cls, fhat: np.ndarray):

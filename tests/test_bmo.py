@@ -7,6 +7,7 @@ import math
 import numpy as np
 from bmo_oracle import exhaustive_product_bmo
 
+from bicomm import bmo
 from bicomm.bmo import coefficient_energy, product_bmo_lower, rect_bmo, rectangles_inside
 from bicomm.cli import ExperimentConfig, _family_coefficients, run
 from bicomm.grid import (
@@ -242,6 +243,38 @@ def test_no_finer_open_set_beats_the_min_cut():
                 if mask.any():
                     U = CellSet(n + extra, mask)
                     assert coefficient_energy(c, U) / U.measure() <= best * (1 + 1e-12)
+
+
+def test_live_source_arcs_match_the_full_arc_lists(monkeypatch):
+    """product_bmo_lower hands _max_flow only the source arcs that start at
+    a positive capacity, and each of its cuts returns the same levels and
+    leaves the same capacities as the same cut on the full arc lists: on
+    random-carleson coefficients at n = 1-5, and on all-zero and
+    single-rectangle coefficients."""
+    cases = [c for n in range(1, 6) for c in family_corpus("random-carleson", n, [[6, n], [7, n]])]
+    cases += [WaveletCoefficients(n, np.zeros((2 ** (n + 1) - 1,) * 2)) for n in (1, 3)]
+    cases += family_corpus("single-rectangle", 3, range(3))
+    max_flow = bmo._max_flow
+    for c in cases:
+        K = 2 ** (c.max_scale + 1) - 1
+        full = bmo._closure_graph(c.max_scale)[0]
+        live = [2 * r for r in np.flatnonzero(np.abs(c.matrix) ** 2 > 0)]
+        cuts = []
+
+        def checked(out, head, cap, source, sink):
+            assert source == K * K and list(out[source]) == live
+            assert all(out[v] == full[v] for v in range(len(full)) if v != source)
+            want_cap = list(cap)
+            want = max_flow(full, head, want_cap, source, sink)
+            got = max_flow(out, head, cap, source, sink)
+            assert got == want and cap == want_cap
+            cuts.append(got)
+            return got
+
+        with monkeypatch.context() as m:
+            m.setattr(bmo, "_max_flow", checked)
+            product_bmo_lower(c)
+        assert cuts
 
 
 def test_staircase_closed_forms():

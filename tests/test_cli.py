@@ -535,6 +535,19 @@ def test_main_rejects_bad_signal_header(tmp_path, capsys):
         assert err.startswith("error: ") and "positive ints" in err
 
 
+def test_main_rejects_short_plot_data_row(tmp_path, capsys):
+    """A source row with fewer cells than the header exits 2 with an error
+    line naming the row and the metric, not a traceback, and writes no plot."""
+    src = tmp_path / "short.csv"
+    src.write_text("a,b\n1.0,2.0\n3.0\n")
+    cfg_path = write_config(tmp_path, source=str(src), kind="scatter", metrics=["a", "b"])
+    out = tmp_path / "r"
+    assert main(["plot-data", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 2" in err and "'b'" in err
+    assert not (out / "plot_data.txt").exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write_config(tmp_path, N=32, instances=2)
     assert main(["identity-check", "--config", good, "--out", str(tmp_path / "r")]) == 0

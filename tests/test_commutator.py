@@ -1,5 +1,7 @@
 """Iterated commutator operator, Hankel comparison, norm estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,8 @@ from bicomm.commutator import (
     _QUADRANTS,
     _SPECTRUM_FLOOR,
     PowerIterationError,
+    _band_blocks,
+    _lower_bound,
     bracket,
     commutator_apply,
     dense_hankel_matrix,
@@ -320,14 +324,39 @@ def counted_norms(symbols, monkeypatch):
     return values, calls
 
 
+def criterion_7_symbols(count):
+    cfg = ExperimentConfig("norm-compare", N=128, n=3, instances=count)
+    return [_family_symbol(cfg, np.random.default_rng([0, i]))[0] for i in range(count)]
+
+
 def test_certified_norm_on_criterion_7_corpus(monkeypatch):
     """Criterion 7's 200 symbols (N=128, n=3, blocks of 81 x 81): the same
-    bits as four SVDs, with fewer than two SVDs per symbol on average."""
-    cfg = ExperimentConfig("norm-compare", N=128, n=3, instances=200)
-    symbols = [_family_symbol(cfg, np.random.default_rng([0, i]))[0] for i in range(200)]
+    bits as four SVDs, with at most 1.11 SVDs per symbol on average: 221
+    in all, where a _lower_bound without its two power steps took 249."""
+    symbols = criterion_7_symbols(200)
     values, calls = counted_norms(symbols, monkeypatch)
     assert_same_bits(values, [all_quadrant_norm(b) for b in symbols])
-    assert np.mean(calls) < 2.0
+    assert np.mean(calls) <= 1.11
+
+
+def test_operator_norm_allocates_one_spectrum():
+    """The exact norm of an N=128 criterion 7 symbol holds less than 3.5
+    N x N complex arrays of traced memory at its peak (2.0 measured): the
+    spectrum is its one N x N array, made in a single allocation and freed
+    before the four 81 x 81 blocks, 1.6 such arrays together, reach LAPACK."""
+    N = 128
+    b = criterion_7_symbols(4)[3]
+    operator_norm(b)  # fills the Hankel index cache
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in (b.spectrum, lambda: operator_norm(b)):
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (N * N * 16))
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 1.5 and peaks[1] < 3.5
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -394,6 +423,11 @@ def test_certified_norm_on_near_ties(monkeypatch):
         values, calls = counted_norms(symbols, monkeypatch)
         assert_same_bits(values, [all_quadrant_norm(b) for b in symbols])
         assert calls == [svds, svds]
+        if factor == 1.0 - 1e-13:
+            # the (+,-) block still comes first, though the maximum is in (+,+)
+            for b in symbols:
+                plus, mixed = _band_blocks(b)[:2]
+                assert _lower_bound(mixed) > _lower_bound(plus)
 
 
 def test_operator_norm_rejects_a_non_finite_symbol():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicomm.cli import ExperimentConfig, _family_symbol
 from bicomm.grid import (
     CellRect,
     CellSet,
@@ -70,6 +71,20 @@ def test_spectrum_roundtrip():
     F = rand_signal_2d(rng, 32)
     back2 = GridSignal2D.from_spectrum(F.spectrum())
     np.testing.assert_allclose(back2.samples, F.samples, atol=1e-13)
+
+
+def test_spectrum_matches_scaled_fft_bit_for_bit():
+    """spectrum() scales by 1/N per axis inside the transform; N is a power
+    of two, so its bits are those of fftn(samples) / size: on random 1D and
+    2D signals and on criterion 7's first 20 symbols (N=128, n=3)."""
+    rng = np.random.default_rng(3)
+    signals = [rand_signal_1d(rng, N) for N in (2, 8, 64, 1024)]
+    signals += [rand_signal_2d(rng, N) for N in (2, 16, 128, 256)]
+    cfg = ExperimentConfig("norm-compare", N=128, n=3, instances=20)
+    signals += [_family_symbol(cfg, np.random.default_rng([0, i]))[0] for i in range(20)]
+    for f in signals:
+        want = np.fft.fftn(f.samples) / f.samples.size
+        np.testing.assert_array_equal(f.spectrum().view(np.int64), want.view(np.int64))
 
 
 def test_signal_algebra_matches_numpy():
