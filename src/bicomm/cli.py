@@ -13,8 +13,12 @@ journe-scan, decomposition, oracle-audit, plot-data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import dataclasses
+import functools
+import glob
 import hashlib
 import io
 import json
@@ -687,16 +691,52 @@ _RUNNERS = {
 _COMMANDS = (*_RUNNERS, "plot-data")
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    bundles beside the package, or None for a numpy without it."""
+    found = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
+    if not found:
+        return None
+    lib = ctypes.CDLL(found[0])
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread for the body, and its old count after.
+
+    LAPACK's last digits depend on the BLAS thread count, so the pin gives
+    a report the same bytes on every machine; and --jobs worker threads no
+    longer each drive a multi-threaded BLAS on the same cores.  Without the
+    library the body runs unpinned."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
 def run(cfg: ExperimentConfig, jobs: int = 1) -> tuple[str, str | None]:
-    """Execute one command, up to `jobs` >= 1 instances at a time; returns
-    the paths of the written report files."""
+    """Execute one command, up to `jobs` >= 1 instances at a time, with
+    BLAS on one thread; returns the paths of the written report files."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     if cfg.command == "plot-data":
         return _run_plot_data(cfg, jobs)
     # an output directory that cannot be made fails before any instance runs
     os.makedirs(cfg.out, exist_ok=True)
-    columns, rows = _RUNNERS[cfg.command](cfg, jobs)
+    with _one_blas_thread():
+        columns, rows = _RUNNERS[cfg.command](cfg, jobs)
     return _write_report(cfg, columns, rows)
 
 

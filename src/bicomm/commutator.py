@@ -36,9 +36,10 @@ from .grid import GridSignal2D
 from .transforms import frequencies, hilbert_2d_axis, project_admissible_2d
 
 _DENSE_MAX_N = 32
-# spectrum entries at most this fraction of the largest one are FFT roundoff
-# (synthesized symbols carry ~1e-16 beyond their band); operator_norm drops
-# them before it reads the band
+# spectrum entries at most this fraction of the largest one are FFT roundoff:
+# a symbol built from samples carries about 1e-16 of its peak beyond its band
+# (synthesized symbols hold exact zeros there); operator_norm drops them
+# before it reads the band
 _SPECTRUM_FLOOR = 1e-13
 _QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # the Cholesky certificate's margin is delta = _CERT_SLACK (L + 2)^2 eps for
@@ -84,8 +85,14 @@ def commutator_apply(b: GridSignal2D, f: GridSignal2D) -> GridSignal2D:
     result equals 4(P++ M_b P-- - P+- M_b P-+ - P-+ M_b P+- + P-- M_b P++) f.
     The raw composition also produces content on the frequency axes (the
     products b*f land there), which the projection removes.
+
+    A signal keeps each representation it computes, and the multipliers
+    map spectra to spectra, so this takes at most 9 N x N transforms: f's
+    spectrum or samples, the samples of h1, h2 and h12 and of a b built
+    from its spectrum, and the spectra of the four products.  The four
+    terms are summed as spectra, and the result holds only its spectrum.
     """
-    if b.samples.shape != f.samples.shape:
+    if b.n_points != f.n_points:
         raise ValueError("symbol and argument grids differ")
     h1 = hilbert_2d_axis(f, 1)
     h2 = hilbert_2d_axis(f, 2)
@@ -164,8 +171,11 @@ def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormRes
     about delta, such as the conjugate quadrant of a real symbol, fails the
     test and takes its SVD.
 
-    The exact path allocates one N x N array, the spectrum, and frees it
-    before the blocks reach LAPACK (see _band_blocks); the blocks are
+    The exact path reads the symbol's kept spectrum and never writes to
+    it.  For a symbol that holds its spectrum it allocates no N x N complex
+    array, only the N x N magnitudes and kept mask, both freed before the
+    blocks reach LAPACK (see _band_blocks); a symbol built from samples
+    first computes its spectrum, once, and keeps it.  The blocks are
     dropped one by one as _largest_singular_value is done with them.
     """
     if tol <= 0:
@@ -182,11 +192,10 @@ def _band_blocks(b: GridSignal2D) -> list[np.ndarray] | None:
     B1 or B2 is below 2, where every Gamma_q is empty and the norm is 0.
     A symbol with a NaN or infinite sample raises ValueError.
 
-    The spectrum is the one N x N complex array.  Its magnitudes die once
-    the kept mask is read off them, the floor zeroes the dropped entries
-    in place, and the blocks are gathered from a window of the spectrum
-    at most (N - 3)-square, so the spectrum is freed before the gathers
-    and every N x N array before any LAPACK call.
+    The symbol's spectrum is read, never written.  Its magnitudes die once
+    the kept mask is read off them, and the blocks are gathered from a
+    window of the spectrum at most (N - 3)-square, a copy in which the
+    floor zeroes the dropped entries; the mask dies before the gathers.
     """
     N = b.n_points
     spec = b.spectrum()
@@ -204,14 +213,13 @@ def _band_blocks(b: GridSignal2D) -> list[np.ndarray] | None:
     if min(B1, B2) < 2:
         # every entry of Gamma_q sits at |k_i| >= 2
         return []
-    np.logical_not(keep, out=keep)
-    spec[keep] = 0
     # Gamma_q reads only |k_i| <= 2 B - 2, B = max(B1, B2): those rows and
     # columns, in FFT order with modulus 4 B - 3, hold every entry it reads
     B = max(B1, B2)
-    near = np.r_[: 2 * B - 1, N - 2 * B + 2 : N]
-    window = spec[np.ix_(near, near)]
-    del spec, keep
+    near = np.ix_(*(np.r_[: 2 * B - 1, N - 2 * B + 2 : N],) * 2)
+    window = spec[near]
+    window[~keep[near]] = 0
+    del keep
     return [quadrant_hankel(window, q, B1 - 1, B2 - 1) for q in _QUADRANTS]
 
 

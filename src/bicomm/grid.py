@@ -60,77 +60,119 @@ def _freeze(a, copy: bool | None = True) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class _GridSignal:
-    """Complex samples on the periodic grid x_i = i/N of the torus [0,1)^ndim.
+    """A complex function on the periodic grid x_i = i/N of the torus [0,1)^ndim.
 
     samples[i1, ..., id] = f(i1/N, ..., id/N), with the same power-of-two N
-    on every axis.  Signals are immutable; arithmetic returns new instances
-    of the same class, and an operand that is a signal must have the same
-    class and grid.  A signal is called *admissible* when its spectrum
-    vanishes on the zero and Nyquist lines of every axis; identities
-    involving half-line projections are exact only on that subspace.
+    on every axis, and spectrum() holds the Fourier coefficients of
+    f = sum fhat_k e^{2 pi i k.x}.  A signal is built from its samples or
+    from its spectrum and computes the other at most once, on first use.
+    Both arrays are read-only and a signal never changes.  Threads sharing
+    a signal may each compute the missing array; they get the same bits,
+    and the signal keeps one of them.
+
+    Arithmetic returns new instances of the same class, and an operand that
+    is a signal must have the same class and grid.  A sum or difference of
+    two signals works on their spectra unless both were built from samples;
+    every other operation, norm2 included, works on the samples.  Which one
+    is read depends only on how the operands were built, never on what was
+    computed for them before, so neither does a value.  The Fourier
+    multipliers of bicomm.transforms map spectra to spectra.
+
+    A signal is called *admissible* when its spectrum vanishes on the zero
+    and Nyquist lines of every axis; identities involving half-line
+    projections are exact only on that subspace.
     """
 
-    samples: np.ndarray
+    __slots__ = ("_samples", "_spectrum", "_spectral")
     ndim: ClassVar[int]  # the number of axes, set by each subclass
 
-    def __post_init__(self):
+    def __init__(self, samples):
         # a caller's array is copied: changing it later cannot reach the signal
-        self._set_samples(_freeze(self.samples))
+        self._hold(_freeze(samples), spectral=False)
 
     @classmethod
-    def _adopt(cls, samples: np.ndarray):
-        """A signal on a fresh array that nothing else references, frozen
-        without a copy."""
+    def from_spectrum(cls, fhat):
+        """The signal with Fourier coefficients fhat, in FFT storage order and
+        normalized as spectrum(); a caller's array is copied."""
+        return cls._adopt(spectrum=_freeze(fhat))
+
+    @classmethod
+    def _adopt(cls, samples=None, spectrum=None):
+        """A signal built from a fresh array that nothing else references,
+        its samples or else its spectrum, frozen without a copy."""
         sig = object.__new__(cls)
-        sig._set_samples(_freeze(samples, copy=None))
+        spectral = samples is None
+        sig._hold(_freeze(spectrum if spectral else samples, copy=None), spectral)
         return sig
 
-    def _set_samples(self, samples: np.ndarray) -> None:
-        object.__setattr__(self, "samples", samples)
-        shape = samples.shape
+    def _hold(self, built: np.ndarray, spectral: bool) -> None:
+        shape = built.shape
         if len(shape) != self.ndim or len(set(shape)) != 1:
             name = type(self).__name__
             raise ValueError(f"{name} expects a {self.ndim}D sample array with equal axes")
         _check_power_of_two(shape[0])
+        object.__setattr__(self, "_spectral", spectral)
+        object.__setattr__(self, "_samples", None if spectral else built)
+        object.__setattr__(self, "_spectrum", built if spectral else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The samples; for a signal built from its spectrum, the unscaled
+        inverse transform, computed on first use and kept."""
+        if self._samples is None:
+            samples = np.fft.ifftn(self._spectrum, norm="forward")
+            object.__setattr__(self, "_samples", _freeze(samples, copy=None))
+        return self._samples
 
     @property
     def n_points(self) -> int:
-        return self.samples.shape[0]
+        return (self._spectrum if self._spectral else self._samples).shape[0]
 
     def spectrum(self) -> np.ndarray:
         """Fourier coefficients normalized so that f = sum fhat_k e^{2 pi i k.x}.
 
-        One fresh array: the transform writes into it, each axis after the
-        first in place, and scales by 1/N per axis.  N is a power of two,
-        so that scaling is exact and the bits are those of
-        fftn(samples) / N^ndim, unless an intermediate is subnormal, where
-        the two orders of rounding may differ."""
-        shape = self.samples.shape
-        return np.fft.fftn(self.samples, norm="forward", out=np.empty(shape, np.complex128))
+        The array the signal was built from, or, for a signal built from its
+        samples, computed on first use and kept: the transform writes into
+        one fresh array, each axis after the first in place, and scales by
+        1/N per axis.  N is a power of two, so that scaling is exact and the
+        bits are those of fftn(samples) / N^ndim, unless an intermediate is
+        subnormal, where the two orders of rounding may differ."""
+        if self._spectrum is None:
+            shape = self._samples.shape
+            spec = np.fft.fftn(self._samples, norm="forward", out=np.empty(shape, np.complex128))
+            object.__setattr__(self, "_spectrum", _freeze(spec, copy=None))
+        return self._spectrum
 
-    @classmethod
-    def from_spectrum(cls, fhat: np.ndarray):
-        fhat = np.asarray(fhat, dtype=np.complex128)
-        return cls._adopt(np.fft.ifftn(fhat * fhat.size))
-
-    def _operand(self, other):
-        if isinstance(other, _GridSignal):
-            if type(other) is not type(self) or other.n_points != self.n_points:
-                raise ValueError("signals live on different grids")
-            return other.samples
+    def _other(self, other: "_GridSignal") -> "_GridSignal":
+        if type(other) is not type(self) or other.n_points != self.n_points:
+            raise ValueError("signals live on different grids")
         return other
+
+    def _linear(self, other, op):
+        """op of two signals, on the samples when both were built from them
+        and otherwise on the spectra; with a scalar, on the samples."""
+        if not isinstance(other, _GridSignal):
+            return type(self)._adopt(op(self.samples, other))
+        other = self._other(other)
+        if self._spectral or other._spectral:
+            return type(self)._adopt(spectrum=op(self.spectrum(), other.spectrum()))
+        return type(self)._adopt(op(self._samples, other._samples))
 
     # pointwise algebra
     def __add__(self, other):
-        return type(self)._adopt(self.samples + self._operand(other))
+        return self._linear(other, np.add)
 
     def __sub__(self, other):
-        return type(self)._adopt(self.samples - self._operand(other))
+        return self._linear(other, np.subtract)
 
     def __mul__(self, other):
-        return type(self)._adopt(self.samples * self._operand(other))
+        if isinstance(other, _GridSignal):
+            other = self._other(other).samples
+        return type(self)._adopt(self.samples * other)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -143,7 +185,7 @@ class _GridSignal:
 
     def inner(self, other) -> complex:
         """<f,g> = N^{-d} sum f conj(g); equals sum_k fhat conj(ghat)."""
-        return complex(np.vdot(self._operand(other), self.samples) / self.samples.size)
+        return complex(np.vdot(self._other(other).samples, self.samples) / self.samples.size)
 
     def norm2(self) -> float:
         return float(np.sqrt(np.mean(np.abs(self.samples) ** 2)))
@@ -152,12 +194,14 @@ class _GridSignal:
 class GridSignal1D(_GridSignal):
     """Complex samples of a function on [0,1), taken at x_i = i/N."""
 
+    __slots__ = ()
     ndim = 1
 
 
 class GridSignal2D(_GridSignal):
     """Complex samples on the N x N periodic grid, samples[i1, i2] = f(i1/N, i2/N)."""
 
+    __slots__ = ()
     ndim = 2
 
 

@@ -18,6 +18,8 @@ projection onto the admissible subspace rather than the identity.
 
 Every operator here is one Fourier multiplier read off the cached sign
 table _sign(N) and applied by _multiply, in one or two dimensions alike.
+It maps a spectrum to a spectrum, so a chain of multipliers takes at most
+one forward transform, of a signal that holds only its samples.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ def _sign(N: int) -> np.ndarray:
 
 
 def _multiply(f, m: np.ndarray):
-    """The Fourier multiplier m applied to f; m broadcasts against the spectrum."""
-    return type(f)._adopt(np.fft.ifftn(np.fft.fftn(f.samples) * m))
+    """The Fourier multiplier m applied to f; m broadcasts against the
+    spectrum.  The result holds its spectrum alone: it takes no inverse
+    transform until someone reads its samples."""
+    return type(f)._adopt(spectrum=f.spectrum() * m)
 
 
 # ---------------------------------------------------------------------------

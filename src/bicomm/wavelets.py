@@ -218,11 +218,30 @@ def analyze(f: GridSignal2D, n: int) -> WaveletCoefficients:
     return WaveletCoefficients(n, C)
 
 
+@lru_cache(maxsize=64)
+def _support_spectra(N: int, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies, in FFT storage order, where some wavelet of scale
+    at most J is nonzero, and the rows of _wavelet_spectra on them; both
+    read-only.  The profile vanishes exactly off +/-[2/3, 8/3], so these are
+    1 <= |k| <= 4 * 2^J / 3, 20 of 128 at N=128, J=3."""
+    spectra = _wavelet_spectra(N, J)
+    cols = np.flatnonzero(spectra.any(axis=0))
+    on = spectra[:, cols]
+    cols.flags.writeable = on.flags.writeable = False
+    return cols, on
+
+
 def synthesize(c: WaveletCoefficients, N: int) -> GridSignal2D:
-    """sum_R c_R v_R on the N-point grid."""
+    """sum_R c_R v_R on the N-point grid, built from its spectrum.
+
+    v_R has spectrum S[R1, k1] S[R2, k2], S the rows of _wavelet_spectra,
+    so b_hat = S^T C S.  It is computed on the support columns of S alone
+    and is exactly zero elsewhere; the samples are left to the signal."""
     _check_scale(c.max_scale, N)
-    W = _wavelet_samples(N, c.max_scale)
-    return GridSignal2D._adopt(W.T @ c.matrix @ W)
+    cols, S = _support_spectra(N, c.max_scale)
+    spec = np.zeros((N, N), dtype=np.complex128)
+    spec[np.ix_(cols, cols)] = S.T @ c.matrix @ S
+    return GridSignal2D._adopt(spectrum=spec)
 
 
 def commutator_kernel(I: DyadicInterval, J: DyadicInterval, N: int) -> GridSignal1D:

@@ -495,6 +495,40 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """run pins numpy's OpenBLAS to one thread and restores the old count
+    after.  So criterion 7's config (norm-compare, N=128, 200 instances,
+    jobs=4) writes the same bytes in a child process started under
+    OPENBLAS_NUM_THREADS=1 as under =2; unpinned, the LAPACK calls of
+    operator_norm give many rows other last digits."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("this numpy bundles no OpenBLAS whose thread count can be set")
+    src = str(Path(bicomm.__file__).resolve().parents[1])
+    config = write_config(tmp_path, command="norm-compare", N=128, instances=200)
+    reports = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "OPENBLAS_NUM_THREADS": threads,
+        }
+        out = tmp_path / f"threads-{threads}"
+        argv = ["norm-compare", "--config", config, "--out", str(out), "--jobs", "4"]
+        subprocess.run([sys.executable, "-m", "bicomm.cli", *argv], env=env, check=True)
+        reports.append((out / "norm-compare.csv").read_bytes())
+    assert reports[0] == reports[1]
+    get, put = blas
+    old = get()
+    try:
+        put(2)
+        with cli._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        put(old)
+
+
 def test_oracle_audit(tmp_path):
     with pytest.raises(ValueError):
         run(ExperimentConfig("oracle-audit", N=64, instances=1, out=str(tmp_path)))

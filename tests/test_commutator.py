@@ -1,5 +1,7 @@
 """Iterated commutator operator, Hankel comparison, norm estimation."""
 
+import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from bicomm.commutator import (
     power_iteration_norm,
     quadrant_hankel,
 )
-from bicomm.cli import ExperimentConfig, _basic_identity_residual, _family_symbol
+from bicomm.cli import ExperimentConfig, _basic_identity_residual, _family_symbol, run
 from bicomm.grid import GridSignal1D, GridSignal2D
 from bicomm.transforms import frequencies, project_admissible_2d, project_quadrant
 
@@ -70,27 +72,36 @@ def column_operator_matrix(b):
     """The commutator over the admissible Fourier modes: column c is
     commutator_apply(b, mode) for the c-th input mode, and rows are output
     modes, both in admissible_modes order.  All columns go through
-    commutator_apply's operations at once, on a (M, N, N) stack of the unit
-    modes, with sign multipliers of their own.  The oracle of the
-    quadrant-Hankel block form."""
+    commutator_apply's operations in its order at once, on a (M, N, N)
+    stack of the unit modes' spectra, with sign multipliers of their own:
+    the multipliers act on spectra, the products on samples, and the four
+    terms are summed as spectra.  The oracle of the quadrant-Hankel block
+    form."""
     N = b.n_points
     at = np.array(admissible_modes(N)) % N
     units = np.zeros((len(at), N, N), dtype=complex)
-    units[np.arange(len(at)), at[:, 0], at[:, 1]] = N * N
-    f = np.fft.ifft2(units)
+    units[np.arange(len(at)), at[:, 0], at[:, 1]] = 1.0
     k = np.fft.fftfreq(N, 1.0 / N)
     s = np.where(np.abs(k) == N // 2, 0.0, np.sign(k))
     H1, H2 = s[:, None], s[None, :]
 
-    def mult(g, m):
-        return np.fft.ifft2(np.fft.fft2(g, axes=(-2, -1)) * m, axes=(-2, -1))
+    def samples(spec):
+        return np.fft.ifft2(spec, axes=(-2, -1), norm="forward")
+
+    def spectrum(g):
+        return np.fft.fft2(g, axes=(-2, -1), norm="forward")
 
     bs = b.samples
-    h1, h2 = mult(f, H1), mult(f, H2)
-    out = bs * mult(h2, H1) - mult(bs * h2, H1) - mult(bs * h1, H2) + mult(mult(bs * f, H2), H1)
-    out = mult(out, (H1 != 0) & (H2 != 0))
-    spec = np.fft.fft2(out, axes=(-2, -1)) / N**2
-    return spec[:, at[:, 0], at[:, 1]].T
+    h1, h2 = units * H1, units * H2
+    h12 = h2 * H1
+    out = (
+        spectrum(bs * samples(h12))
+        - spectrum(bs * samples(h2)) * H1
+        - spectrum(bs * samples(h1)) * H2
+        + spectrum(bs * samples(units)) * H2 * H1
+    )
+    out = out * ((H1 != 0) & (H2 != 0))
+    return out[:, at[:, 0], at[:, 1]].T
 
 
 def test_column_oracle_is_commutator_apply():
@@ -106,6 +117,52 @@ def test_column_oracle_is_commutator_apply():
         for col in rng.choice(len(modes), size=5, replace=False):
             out = commutator_apply(b, mode(N, *modes[col])).spectrum()
             np.testing.assert_array_equal(M[:, col], out[at[:, 0], at[:, 1]])
+
+
+def counted_transforms(monkeypatch):
+    """The shapes np.fft.fftn and np.fft.ifftn are called on, from now on."""
+    shapes = []
+    for name in ("fftn", "ifftn"):
+        real = getattr(np.fft, name)
+
+        def counted(a, *args, _real=real, **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return shapes
+
+
+def test_transform_counts(monkeypatch, tmp_path):
+    """commutator_apply takes at most 9 N x N transforms: 8 when the symbol
+    holds its samples (f's spectrum or samples, those of h1, h2 and h12,
+    the spectra of the four products), one more for the samples of a
+    symbol built from its spectrum; its result holds only its spectrum.
+    A criterion 7 norm-compare instance (N=128, n=3) takes no transform
+    at all: the symbol is synthesized as a spectrum and the norm reads it.
+    An identity-check instance at N=256 takes 56, 43 of them N x N; 85 and
+    66 when every multiplier took a forward and an inverse transform."""
+    rng = np.random.default_rng(48)
+    N = 32
+    b, f = rand_signal(rng, N), rand_signal(rng, N)
+    built = {
+        "samples": lambda g: GridSignal2D(g.samples),
+        "spectrum": lambda g: GridSignal2D.from_spectrum(g.spectrum()),
+    }
+    shapes = counted_transforms(monkeypatch)
+    for (kb, make_b), (kf, make_f) in itertools.product(built.items(), repeat=2):
+        symbol, argument = make_b(b), make_f(f)
+        shapes.clear()
+        out = commutator_apply(symbol, argument)
+        assert shapes == [(N, N)] * (8 + (kb == "spectrum")), (kb, kf)
+        assert out._samples is None
+    for cfg, total, square in (
+        (ExperimentConfig("norm-compare", N=128, n=3, instances=1), 0, 0),
+        (ExperimentConfig("identity-check", N=256, instances=1), 56, 43),
+    ):
+        shapes.clear()
+        run(dataclasses.replace(cfg, out=str(tmp_path)))
+        assert (len(shapes), shapes.count((cfg.N, cfg.N))) == (total, square), cfg.command
 
 
 def dense_top(b):
@@ -338,24 +395,40 @@ def test_certified_norm_on_criterion_7_corpus(monkeypatch):
     assert np.mean(calls) <= 1.11
 
 
-def test_operator_norm_allocates_one_spectrum():
-    """The exact norm of an N=128 criterion 7 symbol holds less than 3.5
-    N x N complex arrays of traced memory at its peak (2.0 measured): the
-    spectrum is its one N x N array, made in a single allocation and freed
-    before the four 81 x 81 blocks, 1.6 such arrays together, reach LAPACK."""
-    N = 128
-    b = criterion_7_symbols(4)[3]
-    operator_norm(b)  # fills the Hankel index cache
-    peaks = []
+def traced_peak(step, N):
+    """The traced memory peak of step(), in N x N complex arrays."""
     tracemalloc.start()
     try:
-        for step in (b.spectrum, lambda: operator_norm(b)):
-            tracemalloc.reset_peak()
-            step()
-            peaks.append(tracemalloc.get_traced_memory()[1] / (N * N * 16))
+        tracemalloc.reset_peak()
+        step()
+        return tracemalloc.get_traced_memory()[1] / (N * N * 16)
     finally:
         tracemalloc.stop()
-    assert peaks[0] < 1.5 and peaks[1] < 3.5
+
+
+def test_operator_norm_allocates_one_spectrum():
+    """The exact norm reads the symbol's kept spectrum and copies none of it.
+
+    A symbol synthesized at N=256 from criterion 7's coefficients (n=3)
+    holds its spectrum, and its norm peaks below 0.75 N x N complex arrays
+    of traced memory (0.56 measured): the magnitudes, half an array, and
+    the kept mask, a sixteenth; a copy of the spectrum would add 1.  Its
+    four 81 x 81 blocks come to 0.4 such arrays.  The same symbol built
+    from its samples computes its spectrum once, one array, and keeps it:
+    its first norm peaks below 1.75 (1.56), the next below 0.75.  At
+    N=128 the blocks, 1.6 arrays, set the peak: below 2.25 (2.0)."""
+    cfg = ExperimentConfig("norm-compare", N=256, n=3, instances=4)
+    held = _family_symbol(cfg, np.random.default_rng([0, 3]))[0]
+    operator_norm(held)  # fills the Hankel index cache
+    assert traced_peak(lambda: operator_norm(held), 256) < 0.75
+    sampled = GridSignal2D(held.samples)
+    assert traced_peak(sampled.spectrum, 256) < 1.25
+    sampled = GridSignal2D(held.samples)
+    assert traced_peak(lambda: operator_norm(sampled), 256) < 1.75
+    assert traced_peak(lambda: operator_norm(sampled), 256) < 0.75
+    b = criterion_7_symbols(4)[3]
+    operator_norm(b)
+    assert traced_peak(lambda: operator_norm(b), 128) < 2.25
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

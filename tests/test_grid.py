@@ -75,17 +75,122 @@ def test_spectrum_roundtrip():
 
 
 def test_spectrum_matches_scaled_fft_bit_for_bit():
-    """spectrum() scales by 1/N per axis inside the transform; N is a power
-    of two, so its bits are those of fftn(samples) / size: on random 1D and
-    2D signals and on criterion 7's first 20 symbols (N=128, n=3)."""
+    """A signal built from samples computes its spectrum once, scaling by
+    1/N per axis inside the transform; N is a power of two, so its bits are
+    those of fftn(samples) / size: on random 1D and 2D signals and on the
+    samples of criterion 7's first 20 symbols (N=128, n=3)."""
     rng = np.random.default_rng(3)
     signals = [rand_signal_1d(rng, N) for N in (2, 8, 64, 1024)]
     signals += [rand_signal_2d(rng, N) for N in (2, 16, 128, 256)]
-    cfg = ExperimentConfig("norm-compare", N=128, n=3, instances=20)
-    signals += [_family_symbol(cfg, np.random.default_rng([0, i]))[0] for i in range(20)]
+    signals += [GridSignal2D(b.samples) for b in criterion_7_symbols(20)]
     for f in signals:
         want = np.fft.fftn(f.samples) / f.samples.size
         np.testing.assert_array_equal(f.spectrum().view(np.int64), want.view(np.int64))
+        assert f.spectrum() is f.spectrum()
+
+
+def criterion_7_symbols(count):
+    cfg = ExperimentConfig("norm-compare", N=128, n=3, instances=count)
+    return [_family_symbol(cfg, np.random.default_rng([0, i]))[0] for i in range(count)]
+
+
+def test_spectrum_held_signal_keeps_its_spectrum():
+    """A signal built from a spectrum returns that spectrum bit for bit, and
+    computes its samples once, as the unscaled inverse transform; the FFT of
+    those samples agrees with the spectrum to roundoff.  Criterion 7's
+    symbols are built from spectra that vanish exactly off |k_i| <= 10."""
+    rng = np.random.default_rng(4)
+    spectra = [rand_signal_1d(rng, N).samples.copy() for N in (2, 8, 64, 1024)]
+    spectra += [rand_signal_2d(rng, N).samples.copy() for N in (2, 16, 128)]
+    signals = [(GridSignal1D, GridSignal2D)[a.ndim - 1].from_spectrum(a) for a in spectra]
+    symbols = criterion_7_symbols(20)
+    k = np.abs(np.fft.fftfreq(128, 1 / 128))
+    for b in symbols:
+        assert b._samples is None
+        assert not np.any(b.spectrum()[(k[:, None] > 10) | (k[None, :] > 10)])
+    for f, want in zip(signals + symbols, spectra + [b.spectrum().copy() for b in symbols]):
+        np.testing.assert_array_equal(f.spectrum().view(np.int64), want.view(np.int64))
+        samples = f.samples
+        assert samples is f.samples and f.spectrum() is f.spectrum()
+        inverse = np.fft.ifftn(want * want.size)
+        np.testing.assert_array_equal(samples.view(np.int64), inverse.view(np.int64))
+        back = np.fft.fftn(samples) / samples.size
+        bound = 8 * np.finfo(np.float64).eps * np.log2(want.size) * np.abs(want).max()
+        assert np.abs(back - want).max() <= bound
+
+
+def assert_same_bits(x, y, msg=""):
+    x, y = np.asarray(x).view(np.int64), np.asarray(y).view(np.int64)
+    np.testing.assert_array_equal(x, y, msg)
+
+
+def assert_same_signal(a, b, msg=""):
+    """Bit-for-bit equal samples, spectra and norm2."""
+    for x, y in ((a.samples, b.samples), (a.spectrum(), b.spectrum()), (a.norm2(), b.norm2())):
+        assert_same_bits(x, y, msg)
+
+
+def held_as(cls, f, kind):
+    """A copy of f built from its samples or its spectrum, as kind says;
+    kind "samples+spectrum" or "spectrum+samples" has the second one
+    computed as well."""
+    built, _, computed = kind.partition("+")
+    sig = cls(f.samples) if built == "samples" else cls.from_spectrum(f.spectrum())
+    if computed == "samples":
+        sig.samples  # noqa: B018 -- computed once, then held
+    elif computed == "spectrum":
+        sig.spectrum()
+    return sig
+
+
+SIGNAL_OPS = {
+    "sum": lambda a, b: a + b,
+    "difference": lambda a, b: a - b,
+    "product": lambda a, b: a * b,
+    "scaled": lambda a, b: a * (2.5 - 1j),
+    "negated": lambda a, b: -a,
+    "conjugate": lambda a, b: a.conj(),
+    "shifted": lambda a, b: a - 1.0,
+}
+
+
+def test_signal_representations_agree():
+    """Arithmetic on signals built from samples or spectra, with or without
+    the other representation computed, agrees with the same arithmetic on
+    samples to roundoff, in both representations and in norm2.  What works
+    on samples (all but a sum or difference with an operand built from its
+    spectrum) has the bits of numpy on the operands' samples, and norm2
+    those of their mean square.  The bits depend only on what each operand
+    was built from, and a sum or difference of signals built from spectra
+    computes no samples."""
+    rng = np.random.default_rng(5)
+    kinds = ("samples", "samples+spectrum", "spectrum", "spectrum+samples")
+    tol = 1e-13
+    for N, cls, rand in ((32, GridSignal1D, rand_signal_1d), (16, GridSignal2D, rand_signal_2d)):
+        f, g = rand(rng, N), rand(rng, N)
+        for name, op in SIGNAL_OPS.items():
+            want = op(f.samples, g.samples)
+            spec = np.fft.fftn(want) / want.size
+            for ka in kinds:
+                for kb in kinds:
+                    a, b = held_as(cls, f, ka), held_as(cls, g, kb)
+                    sig = op(a, b)
+                    msg = f"{name} of {ka} and {kb}"
+                    assert type(sig) is cls, msg
+                    linear = name in ("sum", "difference")
+                    if not linear or ka.startswith("samples") and kb.startswith("samples"):
+                        assert_same_bits(sig.samples, op(a.samples, b.samples), msg)
+                    assert_same_bits(sig.norm2(), np.sqrt(np.mean(np.abs(sig.samples) ** 2)), msg)
+                    assert abs(sig.norm2() - np.sqrt(np.mean(np.abs(want) ** 2))) < tol, msg
+                    np.testing.assert_allclose(sig.samples, want, rtol=0, atol=tol, err_msg=msg)
+                    np.testing.assert_allclose(sig.spectrum(), spec, rtol=0, atol=tol, err_msg=msg)
+                    # a computed representation changes no bit of the result
+                    fa, fb = (held_as(cls, h, k.partition("+")[0]) for h, k in ((f, ka), (g, kb)))
+                    fresh = op(fa, fb)
+                    assert_same_signal(sig, fresh, msg)
+            if name in ("sum", "difference"):
+                a, b = held_as(cls, f, "spectrum"), held_as(cls, g, "spectrum")
+                assert op(a, b)._samples is None and a._samples is None and b._samples is None
 
 
 def test_signal_algebra_matches_numpy():
@@ -103,26 +208,39 @@ def test_signal_algebra_matches_numpy():
 
 
 def test_signal_owns_frozen_samples():
-    """A caller's array is copied and every signal's samples are read-only;
-    the fresh arrays of arithmetic and from_spectrum are frozen as they are."""
+    """A caller's array is copied, samples or spectrum, and every signal's
+    samples and spectrum are read-only, whether held from the start or
+    computed on first use; the fresh arrays of arithmetic are frozen as
+    they are."""
     rng = np.random.default_rng(3)
     for shape, cls in (((16,), GridSignal1D), ((8, 8), GridSignal2D)):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         f = cls(a)
+        h = cls.from_spectrum(a)
         want = a.copy()
         a[...] = 0.0
         np.testing.assert_array_equal(f.samples, want)
-        signals = [f, f + f, f - 1.0, f * f, 2.0 * f, -f, f.conj(), cls.from_spectrum(f.spectrum())]
+        np.testing.assert_array_equal(h.spectrum(), want)
+        signals = [f, h, f + f, f - 1.0, f * f, 2.0 * f, -f, f.conj(), h + h, 2.0 * h, -h, h.conj()]
+        signals += [cls.from_spectrum(f.spectrum()), f + h, h * h]
         for g in signals:
-            assert type(g) is cls and g.samples.dtype == np.complex128
-            assert not g.samples.flags.writeable
-            with pytest.raises(ValueError):
-                g.samples[(0,) * len(shape)] = 1.0
+            assert type(g) is cls
+            for arr in (g.samples, g.spectrum()):
+                assert arr.dtype == np.complex128 and not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[(0,) * len(shape)] = 1.0
         np.testing.assert_array_equal(f.samples, want)
+        np.testing.assert_array_equal(h.spectrum(), want)
+        with pytest.raises(AttributeError):
+            f._samples = None
         fresh = np.ones(shape, dtype=np.complex128)
         assert cls._adopt(fresh).samples is fresh and cls(fresh).samples is not fresh
-        with pytest.raises(ValueError):
-            cls._adopt(np.ones((3,) * len(shape), dtype=np.complex128))
+        assert cls._adopt(spectrum=fresh).spectrum() is fresh
+        assert cls.from_spectrum(fresh).spectrum() is not fresh
+        bad = np.ones((3,) * len(shape), dtype=np.complex128)
+        for held in ("samples", "spectrum"):
+            with pytest.raises(ValueError):
+                cls._adopt(**{held: bad})
 
 
 def test_mixed_grid_arithmetic_rejected():
