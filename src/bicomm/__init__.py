@@ -9,7 +9,7 @@ Modules:
     bmo         product and rectangular BMO functionals on wavelet
                 coefficients
     commutator  the nested commutator, its exact norm from quadrant Hankel
-                blocks, power iteration, Hankel form
+                blocks, its own matrix at N <= 32, Hankel form
     journe      dyadic rectangle combinatorics: maximal rectangles,
                 embeddedness, covering sums, thinning
     cli         configuration-driven experiment runner

@@ -33,11 +33,12 @@ import numpy as np
 from . import __version__
 from .bmo import product_bmo_lower, rect_bmo, rectangles_inside
 from .commutator import (
+    _DENSE_MAX_N,
     bracket,
     commutator_apply,
     dense_hankel_matrix,
+    operator_matrix,
     operator_norm,
-    power_iteration_norm,
 )
 from .grid import CellSet, DyadicInterval, DyadicRectangle, GridSignal1D, GridSignal2D, load_signal
 from .journe import embeddedness, enlargement, journe_sum, row_of_squares, row_resolution
@@ -65,6 +66,13 @@ _FAMILIES = (
     "multiscale-square",
     "file",
 )
+# the families a command draws its symbols from; every other command draws
+# none and takes only the default
+_COMMAND_FAMILIES = {
+    "journe-scan": ("random-carleson", "row-of-squares-dual"),
+    "bmo-scan": _FAMILIES[:-1],  # every family but file
+    "norm-compare": _FAMILIES,
+}
 # multiscale-square: the scale-j square's coefficient has modulus _MULTISCALE_DECAY**j
 _MULTISCALE_DECAY = 0.5
 _HISTOGRAM_BINS = 20
@@ -121,13 +129,14 @@ class ExperimentConfig:
             object.__setattr__(self, "n", log2N - 4)
         if self.n < 0 or self.n > log2N - 4:
             raise ValueError("need 0 <= n <= log2(N) - 4")
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        families = _COMMAND_FAMILIES.get(self.command, _FAMILIES[:1])
+        if self.family not in families:
+            raise ValueError(f"{self.command} takes a family in {families}, got {self.family!r}")
         if self.command == "wavelet-audit" and self.N < 32:
             # the zero and coarse items draw two scales at least 2 apart
             raise ValueError(f"wavelet-audit needs N >= 32 (j_max >= 2), got N={self.N}")
-        if self.command == "oracle-audit" and self.N > 32:
-            raise ValueError("oracle-audit needs N <= 32 for the dense Hankel matrix")
+        if self.command == "oracle-audit" and self.N > _DENSE_MAX_N:
+            raise ValueError(f"oracle-audit needs N <= {_DENSE_MAX_N} for its dense matrices")
         if self.instances < 1:
             raise ValueError("instances must be positive")
         if self.seed < 0:
@@ -609,22 +618,20 @@ def _run_oracle_audit(cfg: ExperimentConfig, jobs: int):
     def worker(i: int) -> list:
         rng = np.random.default_rng([cfg.seed, i])
         b = _band_limited(GridSignal2D, rng, cfg.N, _punctured_band(cfg.N))
-        # each comparison sets the definition (commutator_apply, through the
-        # power iteration) against the quadrant-Hankel blocks
-        svd = operator_norm(b).value
-        power = power_iteration_norm(b, tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 1]).value
+        # each comparison sets the definition (commutator_apply, through T's
+        # own matrix) against the quadrant-Hankel blocks
+        block = operator_norm(b).value
+        definition = float(np.linalg.norm(operator_matrix(b), 2))
         h = _band_limited(GridSignal2D, rng, cfg.N, range(cfg.N // 4 + 1))
-        hankel = float(np.linalg.svd(dense_hankel_matrix(h), compute_uv=False)[0])
-        comm = power_iteration_norm(
-            h.conj(), tol=1e-12, max_iter=20000, seed=[cfg.seed, i, 2]
-        ).value
-        return [i, power, svd, abs(power - svd), hankel, comm, 4.0 * hankel / comm]
+        hankel = float(np.linalg.norm(dense_hankel_matrix(h), 2))
+        comm = float(np.linalg.norm(operator_matrix(h.conj()), 2))
+        return [i, definition, block, abs(definition - block), hankel, comm, 4.0 * hankel / comm]
 
     cols = [
         "instance",
-        "power_norm",
-        "svd_norm",
-        "power_svd_diff",
+        "definition_norm",
+        "block_norm",
+        "definition_block_diff",
         "hankel_norm",
         "commutator_norm",
         "hankel_ratio",

@@ -17,11 +17,13 @@ block Gamma is certified below s by a Cholesky factorization of
 s^2 (1 - delta) I - Gamma^H Gamma (Gamma is complex symmetric, so
 Gamma^H = conj(Gamma)).  A block whose certificate fails, as an exact tie
 does, gets its own SVD, so the value is bit for bit the four-SVD maximum.
-Wider spectra fall back to power iteration on T*T with a seeded start
-vector, which is built on `commutator_apply` alone and so serves as
-the oracle of the block form.  The dense little Hankel matrix of a
-holomorphic symbol, from the same `quadrant_hankel`, rounds out the
-module: every matrix here is built by it.
+Wider spectra fall back to a private power iteration on T*T with a
+seeded start vector.  For N <= 32, `operator_matrix` assembles T itself
+over the admissible modes, one `commutator_apply` per unit mode; built
+on the definition alone, its largest singular value is the oracle of the
+block form.  The dense little Hankel matrix of a holomorphic symbol,
+from the same `quadrant_hankel`, rounds out the module: every Hankel
+matrix here is built by it.
 """
 
 from __future__ import annotations
@@ -46,36 +48,14 @@ _QUADRANTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 # L-square blocks, 32 times the worst-case rounding of the Gram product and
 # the factorization relative to s^2 (see operator_norm)
 _CERT_SLACK = 16.0
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when the Rayleigh gap fails to close within max_iter.
-
-    Carries the best singular-value estimate, the final gap, and the full
-    iteration trace so callers can report partial results.
-    """
-
-    def __init__(self, estimate: float, gap: float, trace: tuple):
-        super().__init__(
-            f"power iteration did not converge: estimate {estimate}, final gap {gap}"
-        )
-        self.estimate = estimate
-        self.gap = gap
-        self.trace = trace
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    iteration: int
-    rayleigh: float
-    gap: float
+# the most steps the power iteration of operator_norm's wide-band fallback takes
+_POWER_STEPS = 10000
 
 
 @dataclass(frozen=True)
 class NormResult:
     value: float
     iterations: int
-    trace: tuple[TraceRow, ...]
 
 
 def commutator_apply(b: GridSignal2D, f: GridSignal2D) -> GridSignal2D:
@@ -145,12 +125,12 @@ def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormRes
     dropped, and B_i is the largest |k_i| left.  When B1, B2 <= N/4 the
     value is exact: 4 max_q sigma_max(Gamma_q) over the four quadrant
     Hankel matrices of the kept spectrum (see quadrant_hankel with
-    L_i = B_i - 1), with iterations 0 and an empty trace.  T is linear in
+    L_i = B_i - 1), with iterations 0.  T is linear in
     b and ||T_b|| <= 4 ||b||_inf <= 4 sum |b_hat| (Young's inequality), so
     the dropped entries move the result by at most 4 sum |b_hat_dropped|.
-    Otherwise it returns power_iteration_norm(b, tol, 10000, seed); tol and
-    seed act only there.  A symbol with a NaN or infinite sample raises
-    ValueError.
+    Otherwise it returns _power_norm(b, tol, seed), whose iterations count
+    its steps; tol and seed act only there.  tol must be finite and
+    positive, and a symbol with a NaN or infinite sample raises ValueError.
 
     The exact maximum takes one SVD, of the block with the largest
     _lower_bound, which gives s; each other block Gamma is L-square,
@@ -178,12 +158,12 @@ def operator_norm(b: GridSignal2D, tol: float = 1e-10, seed: int = 0) -> NormRes
     first computes its spectrum, once, and keeps it.  The blocks are
     dropped one by one as _largest_singular_value is done with them.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     blocks = _band_blocks(b)
     if blocks is None:
-        return power_iteration_norm(b, tol, 10000, seed)
-    return NormResult(4.0 * _largest_singular_value(blocks) if blocks else 0.0, 0, ())
+        return _power_norm(b, tol, seed)
+    return NormResult(4.0 * _largest_singular_value(blocks) if blocks else 0.0, 0)
 
 
 def _band_blocks(b: GridSignal2D) -> list[np.ndarray] | None:
@@ -266,20 +246,12 @@ def _largest_singular_value(blocks: list[np.ndarray]) -> float:
     return float(top)
 
 
-def power_iteration_norm(
-    b: GridSignal2D, tol: float = 1e-10, max_iter: int = 2000, seed: int = 0
-) -> NormResult:
-    """Largest singular value of the commutator by power iteration.
-
-    Power iteration on T*T over the admissible subspace, with a seeded
-    start vector.  Stops when successive Rayleigh quotients differ by less
-    than tol; raises PowerIterationError past max_iter.  The fallback of
-    operator_norm for wide spectra, and its oracle.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+def _power_norm(b: GridSignal2D, tol: float, seed) -> NormResult:
+    """Largest singular value of T_b by power iteration on T*T over the
+    admissible subspace, from a start vector seeded by seed; operator_norm's
+    fallback for wide spectra.  Stops when successive Rayleigh quotients
+    differ by less than tol, and raises RuntimeError, naming the estimate
+    and the last gap, after _POWER_STEPS steps."""
     N = b.n_points
     # T* has symbol conj(b): the axis transforms are self-adjoint
     bc = b.conj()
@@ -291,21 +263,42 @@ def power_iteration_norm(
         raise ValueError("grid too small: admissible subspace is trivial")
     v = v * (1.0 / nv)
     prev = None
-    trace: list[TraceRow] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_STEPS + 1):
         w = commutator_apply(b, v)
         r = w.norm2() ** 2
         gap = math.inf if prev is None else abs(r - prev)
-        trace.append(TraceRow(it, r, gap))
         if gap < tol or r == 0.0:
-            return NormResult(math.sqrt(r), it, tuple(trace))
+            return NormResult(math.sqrt(r), it)
         u = commutator_apply(bc, w)
         nu = u.norm2()
         if nu == 0.0:
-            return NormResult(math.sqrt(r), it, tuple(trace))
+            return NormResult(math.sqrt(r), it)
         v = u * (1.0 / nu)
         prev = r
-    raise PowerIterationError(math.sqrt(prev), trace[-1].gap, tuple(trace))
+    raise RuntimeError(f"power iteration did not converge: estimate {math.sqrt(prev)}, final gap {gap}")
+
+
+def operator_matrix(b: GridSignal2D) -> np.ndarray:
+    """T_b over the admissible modes as a matrix, N <= _DENSE_MAX_N.
+
+    Rows and columns are the modes (k1, k2) with 0 < |k_i| < N/2, in (k1, k2)
+    row-major order, each k_i rising from 1 - N/2; column c is the spectrum
+    of commutator_apply(b, e_c) at those modes, for e_c the c-th unit mode.
+    Built from the operator's definition alone, so its largest singular
+    value is the norm that operator_norm's block form must match.
+    """
+    N = b.n_points
+    if N > _DENSE_MAX_N:
+        raise ValueError(f"dense assembly limited to N <= {_DENSE_MAX_N}")
+    ks = [k % N for k in range(1 - N // 2, N // 2) if k]
+    at = np.ix_(ks, ks)
+    columns = []
+    for k1 in ks:
+        for k2 in ks:
+            unit = np.zeros((N, N), dtype=complex)
+            unit[k1, k2] = 1.0
+            columns.append(commutator_apply(b, GridSignal2D.from_spectrum(unit)).spectrum()[at].ravel())
+    return np.stack(columns, axis=1)
 
 
 def dense_hankel_matrix(b: GridSignal2D) -> np.ndarray:

@@ -113,14 +113,14 @@ def test_criterion_3_oracle_equivalence(tmp_path):
     cfg = ExperimentConfig("oracle-audit", N=16, instances=20, out=str(tmp_path))
     csv_path, _ = run(cfg, jobs=2)
     rows = read_rows(csv_path)
-    diff = max(col(rows, "power_svd_diff"))
+    diff = max(col(rows, "definition_block_diff"))
     ratios = col(rows, "hankel_ratio")
     ratio_err = max(abs(r - 1.0) for r in ratios)
     ok = len(rows) == 20 and diff <= 1e-6 and ratio_err <= 1e-6
     report(
         3,
         ok,
-        f"power vs SVD diff {diff:.2e} (<=1e-6) on 20 symbols at N=16; "
+        f"definition vs block norm diff {diff:.2e} (<=1e-6) on 20 symbols at N=16; "
         f"4*Hankel/commutator ratio in [{min(ratios):.9f}, {max(ratios):.9f}] "
         f"(deviation {ratio_err:.2e} <= 1e-6)",
     )

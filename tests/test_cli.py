@@ -61,6 +61,28 @@ def test_config_validation():
         ExperimentConfig.from_dict({"command": "bmo-scan"}, command="identity-check")
 
 
+def test_config_rejects_a_family_its_command_does_not_draw():
+    """A command takes only the families it draws symbols from: journe-scan
+    its open sets and rows of squares, bmo-scan every coefficient family,
+    norm-compare all five, and every other command only the default, so no
+    report names a family whose rows it did not compute."""
+    draws = {
+        "journe-scan": {"random-carleson", "row-of-squares-dual"},
+        "bmo-scan": set(cli._FAMILIES) - {"file"},
+        "norm-compare": set(cli._FAMILIES),
+    }
+    for command in cli._COMMANDS:
+        # large enough for a row of K=2 squares, small enough for oracle-audit
+        N = 32 if command == "oracle-audit" else 256
+        for family in cli._FAMILIES:
+            fields = dict(N=N, family=family, K=2, instances=1)
+            if family in draws.get(command, {"random-carleson"}):
+                ExperimentConfig(command, **fields)
+            else:
+                with pytest.raises(ValueError, match=f"{command} takes a family in .*{family}"):
+                    ExperimentConfig(command, **fields)
+
+
 def test_readme_configs_load():
     """Every JSON config in README.md is a valid config, so removing a field
     cannot leave the README stale."""
@@ -536,7 +558,7 @@ def test_oracle_audit(tmp_path):
     csv_path, _ = run(cfg)
     _, rows = read_csv(csv_path)
     for row in rows:
-        assert float(row["power_svd_diff"]) < 1e-6
+        assert float(row["definition_block_diff"]) < 1e-6
         assert abs(float(row["hankel_ratio"]) - 1.0) < 1e-6
 
 

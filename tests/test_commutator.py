@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,18 +13,19 @@ from hypothesis import strategies as st
 from bicomm.commutator import (
     _QUADRANTS,
     _SPECTRUM_FLOOR,
-    PowerIterationError,
     _band_blocks,
     _lower_bound,
+    _power_norm,
     bracket,
     commutator_apply,
     dense_hankel_matrix,
+    operator_matrix,
     operator_norm,
-    power_iteration_norm,
     quadrant_hankel,
 )
-from bicomm.cli import ExperimentConfig, _basic_identity_residual, _family_symbol, run
-from bicomm.grid import GridSignal1D, GridSignal2D
+from bicomm import commutator
+from bicomm.cli import ExperimentConfig, _basic_identity_residual, _family_symbol, main, run
+from bicomm.grid import GridSignal1D, GridSignal2D, save_signal
 from bicomm.transforms import frequencies, project_admissible_2d, project_quadrant
 
 
@@ -75,8 +77,8 @@ def column_operator_matrix(b):
     commutator_apply's operations in its order at once, on a (M, N, N)
     stack of the unit modes' spectra, with sign multipliers of their own:
     the multipliers act on spectra, the products on samples, and the four
-    terms are summed as spectra.  The oracle of the quadrant-Hankel block
-    form."""
+    terms are summed as spectra.  The batched oracle of operator_matrix and
+    of the quadrant-Hankel block form."""
     N = b.n_points
     at = np.array(admissible_modes(N)) % N
     units = np.zeros((len(at), N, N), dtype=complex)
@@ -105,18 +107,13 @@ def column_operator_matrix(b):
 
 
 def test_column_oracle_is_commutator_apply():
-    """Columns of the batched oracle equal commutator_apply on the same unit
-    modes bit for bit: same operations in the same order."""
+    """The batched oracle equals operator_matrix, commutator_apply on each
+    unit mode, bit for bit on every column: same operations in the same
+    order, and the same mode order as admissible_modes."""
     rng = np.random.default_rng(49)
     symbols = [rand_signal(rng, 16), box_symbol(32, 16, 16, 54), band_limited(rng, 32)]
     for b in symbols:
-        N = b.n_points
-        modes = admissible_modes(N)
-        at = np.array(modes) % N
-        M = column_operator_matrix(b)
-        for col in rng.choice(len(modes), size=5, replace=False):
-            out = commutator_apply(b, mode(N, *modes[col])).spectrum()
-            np.testing.assert_array_equal(M[:, col], out[at[:, 0], at[:, 1]])
+        assert_same_bits(operator_matrix(b), column_operator_matrix(b))
 
 
 def counted_transforms(monkeypatch):
@@ -256,7 +253,7 @@ def test_power_iteration_matches_svd():
     worst = 0.0
     for i in range(8):
         b = band_limited(rng, N)
-        est = power_iteration_norm(b, tol=1e-12, seed=i)
+        est = _power_norm(b, 1e-12, i)
         worst = max(worst, abs(est.value - dense_top(b)))
     assert worst < 1e-8
 
@@ -286,32 +283,24 @@ def test_norm_homogeneous():
     assert abs(v2 - 2.0 * v1) < 1e-9
 
 
-def test_power_iteration_error_carries_trace():
-    rng = np.random.default_rng(58)
-    N = 16
-    b = band_limited(rng, N)
-    with pytest.raises(PowerIterationError) as info:
-        power_iteration_norm(b, tol=1e-16, max_iter=1)
-    err = info.value
-    assert err.estimate > 0.0
-    assert err.gap > 0.0
-    assert len(err.trace) == 1
-    for kwargs in ({"tol": 0.0}, {"max_iter": 0}):
-        with pytest.raises(ValueError):
-            power_iteration_norm(b, **kwargs)
-    with pytest.raises(ValueError):
-        operator_norm(b, tol=0.0)
-
-
-def test_rayleigh_trace_monotone():
-    rng = np.random.default_rng(59)
-    N = 16
-    b = band_limited(rng, N)
-    est = power_iteration_norm(b, tol=1e-13, seed=4)
-    vals = [row.rayleigh for row in est.trace]
-    assert len(vals) > 1
-    for a, c in zip(vals, vals[1:]):
-        assert c >= a - 1e-12
+def test_power_iteration_error_names_estimate_and_gap(monkeypatch, tmp_path, capsys):
+    """A wide-band norm that does not converge within _POWER_STEPS raises
+    RuntimeError with its estimate and last gap, and the command line exits
+    2 on it; tol must be finite and positive, checked before any step."""
+    b = box_symbol(16, 8, 8, 58)
+    monkeypatch.setattr(commutator, "_POWER_STEPS", 1)
+    with pytest.raises(RuntimeError, match=r"did not converge: estimate \d.*, final gap inf"):
+        operator_norm(b, tol=1e-16)
+    save_signal(tmp_path / "symbol.sig", b)
+    config = {"N": 16, "family": "file", "file": str(tmp_path / "symbol.sig"), "instances": 1}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = ["norm-compare", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    assert "did not converge" in capsys.readouterr().err
+    monkeypatch.setattr(commutator, "_power_norm", lambda *args: pytest.fail("a step ran"))
+    for tol in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            operator_norm(b, tol=tol)
 
 
 @st.composite
@@ -333,7 +322,7 @@ def test_exact_norm_matches_dense_svd(symbol):
     b, _ = symbol
     est = operator_norm(b)
     top = dense_top(b)
-    assert est.iterations == 0 and est.trace == ()
+    assert est.iterations == 0
     assert abs(est.value - top) <= 1e-12 * max(1.0, top)
 
 
@@ -553,7 +542,7 @@ def test_wide_band_falls_back_to_power_iteration(symbol):
     b, seed = symbol
     est = operator_norm(b, tol=1e-8, seed=seed)
     assert est.iterations > 0
-    assert est == power_iteration_norm(b, tol=1e-8, seed=seed)
+    assert est == _power_norm(b, 1e-8, seed)
 
 
 def hankel_apply(b, f):
@@ -608,7 +597,7 @@ def test_hankel_quarter_of_commutator(case):
     N, B1, B2, seed = case
     b = holomorphic_symbol(np.random.default_rng(seed), N, B1, B2)
     hank = float(np.linalg.svd(dense_hankel_matrix(b), compute_uv=False)[0])
-    comm = power_iteration_norm(b.conj(), tol=1e-13).value
+    comm = _power_norm(b.conj(), 1e-13, 0).value
     assert abs(4.0 * hank - comm) < 1e-10
 
 
@@ -642,5 +631,6 @@ def test_dense_hankel_matches_column_assembly():
 def test_dense_size_guard():
     N = 64
     b = GridSignal2D(np.zeros((N, N), dtype=complex))
-    with pytest.raises(ValueError):
-        dense_hankel_matrix(b)
+    for dense in (dense_hankel_matrix, operator_matrix):
+        with pytest.raises(ValueError, match="N <= 32"):
+            dense(b)
