@@ -11,10 +11,10 @@ below the rectangular one, to the bit (see product_bmo_lower).  Estimates
 carry the witness set achieving them so certificates can be re-checked
 after the fact.
 
-Every containment, of an interval in an interval, of a rectangle in a
-cell union or of a cell in a rectangle, is read off the cached cell spans
-of the dyadic intervals (grid._interval_spans), with box sums over one
-integral image where cells are counted.
+Every containment of an interval in an interval, or of a cell in a
+rectangle, is read off the cached cell spans of the dyadic intervals
+(grid._interval_spans); which rectangles lie in a cell union comes from
+the dyadic-halving table of grid._heap_containment.
 
 Open sets are searched as unions of cells of the 2^n x 2^n partition,
 n = max_scale, and that search is the supremum over every open set: each
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CellSet, _interval_meta, _interval_spans, _spans_inside, rectangles_inside
+from .grid import CellSet, _heap_containment, _interval_meta, _interval_spans, rectangles_inside
 from .wavelets import WaveletCoefficients
 
 
@@ -247,11 +247,10 @@ def product_bmo_lower(c: WaveletCoefficients) -> BmoEstimate:
     n = c.max_scale
     K, m, area = (2 << n) - 1, 1 << n, 4.0**-n
     out, head, blank = _closure_graph(n)
-    s0, s1 = _interval_spans(n, n)
     c_abs2 = np.abs(c.matrix) ** 2
 
     def energy(mask: np.ndarray) -> tuple[float, float]:
-        return float(np.add.reduce(c_abs2[_spans_inside(mask, s0, s1)])), np.count_nonzero(mask) * area
+        return float(np.add.reduce(c_abs2[_heap_containment(mask)])), np.count_nonzero(mask) * area
 
     rect = rect_bmo(c)
     mask = rect.witness.mask

@@ -179,13 +179,16 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         """Hash of every field but out and, for the file family, of the symbol file's bytes."""
-        fields = [f.name for f in dataclasses.fields(self) if f.name != "out"]
-        payload = {k: getattr(self, k) for k in fields}
+        payload = {k: getattr(self, k) for k in _HASHED_FIELDS}
         if self.family == "file" and self.file is not None:
             with open(self.file, "rb") as fh:
                 payload["file_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return hashlib.sha256(_HASH_ENCODER.encode(payload).encode()).hexdigest()[:12]
+
+
+# the fields config_hash covers, and the encoder of json.dumps(sort_keys=True)
+_HASHED_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "out")
+_HASH_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _write_in_place(path: str, text: str) -> None:
@@ -196,11 +199,17 @@ def _write_in_place(path: str, text: str) -> None:
     discards freed blocks or forces writeback of a truncated file on close,
     truncating to zero costs more than the write. A run killed between the
     write and the truncate can leave the tail of a longer earlier report.
+    The bytes go straight to the descriptor, with no buffered file object.
     """
+    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -550,7 +559,7 @@ def _run_journe_scan(cfg: ExperimentConfig, jobs: int):
         m = 1 << cfg.n
         U = CellSet(cfg.n, rng.random((m, m)) < 0.5)
         js = journe_sum(U, _DELTA, _EPSILON)
-        return [i, U.measure(), js.value, js.ratio, max(js.mus, default=0.0), len(js.mus)]
+        return [i, U.measure(), js.value, js.ratio, float(js.mus.max(initial=0.0)), len(js.mus)]
 
     cols = ["instance", "measure", "journe_value", "journe_ratio", "max_mu", "maximal_count"]
     return cols, _run_instances(cfg, jobs, worker)
@@ -741,7 +750,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> tuple[str, str | None]:
     if cfg.command == "plot-data":
         return _run_plot_data(cfg, jobs)
     # an output directory that cannot be made fails before any instance runs
-    os.makedirs(cfg.out, exist_ok=True)
+    if not os.path.isdir(cfg.out):
+        os.makedirs(cfg.out, exist_ok=True)
     with _one_blas_thread():
         columns, rows = _RUNNERS[cfg.command](cfg, jobs)
     return _write_report(cfg, columns, rows)

@@ -400,7 +400,14 @@ def _occupied_window(mask: np.ndarray, thresholds) -> tuple[slice, slice]:
     taken as a grid of its own, since intervals never wrap.  p/q = 1/2
     gives e = l - 1; p/q >= 1 gives the span itself; p = 0 gives the whole
     axis.  An empty mask has the empty window (slice(0, 0), slice(0, 0)).
+    A mask that occupies the first and last lines of both axes has the
+    whole grid as its window at every threshold, found from those four
+    lines alone.
     """
+    m1, m2 = mask.shape
+    count = np.count_nonzero  # less call overhead than ndarray.any
+    if count(mask[0]) and count(mask[-1]) and count(mask[:, 0]) and count(mask[:, -1]):
+        return slice(0, m1), slice(0, m2)
     window = []
     for ax, t in enumerate(thresholds):
         occupied = np.logical_or.reduce(mask, axis=1 - ax)
@@ -562,21 +569,37 @@ def _interval_spans(max_scale: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return spans
 
 
-def _span_box_sums(cells: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """(K, K) table of the sums of cells over [s0[a1], s1[a1]) x [s0[a2], s1[a2]).
+def _heap_levels(table: np.ndarray) -> None:
+    """Fill the coarse levels of a heap-ordered table along its first axis, in place.
 
-    The box sums difference the integral image along one axis and then the
-    other, two gathers of K rows each instead of four of K x K corners.
+    The last m rows hold the finest level, 2m - 1 rows in all; row a of a
+    coarser level becomes the AND of its halves, rows 2a + 1 and 2a + 2,
+    one level at a time from fine to coarse."""
+    hi = table.shape[0]
+    lo = hi // 2
+    while lo:
+        coarse = (lo - 1) // 2
+        np.logical_and(table[lo:hi:2], table[lo + 1 : hi : 2], out=table[coarse:lo])
+        hi, lo = lo, coarse
+
+
+def _heap_containment(mask: np.ndarray) -> np.ndarray:
+    """(K, K) table, K = 2m - 1 for an (m, m) mask: True where I_{a1} x I_{a2} lies in the mask.
+
+    An interval lies in a line's cells exactly when both of its halves do,
+    so each coarser level is the AND of the two halves of the level below:
+    first along axis 2, where the finest level is the mask itself, then
+    along axis 1, where it is that table.  The levels stand coarse to
+    fine, which is heap order.
     """
-    ii = _integral_image(cells)
-    rows = ii[s1, :] - ii[s0, :]
-    return rows[:, s1] - rows[:, s0]
-
-
-def _spans_inside(mask: np.ndarray, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """(K, K) table: True where the box [s0[a1], s1[a1]) x [s0[a2], s1[a2])
-    lies in the mask."""
-    return _span_box_sums(mask, s0, s1) == (s1 - s0)[:, None] * (s1 - s0)[None, :]
+    m = mask.shape[0]
+    cols = np.empty((2 * m - 1, m), dtype=bool)
+    cols[m - 1 :] = mask.T
+    _heap_levels(cols)
+    table = np.empty((2 * m - 1, 2 * m - 1), dtype=bool)
+    table[m - 1 :] = cols.T
+    _heap_levels(table)
+    return table
 
 
 def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:
@@ -584,8 +607,19 @@ def rectangles_inside(U: CellSet, max_scale: int) -> np.ndarray:
 
     Entry [a1, a2] corresponds to the rectangle I_{a1} x I_{a2} in interval
     index order; containment means every covered cell of U's grid lies in U.
+    The table at U's resolution n comes from :func:`_heap_containment`.
+    For max_scale < n it is the heap-order prefix; for max_scale > n an
+    interval finer than a cell lies in U exactly when its cell does, so its
+    row and column repeat that cell's.
     """
-    return _spans_inside(U.mask, *_interval_spans(max_scale, U.n))
+    n = U.n
+    table = _heap_containment(U.mask)
+    K = (2 << max_scale) - 1
+    if max_scale <= n:
+        return table[:K, :K]
+    j, k = _interval_meta(max_scale)
+    at = interval_index(np.minimum(j, n), k >> np.maximum(j - n, 0))
+    return table[np.ix_(at, at)]
 
 
 def save_signal(path, sig) -> None:

@@ -25,18 +25,20 @@ containment is monotone in it: the supremum is the largest crossing
 whose dilate stays inside.  The largest crossing whose dilate stays in
 the grid, the grid reach, has a closed form, so each axis first tests
 the dilate at its reach with one box sum per rectangle, or with none when
-the set fills the grid; only where that dilate meets a hole of the set
-does a bisection over the crossings below the reach take about log2(m)
-more.  Rasterized spans are floors and ceilings of integer quotients, so
-non-dyadic square sizes (the row of squares has side 3 cells and period
-5) stay exact, and every maximal rectangle of a set is probed and
-bisected at once, in numpy, over one integral image.
+the set fills the box that holds those dilates; only where that dilate
+meets a hole of the set does a bisection over the crossings below the
+reach take about log2(m) more.  Rasterized spans are floors and ceilings
+of integer quotients, so non-dyadic square sizes (the row of squares has
+side 3 cells and period 5) stay exact, and every maximal rectangle of a
+set is probed and bisected at once on both axes, in numpy, over one
+integral image of that box.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +71,9 @@ class RectCollection:
 
     n: int
     keys: np.ndarray
+    # the cell spans, computed on the first spans() call or kept from
+    # maximal_rectangles
+    _spans: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # a copy: the collection stays apart from its caller's array
@@ -85,15 +90,30 @@ class RectCollection:
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
 
+    @classmethod
+    def _trusted(cls, n: int, keys: np.ndarray, spans: np.ndarray) -> "RectCollection":
+        """A collection of fresh keys built in order and in range, and their
+        cell spans, both kept without a copy or a check."""
+        col = object.__new__(cls)
+        keys.flags.writeable = spans.flags.writeable = False
+        object.__setattr__(col, "n", n)
+        object.__setattr__(col, "keys", keys)
+        object.__setattr__(col, "_spans", spans)
+        return col
+
     @property
     def rectangles(self) -> tuple[DyadicRectangle, ...]:
         return tuple(DyadicRectangle.from_indices(*key) for key in self.keys.tolist())
 
     def spans(self) -> np.ndarray:
-        """(R, 4) int64 array of the cell spans (a1, b1, a2, b2) at resolution n."""
-        s0, s1 = _interval_spans(self.n, self.n)
-        h = interval_index(self.keys[:, 0::2], self.keys[:, 1::2])
-        return np.stack([s0[h], s1[h]], axis=2).reshape(-1, 4)
+        """Read-only (R, 4) int64 array of the cell spans (a1, b1, a2, b2) at resolution n."""
+        if self._spans is None:
+            s0, s1 = _interval_spans(self.n, self.n)
+            h = interval_index(self.keys[:, 0::2], self.keys[:, 1::2])
+            spans = np.stack([s0[h], s1[h]], axis=2).reshape(-1, 4)
+            spans.flags.writeable = False
+            object.__setattr__(self, "_spans", spans)
+        return self._spans
 
     def __iter__(self):
         return iter(self.rectangles)
@@ -115,22 +135,41 @@ class EmbeddednessReport:
     nu: float
 
 
+@functools.lru_cache(maxsize=None)
+def _interval_pairs(n: int) -> np.ndarray:
+    """(2, K, 2) int64 table of every interval index at resolution n: its
+    (j, k) in the first half and its half-open cell span (s0, s1) in the
+    second.  Cached and read-only."""
+    j, k = _interval_meta(n)
+    pairs = np.stack([np.stack([j, k], axis=1), np.stack(_interval_spans(n, n), axis=1)])
+    pairs.flags.writeable = False
+    return pairs
+
+
 def maximal_rectangles(U: CellSet) -> RectCollection:
     """All dyadic rectangles inside U that are maximal under inclusion.
 
     A contained rectangle is non-maximal exactly when widening it one
     dyadic level in some axis stays inside U, so it suffices to test the
     two axis parents, which in heap index order sit at (a - 1) // 2.
-    Heap index order is key order, so the keys come out sorted.
+    Heap index order is key order, so the flat indices of the maximal
+    entries, read in row-major order, give the keys sorted and in range;
+    one gather of _interval_pairs per half gives them with their cell
+    spans (np.take, which gathers whole rows several times faster than
+    fancy indexing does here).
     """
     inside = rectangles_inside(U, U.n)
-    idx = np.arange(inside.shape[0])
+    K = inside.shape[0]
+    idx = np.arange(K)
     parent, has_parent = (idx - 1) // 2, idx > 0
     good = inside & ~(inside[parent, :] & has_parent[:, None])
     good &= ~(inside[:, parent] & has_parent[None, :])
-    j, k = _interval_meta(U.n)
-    a, b = np.nonzero(good)
-    return RectCollection(U.n, np.stack([j[a], k[a], j[b], k[b]], axis=1))
+    flat = np.flatnonzero(good)
+    # (R, 2): the interval indices a1, a2 of each maximal rectangle
+    at = np.stack(divmod(flat, K), axis=1)
+    jk, span = _interval_pairs(U.n)
+    keys = np.take(jk, at, axis=0).reshape(-1, 4)
+    return RectCollection._trusted(U.n, keys, np.take(span, at, axis=0).reshape(-1, 4))
 
 
 def enlargement(U: CellSet, delta: float) -> CellSet:
@@ -169,68 +208,85 @@ def _dilation_limits(
     cell rectangles (a1, b1, a2, b2).  In half-cell units a span [a, b) has
     center C = a + b and half-width W = b - a, and its crossings on its own axis
     are lambda = d / W with d = |2p - C| over the grid lines p, so d runs
-    over C mod 2, C mod 2 + 2, ...  There the dilate is exactly the
-    concentric span [(C - d)/2, (C + d)/2), inside the grid while
-    d <= min(C, 2m - C); the other axis rasterizes to
-    _half_cell_span(C', W', d, W), whose low end floor((C'W - dW') / 2W) is
-    >= 0 iff d W' <= C' W, and whose high end C' minus it is <= m iff
-    d W' <= (2m - C') W.  The grid reach, the largest d = C (mod 2) with
-    d <= min(C, 2m - C) and d W' <= W min(C', 2m - C'), is therefore
-    closed-form; it is at least W, since min(C, 2m - C) >= W and
-    min(C', 2m - C') >= W'.  Every end of both spans moves outward as
+    over C mod 2, C mod 2 + 2, ...  At the crossing d / W of either axis,
+    each axis rasterizes to _half_cell_span(C', W', d, W), which on the own
+    axis is exactly the concentric span [(C - d)/2, (C + d)/2), inside the
+    grid while d <= min(C, 2m - C).  On the other axis its low end
+    floor((C'W - dW') / 2W) is >= 0 iff d W' <= C' W, and its high end C'
+    minus it is <= m iff d W' <= (2m - C') W.  The grid reach, the largest
+    d = C (mod 2) with d <= min(C, 2m - C) and d W' <= W min(C', 2m - C'),
+    is therefore closed-form; it is at least W, since min(C, 2m - C) >= W
+    and min(C', 2m - C') >= W'.  Every end of both spans moves outward as
     d grows, so containment is monotone in d: a dilate inside the set keeps
-    every smaller one inside.  Each axis therefore tests the dilate at its
-    reach once for every rectangle, and bisects, for the rectangles whose
-    dilate there meets a hole, for the largest d below the reach that
-    passes, in about log2(m) box sums over the set's integral image, all
-    inside the grid.  The result is the larger of the two axes' crossings
-    as the float d / W, 0.0 where none passes.  With first_axis_only,
-    crossings come from the first axis alone, the second-axis span stays
-    [a2, b2), and the reach is min(C, 2m - C).
-    When the set fills the grid, every in-grid dilate lies inside it, and
-    each axis takes its reach with no probe, no bisection and no integral
-    image.
+    every smaller one inside.
+
+    Both axes run in one pass, over (axes, R) arrays of crossings that
+    broadcast against the rectangles' own spans, and the bisection runs
+    over their flat entries.  Every dilate probed lies in its dilate at the
+    reach, so the integral image covers only the bounding box of those,
+    the window.  Each entry tests its dilate at the reach once, and the
+    entries whose dilate there meets a hole bisect for the largest d below
+    the reach that passes, in about log2(m) box sums.  The result is the
+    larger of the two axes' crossings as the float d / W, 0.0 where none
+    passes.  With first_axis_only, crossings come from the first axis
+    alone, the second-axis span stays [a2, b2), and the reach is
+    min(C, 2m - C).  When the set fills the grid, which is tested first
+    since it needs no dilate, or the window, every entry takes its reach
+    with no probe, no bisection and no integral image.
     """
+    if not len(spans):
+        return np.zeros(0)
     m = mask.shape[0]
-    # a set that fills the grid needs no integral image
-    ii = None if mask.all() else _integral_image(mask)
     a1, b1, a2, b2 = spans.T
-    center, half = (a1 + b1, a2 + b2), (b1 - a1, b2 - a2)
-    out = np.zeros(len(spans))
-    for ax in (0,) if first_axis_only else (0, 1):
-        C, W = center[ax], half[ax]
-        parity = C % 2
-        reach = np.minimum(C, 2 * m - C)
-        if not first_axis_only:
-            Co, Wo = center[1 - ax], half[1 - ax]
-            reach = np.minimum(reach, W * np.minimum(Co, 2 * m - Co) // Wo)
+    center, half = np.stack([a1 + b1, a2 + b2]), np.stack([b1 - a1, b2 - a2])
+    edge = np.minimum(center, 2 * m - center)
+    if first_axis_only:
+        reach = edge[:1]
+    else:
+        reach = np.minimum(edge, half * edge[::-1] // half[::-1])
+    # (axes, R): each axis's own crossings d / W of each rectangle, d = parity + 2t
+    W = half[: len(reach)]
+    parity = center[: len(reach)] % 2
+    last = (reach - parity) // 2
+    at_reach = parity + 2 * last
+    if mask.all():
+        return (at_reach / W).max(axis=0)
+    C1, W1, C2, W2 = center[0], half[0], center[1], half[1]
 
-        def inside(at, d):
-            """Whether the in-grid dilate at crossing d of the rectangles at lies in the set."""
-            own = (C[at] - d) // 2, (C[at] + d) // 2
-            other = (a2[at], b2[at]) if first_axis_only else _half_cell_span(Co[at], Wo[at], d, W[at])
-            box = (*own, *other) if ax == 0 else (*other, *own)
-            # the own-axis span has exactly d cells
-            return _box_sum(ii, *box) == d * (other[1] - other[0])
+    def box(r, d, w):
+        """Rows and columns of the dilates of the rectangles r at crossings d / w."""
+        rows = _half_cell_span(C1[r], W1[r], d, w)
+        cols = (a2[r], b2[r]) if first_axis_only else _half_cell_span(C2[r], W2[r], d, w)
+        return (*rows, *cols)
 
-        # crossings run d = parity + 2t; reach >= W >= parity, so last >= 0
-        last = (reach - parity) // 2
-        if ii is None:
-            out = np.maximum(out, (parity + 2 * last) / W)
-            continue
-        t = np.where(inside(slice(None), parity + 2 * last), last, -1)
-        # bisect below the reach where the probe failed; t = -1 stands for no
-        # passing crossing, and steps 2^k, ..., 1 reach every t <= top
-        miss = np.flatnonzero((t < 0) & (last > 0))
-        top = last[miss] - 1
-        tm = np.full(len(miss), -1)
-        for k in reversed(range(int(top.max(initial=-1) + 1).bit_length())):
-            cand = tm + (1 << k)
-            ok = (cand <= top) & inside(miss, parity[miss] + 2 * np.minimum(cand, top))
-            tm = np.where(ok, cand, tm)
-        t[miss] = tm
-        out = np.maximum(out, np.where(t >= 0, (parity + 2 * t) / W, 0.0))
-    return out
+    r0, r1, c0, c1 = box(slice(None), at_reach, W)
+    lo1, lo2 = int(r0.min()), int(c0.min())
+    window = mask[lo1 : r1.max(), lo2 : c1.max()]
+    if window.all():
+        return (at_reach / W).max(axis=0)
+    ii = _integral_image(window)
+    # from here on box works in the window's coordinates, rows from lo1 and
+    # columns from lo2: a shift by whole cells is 2 lo in half-cell units
+    C1, C2 = C1 - 2 * lo1, C2 - 2 * lo2
+    a2, b2 = a2 - lo2, b2 - lo2
+
+    def inside(r0, r1, c0, c1):
+        return _box_sum(ii, r0, r1, c0, c1) == (r1 - r0) * (c1 - c0)
+
+    t = np.where(inside(r0 - lo1, r1 - lo1, c0 - lo2, c1 - lo2), last, -1).ravel()
+    # bisect below the reach where the probe failed, over the flat (axes, R)
+    # entries; t = -1 stands for no passing crossing, and steps 2^k, ..., 1
+    # reach every t <= top
+    last, parity, W = last.ravel(), parity.ravel(), W.ravel()
+    miss = np.flatnonzero((t < 0) & (last > 0))
+    r, w, p, top = miss % len(spans), W[miss], parity[miss], last[miss] - 1
+    tm = np.full(len(miss), -1)
+    for k in reversed(range(int(top.max(initial=-1) + 1).bit_length())):
+        cand = tm + (1 << k)
+        ok = (cand <= top) & inside(*box(r, p + 2 * np.minimum(cand, top), w))
+        tm = np.where(ok, cand, tm)
+    t[miss] = tm
+    return np.where(t >= 0, (parity + 2 * t) / W, 0.0).reshape(len(reach), -1).max(axis=0)
 
 
 def embeddedness(R: CellRect, V: CellSet, U: CellSet) -> EmbeddednessReport:
@@ -252,14 +308,15 @@ def embeddedness(R: CellRect, V: CellSet, U: CellSet) -> EmbeddednessReport:
     return EmbeddednessReport(mu, nu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JourneSum:
-    """The sum and its ratio to |U|, with the maximal rectangles and their mu."""
+    """The sum and its ratio to |U|, with the maximal rectangles and the
+    read-only float64 array of their mu, in key order."""
 
     value: float
     ratio: float
     rectangles: RectCollection
-    mus: tuple[float, ...]
+    mus: np.ndarray
 
 
 def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
@@ -285,7 +342,8 @@ def journe_sum(U: CellSet, delta: float, epsilon: float) -> JourneSum:
     total = float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
     meas = U.measure()
     ratio = total / meas if meas > 0.0 else 0.0
-    return JourneSum(total, ratio, rects, tuple(mus.tolist()))
+    mus.flags.writeable = False
+    return JourneSum(total, ratio, rects, mus)
 
 
 def bad_class(S: RectCollection, axis: int, gamma: float) -> RectCollection:

@@ -1,9 +1,10 @@
 """The exhaustive product-BMO scan: the oracle of product_bmo_lower at n <= 2."""
 
 import numpy as np
+from span_oracle import span_box_sums
 
 from bicomm.bmo import BmoEstimate
-from bicomm.grid import CellSet, _interval_spans, _span_box_sums
+from bicomm.grid import CellSet, _interval_spans
 from bicomm.wavelets import WaveletCoefficients
 
 
@@ -19,7 +20,7 @@ def exhaustive_product_bmo(c: WaveletCoefficients) -> BmoEstimate:
     # cell (i1, i2) is bit i1*m + i2; the bits of a box are disjoint, so
     # their sum is the box's cell set
     cell_bits = (1 << np.arange(cells, dtype=np.int64)).reshape(m, m)
-    rmask = _span_box_sums(cell_bits, *_interval_spans(n, n)).astype(np.uint32).ravel()
+    rmask = span_box_sums(cell_bits, *_interval_spans(n, n)).astype(np.uint32).ravel()
     sets = np.arange(1, 2**cells, dtype=np.uint32)
     energies = ((sets[:, None] & rmask) == rmask) @ (np.abs(c.matrix) ** 2).ravel()
     ratio = energies / (np.bitwise_count(sets) * 4.0**-n)

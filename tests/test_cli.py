@@ -526,6 +526,7 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     blas = cli._openblas()
     if blas is None:
         pytest.skip("this numpy bundles no OpenBLAS whose thread count can be set")
+    assert cli._openblas() is cli._openblas()
     src = str(Path(bicomm.__file__).resolve().parents[1])
     config = write_config(tmp_path, command="norm-compare", N=128, instances=200)
     reports = []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from span_oracle import span_box_sums, spans_inside
 
 from bicomm.cli import ExperimentConfig, _family_symbol
 from bicomm.grid import (
@@ -24,13 +25,12 @@ from bicomm.grid import (
     _integral_image,
     _interval_spans,
     _occupied_window,
-    _span_box_sums,
-    _spans_inside,
     enumerate_dyadic_rectangles,
     index_interval,
     interval_index,
     load_signal,
     maximal_1d_level,
+    rectangles_inside,
     save_signal,
     strong_maximal_half_level,
 )
@@ -355,12 +355,38 @@ def test_span_box_sums_match_corner_sums():
         s0, s1 = _interval_spans(max_scale, n)
         for _ in range(3):
             grid = rng.integers(0, 5, size=(1 << n, 1 << n))
-            sums, inside = _span_box_sums(grid, s0, s1), _spans_inside(grid > 1, s0, s1)
+            sums, inside = span_box_sums(grid, s0, s1), spans_inside(grid > 1, s0, s1)
             corners = _box_sum(_integral_image(grid), s0[:, None], s1[:, None], s0[None, :], s1[None, :])
             assert np.array_equal(sums, corners)
             for a1, a2 in rng.integers(0, len(s0), size=(20, 2)):
                 box = grid[s0[a1] : s1[a1], s0[a2] : s1[a2]]
                 assert sums[a1, a2] == box.sum() and inside[a1, a2] == bool((box > 1).all())
+
+
+def staircase_mask(n: int) -> np.ndarray:
+    """The union of the boxes [0, 2^-j1) x [0, 2^-j2) with j1 + j2 = n at resolution n."""
+    m = 1 << n
+    mask = np.zeros((m, m), dtype=bool)
+    for j1 in range(n + 1):
+        mask[: 1 << (n - j1), : 1 << j1] = True
+    return mask
+
+
+def test_halving_containment_matches_integral_image():
+    """rectangles_inside's dyadic-halving table equals the integral-image
+    containment of the span oracle bit for bit, at n = 0..7 with max_scale
+    below, equal to and above n: on random masks of density 0.1 to 0.9, on
+    the empty and the full mask and on the staircase."""
+    rng = np.random.default_rng(30)
+    for n in range(8):
+        m = 1 << n
+        masks = [rng.random((m, m)) < p for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        masks += [np.zeros((m, m), dtype=bool), np.ones((m, m), dtype=bool), staircase_mask(n)]
+        for max_scale in sorted({0, max(n - 1, 0), n, n + 1, n + 2}):
+            s0, s1 = _interval_spans(max_scale, n)
+            for mask in masks:
+                got = rectangles_inside(CellSet(n, mask), max_scale)
+                assert got.dtype == bool and np.array_equal(got, spans_inside(mask, s0, s1))
 
 
 def test_dyadic_rectangle():

@@ -21,6 +21,7 @@ from bicomm.grid import (
     maximal_1d_level,
     strong_maximal_half_level,
 )
+from bicomm import journe
 from bicomm.journe import (
     RectCollection,
     _dilation_limits,
@@ -89,6 +90,23 @@ def test_maximal_rectangles_matches_bruteforce():
         n = int(rng.integers(1, 4))
         U = CellSet(n, rng.random((2**n, 2**n)) < 0.55)
         assert set(maximal_rectangles(U)) == brute_maximal(U)
+
+
+def test_maximal_rectangles_trusted_keys_and_spans():
+    """maximal_rectangles skips the validating constructor: at n = 2-7 its
+    keys pass that constructor unchanged, and the cell spans it keeps equal
+    the spans computed from the keys.  Both arrays are read-only."""
+    for n in range(2, 8):
+        m = 1 << n
+        sets = [random_set(n, 50 + n, p) for p in (0.1, 0.5, 0.8)]
+        sets += [CellSet(n, np.zeros((m, m), dtype=bool)), CellSet(n, np.ones((m, m), dtype=bool))]
+        for U in sets:
+            got = maximal_rectangles(U)
+            checked = RectCollection(U.n, got.keys)
+            assert got == checked and got.keys.dtype == np.int64
+            assert np.array_equal(got.spans(), checked.spans())
+            assert got.spans().shape == (len(got), 4)
+            assert not got.keys.flags.writeable and not got.spans().flags.writeable
 
 
 def test_maximal_rectangles_antichain_and_cover():
@@ -231,6 +249,42 @@ def test_level_sets_on_occupied_windows():
             if delta in ((1e-9, 1 / 2, 0.99) if U.n <= 5 else (1 / 2,)):
                 assert np.array_equal(enlargement(U, delta).mask, brute_enlargement(U, delta))
     assert crops >= 300
+    # sets that occupy the first and last lines of both axes take the whole
+    # grid at once; the last set of each n occupies them along one axis only
+    for U in full_span_corpus():
+        m = 1 << U.n
+        spans_both = U.mask[[0, -1]].any(axis=1).all() and U.mask[:, [0, -1]].any(axis=0).all()
+        for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+            window = _occupied_window(U.mask, (t, t))
+            assert window == (slice(0, m),) * 2 or not spans_both
+        whole = _occupied_window(U.mask, (Fraction(1),) * 2) == (slice(0, m),) * 2
+        assert whole == spans_both
+        for delta in (1e-9, 1 / 2, 0.99):
+            for axis in (1, 2):
+                for one_sided in (False, True):
+                    got = maximal_1d_level(U, axis, delta, one_sided).mask
+                    assert np.array_equal(got, brute_level(U.mask, axis, delta, one_sided))
+            assert np.array_equal(enlargement(U, delta).mask, brute_enlargement(U, delta))
+        assert np.array_equal(strong_maximal_half_level(U).mask, oracle_half_level(U))
+
+
+def full_span_corpus():
+    """At n = 2-5: two opposite corners, one cell on each edge line, the
+    frame, a random set of density 1/2 with its four edges' cells, and
+    cells on the first and last row of one column only."""
+    rng = np.random.default_rng(3005)
+    for n in range(2, 6):
+        m = 1 << n
+        yield CellSet.from_cells(n, [(0, 0), (m - 1, m - 1)])
+        a, b, c, d = rng.integers(1, m - 1, size=4)
+        yield CellSet.from_cells(n, [(0, a), (m - 1, b), (c, 0), (d, m - 1)])
+        frame = np.ones((m, m), dtype=bool)
+        frame[1:-1, 1:-1] = False
+        yield CellSet(n, frame)
+        dense = rng.random((m, m)) < 0.5
+        dense[[0, -1], a] = dense[c, [0, -1]] = True
+        yield CellSet(n, dense)
+        yield CellSet.from_cells(n, [(0, a), (m - 1, a)])
 
 
 def test_enlargement_stops_once_v12_covers_the_grid(monkeypatch):
@@ -558,6 +612,41 @@ def test_dilation_limits_match_linear_scan_bit_for_bit():
     assert spans_seen > 50_000
 
 
+def test_cropped_dilation_image_matches_linear_scan(monkeypatch):
+    """One rectangle at a time, so the integral image covers that
+    rectangle's dilates at the reach alone.  Rectangles flush with each
+    edge and each corner of the grid, and random ones, on sets with holes
+    at n = 1-6, give the full-grid scan's floats bit for bit, with
+    first_axis_only both ways, and most of those images are cropped.  No
+    spans give no limits."""
+    shapes, cropped = [], 0
+    monkeypatch.setattr(journe, "_integral_image", lambda cells: shapes.append(cells.shape) or _integral_image(cells))
+    rng = np.random.default_rng(2030)
+    for n in range(1, 7):
+        m = 1 << n
+        holed = np.ones((m, m), dtype=bool)
+        holed[tuple(rng.integers(0, m, size=2))] = False
+        for mask in (random_set(n, 300 + n, 0.7).mask, random_set(n, 400 + n, 0.9).mask, holed):
+            ii = _integral_image(mask)
+            for _ in range(4):
+                lo = rng.integers(0, m, size=2)
+                hi = lo + 1 + rng.integers(0, m - lo)
+                for e1, e2 in itertools.product((None, 0, m), repeat=2):
+                    a1, b1 = {0: (0, hi[0]), m: (lo[0], m)}.get(e1, (lo[0], hi[0]))
+                    a2, b2 = {0: (0, hi[1]), m: (lo[1], m)}.get(e2, (lo[1], hi[1]))
+                    spans = np.array([[a1, b1, a2, b2]], dtype=np.int64)
+                    for first_axis_only in (False, True):
+                        shapes.clear()
+                        got = _dilation_limits(mask, spans, first_axis_only)
+                        want = scan_dilation_limits(ii, spans, first_axis_only)
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                        cropped += shapes != [] and shapes[0] != ii.shape
+        for first_axis_only in (False, True):
+            none = _dilation_limits(holed, np.zeros((0, 4), dtype=np.int64), first_axis_only)
+            assert none.shape == (0,)
+    assert cropped >= 600
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(open_sets())
 @example(TIE_SET)
@@ -690,7 +779,7 @@ def test_journe_sum_single_square():
     js = journe_sum(sq, 0.5, 0.5)
     assert js.ratio == 1.0
     assert js.value == sq.measure()
-    assert len(js.rectangles) == 1 and js.mus == (1.0,)
+    assert len(js.rectangles) == 1 and js.mus.tolist() == [1.0]
 
 
 def test_journe_sum_monotone_in_epsilon():
