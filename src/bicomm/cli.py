@@ -750,8 +750,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1) -> tuple[str, str | None]:
     if cfg.command == "plot-data":
         return _run_plot_data(cfg, jobs)
     # an output directory that cannot be made fails before any instance runs
-    if not os.path.isdir(cfg.out):
-        os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(cfg.out, exist_ok=True)
     with _one_blas_thread():
         columns, rows = _RUNNERS[cfg.command](cfg, jobs)
     return _write_report(cfg, columns, rows)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -71,35 +71,31 @@ class RectCollection:
 
     n: int
     keys: np.ndarray
-    # the cell spans, computed on the first spans() call or kept from
-    # maximal_rectangles
-    _spans: np.ndarray | None = field(default=None, init=False, repr=False)
+    # the cell spans of the keys, when the builder has them (maximal_rectangles)
+    _spans: np.ndarray | None = field(default=None, repr=False)
+    # set by maximal_rectangles, whose fresh keys are built in order and in
+    # range: they are kept without the copy and the checks
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        # a copy: the collection stays apart from its caller's array
-        keys = np.array(self.keys, dtype=np.int64).reshape(-1, 4)
-        j, k = keys[:, 0::2], keys[:, 1::2]
-        if np.any((j < 0) | (j > self.n) | (k >> j != 0)):
-            raise ValueError(f"rectangle key out of range at resolution {self.n}")
-        # heap index order is (j, k) order, so one packed code h1 * H + h2
-        # orders the keys and equal codes are equal keys
-        h = interval_index(j, k)
-        code = h[:, 0] * ((2 << self.n) - 1) + h[:, 1]
-        if np.any(np.diff(code) <= 0):
-            raise ValueError("rectangle keys must be strictly increasing")
+    def __post_init__(self, _checked):
+        if _checked:
+            keys = self.keys
+        else:
+            # a copy: the collection stays apart from its caller's array
+            keys = np.array(self.keys, dtype=np.int64).reshape(-1, 4)
+            j, k = keys[:, 0::2], keys[:, 1::2]
+            if np.any((j < 0) | (j > self.n) | (k >> j != 0)):
+                raise ValueError(f"rectangle key out of range at resolution {self.n}")
+            # heap index order is (j, k) order, so one packed code h1 * H + h2
+            # orders the keys and equal codes are equal keys
+            h = interval_index(j, k)
+            code = h[:, 0] * ((2 << self.n) - 1) + h[:, 1]
+            if np.any(np.diff(code) <= 0):
+                raise ValueError("rectangle keys must be strictly increasing")
+            object.__setattr__(self, "keys", keys)
         keys.flags.writeable = False
-        object.__setattr__(self, "keys", keys)
-
-    @classmethod
-    def _trusted(cls, n: int, keys: np.ndarray, spans: np.ndarray) -> "RectCollection":
-        """A collection of fresh keys built in order and in range, and their
-        cell spans, both kept without a copy or a check."""
-        col = object.__new__(cls)
-        keys.flags.writeable = spans.flags.writeable = False
-        object.__setattr__(col, "n", n)
-        object.__setattr__(col, "keys", keys)
-        object.__setattr__(col, "_spans", spans)
-        return col
+        if self._spans is not None:
+            self._spans.flags.writeable = False
 
     @property
     def rectangles(self) -> tuple[DyadicRectangle, ...]:
@@ -107,13 +103,13 @@ class RectCollection:
 
     def spans(self) -> np.ndarray:
         """Read-only (R, 4) int64 array of the cell spans (a1, b1, a2, b2) at resolution n."""
-        if self._spans is None:
-            s0, s1 = _interval_spans(self.n, self.n)
-            h = interval_index(self.keys[:, 0::2], self.keys[:, 1::2])
-            spans = np.stack([s0[h], s1[h]], axis=2).reshape(-1, 4)
-            spans.flags.writeable = False
-            object.__setattr__(self, "_spans", spans)
-        return self._spans
+        if self._spans is not None:
+            return self._spans
+        s0, s1 = _interval_spans(self.n, self.n)
+        h = interval_index(self.keys[:, 0::2], self.keys[:, 1::2])
+        spans = np.stack([s0[h], s1[h]], axis=2).reshape(-1, 4)
+        spans.flags.writeable = False
+        return spans
 
     def __iter__(self):
         return iter(self.rectangles)
@@ -169,7 +165,7 @@ def maximal_rectangles(U: CellSet) -> RectCollection:
     at = np.stack(divmod(flat, K), axis=1)
     jk, span = _interval_pairs(U.n)
     keys = np.take(jk, at, axis=0).reshape(-1, 4)
-    return RectCollection._trusted(U.n, keys, np.take(span, at, axis=0).reshape(-1, 4))
+    return RectCollection(U.n, keys, np.take(span, at, axis=0).reshape(-1, 4), _checked=True)
 
 
 def enlargement(U: CellSet, delta: float) -> CellSet:

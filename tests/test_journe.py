@@ -93,9 +93,10 @@ def test_maximal_rectangles_matches_bruteforce():
 
 
 def test_maximal_rectangles_trusted_keys_and_spans():
-    """maximal_rectangles skips the validating constructor: at n = 2-7 its
-    keys pass that constructor unchanged, and the cell spans it keeps equal
-    the spans computed from the keys.  Both arrays are read-only."""
+    """maximal_rectangles builds its collection with _checked=True, which
+    skips the copy and the checks: at n = 2-7 its keys pass the validating
+    constructor unchanged, and the cell spans it keeps equal the spans
+    computed from the keys.  Both arrays are read-only."""
     for n in range(2, 8):
         m = 1 << n
         sets = [random_set(n, 50 + n, p) for p in (0.1, 0.5, 0.8)]
@@ -931,6 +932,8 @@ def test_rect_collection_keys():
     assert col.spans().tolist() == [
         [*R.interval1.cell_span(n), *R.interval2.cell_span(n)] for R in sorted(rects)
     ]
+    # computed spans are read-only and not stored on the collection
+    assert not col.spans().flags.writeable and col._spans is None
     outside = DyadicRectangle.from_indices(1, 1, 0, 0)
     assert rects[0] in col.rectangles and outside not in col.rectangles
     assert len(collection(n, ())) == 0 and collection(n, ()).spans().shape == (0, 4)
